@@ -102,6 +102,11 @@ def log_symbol(s: GridSamples) -> GridSamples:
     diag = winding_number(s)
     if diag.kappa != 0:
         raise NoLogarithmError(diag.kappa)
+    return _continuous_log(s)
+
+
+def _continuous_log(s: GridSamples) -> GridSamples:
+    """log_symbol without the winding check, for callers that made it."""
     steps = _arg_steps(s.values)
     arg0 = float(np.angle(s.values[0]))  # principal branch at theta = 0
     args = arg0 + np.concatenate(([0.0], np.cumsum(steps[:-1])))
@@ -147,7 +152,7 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     s, diag = _resolve_winding(b, n_grid, max_grid)
     if diag.kappa != 0:
         raise IndexObstructionError(diag.kappa)
-    logs = log_symbol(s)
+    logs = _continuous_log(s)
     lc = fourier_coefficients(logs, truncation)
     scalar = cmath.exp(lc.coeff(0))
     thetas = s.thetas

@@ -3,6 +3,7 @@ convolution products, the absolute-sum norm, and coefficient splitting."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,7 @@ class LaurentPolynomial:
     def from_json(cls, doc) -> "LaurentPolynomial":
         """Parse {"coeffs": [{"k": int, "re": float, "im": float}, ...]}.
 
-        Unknown keys and duplicate k are rejected.
+        Unknown keys, duplicate k and non-finite values are rejected.
         """
         if not isinstance(doc, dict) or set(doc) != {"coeffs"}:
             raise SpecError("coefficient JSON must have exactly the key 'coeffs'")
@@ -70,7 +71,13 @@ class LaurentPolynomial:
                 raise SpecError(f"coefficient index must be an integer, got {k!r}")
             if k in entries:
                 raise SpecError(f"duplicate coefficient index {k}")
-            entries[k] = complex(float(item["re"]), float(item["im"]))
+            try:
+                v = complex(float(item["re"]), float(item["im"]))
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"coefficient {k} must have numeric 're' and 'im'") from exc
+            if not cmath.isfinite(v):
+                raise SpecError(f"coefficient {k} is not finite")
+            entries[k] = v
         return cls.from_dict(entries)
 
     def to_json(self) -> dict:

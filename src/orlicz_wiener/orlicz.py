@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,10 @@ NONNEGATIVE_SIDE = "W+"  # index set {0, 1, ...}
 _ORLICZ_FAMILIES = ("pow", "expm1", "powlog")
 _WEIGHT_FAMILIES = ("pow", "log", "const", "table")
 
-# Bisection policy for the Luxemburg norm.
+# Luxemburg solver policy: the relative bracket width at which a solve
+# stops, and the cap on bracketing doublings and on narrowing steps.
 DEFAULT_NORM_TOL = 1e-12
-MAX_BISECTIONS = 200
+MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,9 @@ class OrliczFunction:
     def __post_init__(self):
         if self.family not in _ORLICZ_FAMILIES:
             raise SpecError(f"unknown Orlicz family {self.family!r}")
-        if self.family in ("pow", "powlog") and not self.p >= 1.0:
-            raise SpecError(f"family {self.family!r} requires exponent p >= 1, got {self.p}")
+        if self.family in ("pow", "powlog") and not 1.0 <= self.p < math.inf:
+            raise SpecError(
+                f"family {self.family!r} requires a finite exponent p >= 1, got {self.p}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -104,17 +107,19 @@ class WeightSequence:
             raise SpecError(f"unknown weight family {self.family!r}")
         if self.klass not in (NEGATIVE_SIDE, NONNEGATIVE_SIDE):
             raise SpecError(f"unknown weight class {self.klass!r}")
-        if self.family == "pow" and not self.param >= 0:
-            raise SpecError(f"power weight requires alpha >= 0, got {self.param}")
-        if self.family == "const" and not self.param > 0:
-            raise SpecError(f"constant weight requires c > 0, got {self.param}")
+        if self.family == "pow" and not 0 <= self.param < math.inf:
+            raise SpecError(f"power weight requires a finite alpha >= 0, got {self.param}")
+        if self.family == "const" and not 0 < self.param < math.inf:
+            raise SpecError(f"constant weight requires a finite c > 0, got {self.param}")
         if self.family == "table":
             if len(self.table) == 0:
                 raise SpecError("table weight requires at least one value")
+            if not all(math.isfinite(v) for v in self.table):
+                raise SpecError("table weight values must be finite")
             if min(self.table) <= 0:
                 raise InvalidWeightError("table weight values must be positive")
-            if not self.table_delta2 >= 1:
-                raise SpecError("table weight requires a doubling constant >= 1")
+            if not 1 <= self.table_delta2 < math.inf:
+                raise SpecError("table weight requires a finite doubling constant >= 1")
 
     @property
     def start(self) -> int:
@@ -263,50 +268,90 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
 
 def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
                    w: WeightSequence, tol: float = DEFAULT_NORM_TOL) -> float:
-    """inf{lam > 0 : modular(c, ..., lam) <= 1} by bracketing and bisection.
+    """inf{lam > 0 : modular(c, ..., lam) <= 1} by bracketing and regula falsi.
 
     Exponentially brackets the threshold starting from the scale of the
-    largest weighted entry, then bisects the monotone predicate down to
-    relative width tol.  Returns the certified upper end of the bracket,
-    so the modular at the returned value is <= 1.
+    largest weighted entry, then narrows the bracket by regula falsi with
+    the Anderson-Bjorck correction on (log lam, log modular), a relation
+    that is exactly linear for the ``pow`` family.  Each new point lies at
+    least tol/4 of the upper end inside the bracket, so a point on the
+    root also closes the far side; the geometric midpoint stands in when a
+    log-modular is not finite.  Stops at relative width tol and returns
+    the certified upper end of the bracket, so the modular at the returned
+    value is <= 1.
     """
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
     c = np.asarray(c)
-    a = np.abs(c)
-    if c.size == 0 or not np.any(a > 0):
+    if c.size == 0:
         return 0.0
     n = _index_range(phi, w, c.size)
-    lam = float(np.max(a * phi(n)))
+    with np.errstate(over="ignore"):
+        scaled = np.abs(c) * phi(n)
+    if not (np.all(np.isfinite(scaled)) and np.all(np.isfinite(w(n)))):
+        raise DomainError("weighted coefficients and weights must be finite")
+    ref = float(np.max(scaled))
+    if ref == 0:
+        return 0.0
 
-    def below(x):
-        return modular(c, orlicz, phi, w, x) <= 1.0
+    def at(lam):
+        return modular(c, orlicz, phi, w, lam)
 
-    if below(lam):
-        hi = lam
-        lo = lam / 2
-        for _ in range(MAX_BISECTIONS):
-            if not below(lo):
+    m = at(ref)
+    if m <= 1:
+        hi, m_hi = ref, m
+        for _ in range(MAX_STEPS):
+            lo = hi / 2
+            m_lo = at(lo)
+            if m_lo > 1:
                 break
-            hi, lo = lo, lo / 2
+            hi, m_hi = lo, m_lo
         else:
             return 0.0  # modular stays <= 1 down to underflow scale
     else:
-        lo = lam
-        hi = lam * 2
-        for _ in range(MAX_BISECTIONS):
-            if below(hi):
+        lo, m_lo = ref, m
+        for _ in range(MAX_STEPS):
+            hi = lo * 2
+            m_hi = at(hi)
+            if m_hi <= 1:
                 break
-            lo, hi = hi, hi * 2
+            lo, m_lo = hi, m_hi
         else:
             raise DomainError("failed to bracket the Luxemburg norm")
 
-    for _ in range(MAX_BISECTIONS):
+    # Abscissae are log(lam/ref), which keeps them small and precise.
+    x_lo, y_lo = math.log(lo / ref), _log(m_lo)
+    x_hi, y_hi = math.log(hi / ref), _log(m_hi)
+    last = 0  # side of the latest point: +1 upper end, -1 lower end
+    for _ in range(MAX_STEPS):
         if hi - lo <= tol * hi:
             break
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            hi = mid
+        x = 0.5 * (x_lo + x_hi)
+        if math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo > y_hi:
+            x = x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo)
+        gap = 0.25 * tol * hi
+        lam = min(max(ref * math.exp(x), lo + gap), hi - gap)
+        m = at(lam)
+        y = _log(m)
+        if m <= 1:
+            if last > 0:
+                y_lo *= _anderson_bjorck(y, y_hi)
+            hi, x_hi, y_hi, last = lam, math.log(lam / ref), y, 1
         else:
-            lo = mid
+            if last < 0:
+                y_hi *= _anderson_bjorck(y, y_lo)
+            lo, x_lo, y_lo, last = lam, math.log(lam / ref), y, -1
     return hi
+
+
+def _log(m: float) -> float:
+    """log of a modular value in [0, inf]."""
+    if m == 0:
+        return -math.inf
+    return math.log(m) if m < math.inf else math.inf
+
+
+def _anderson_bjorck(y: float, y_prev: float) -> float:
+    """Weight on the stale end of the bracket after two points on one side."""
+    scale = 1 - y / y_prev if y_prev else 0.0
+    return scale if scale > 0 else 0.5

@@ -8,6 +8,7 @@ from orlicz_wiener.errors import DomainError, SpecError
 from orlicz_wiener.algebra import (
     DEFAULT_SPACE_SPEC,
     AlgebraSpace,
+    ShiftReport,
     horbach_norm,
     random_element,
     theorem_constant,
@@ -18,7 +19,7 @@ from orlicz_wiener.algebra import (
     wnf_norm,
 )
 from orlicz_wiener.fourier import LaurentPolynomial
-from orlicz_wiener.harness import draw_space, replay, run_trial
+from orlicz_wiener.harness import WEIGHT_EXPONENTS, draw_space, replay, run_trial
 from orlicz_wiener.orlicz import (
     NEGATIVE_SIDE,
     NONNEGATIVE_SIDE,
@@ -150,6 +151,20 @@ class TestVerifyOneSided:
 
 
 class TestVerifyCoefficientBound:
+    def test_lhs_is_the_product_coefficient(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            f = random_element(int(rng.integers(0, 9)), int(rng.integers(0, 2**31)))
+            g = random_element(int(rng.integers(0, 12)), int(rng.integers(0, 2**31)))
+            fg = f.multiply(g)
+            for k in range(0, fg.n_max + 3):
+                for side, target in (("negative", -k), ("nonnegative", k)):
+                    if side == "negative" and k == 0:
+                        continue
+                    w = verify_coefficient_bound(f, g, k, side)
+                    assert w.lhs == pytest.approx(abs(fg.coeff(target)),
+                                                  rel=1e-12, abs=1e-15)
+
     def test_pair_of_negative_modes(self):
         f = LaurentPolynomial.from_dict({-1: 1})
         w = verify_coefficient_bound(f, f, 2, "negative")
@@ -188,7 +203,46 @@ class TestVerifyCoefficientBound:
         assert max(ratios) <= 1 + 1e-12
 
 
+def weight_shift_loop(nu, k_max):
+    """Per-index reference scan for verify_weight_shift."""
+    c = nu.delta2_constant()
+    n = np.arange(nu.start, k_max + 1)
+    vals = nu(n)
+    smin = np.minimum.accumulate(vals[::-1])[::-1]
+    violations = []
+    max_ratio = 0.0
+    for i, k in enumerate(n):
+        bound = c * smin[max(nu.start, k - k // 2) - nu.start]
+        max_ratio = max(max_ratio, vals[i] / bound if bound > 0 else float("inf"))
+        if vals[i] > bound * (1 + 1e-12):
+            violations.append({"k": int(k), "value": float(vals[i]), "bound": float(bound)})
+    return ShiftReport(not violations, k_max, max_ratio, violations)
+
+
+def builtin_weights():
+    for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE):
+        for alpha in WEIGHT_EXPONENTS:
+            yield WeightSequence("pow", klass, alpha)
+        yield WeightSequence("log", klass)
+        yield WeightSequence("const", klass, 1.0)
+
+
 class TestVerifyWeightShift:
+    @pytest.mark.parametrize("nu", list(builtin_weights()), ids=lambda nu: f"{nu.klass}:{nu.spec()}")
+    def test_matches_reference_scan_builtin(self, nu):
+        got, ref = verify_weight_shift(nu, 10_000), weight_shift_loop(nu, 10_000)
+        assert got.to_json() == ref.to_json()
+        assert got.violations == ref.violations
+
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    def test_matches_reference_scan_with_violations(self, klass):
+        nu = WeightSequence("table", klass, table=(5.0, 1.0, 1.0, 1.0) + (0.1,) * 20,
+                            table_delta2=10.0)
+        got, ref = verify_weight_shift(nu, 60), weight_shift_loop(nu, 60)
+        assert not got.ok and got.violations
+        assert got.violations == ref.violations
+        assert got.max_ratio == ref.max_ratio
+
     def test_linear_weight(self):
         # nu_n = n realized as a table; doubling constant 2
         nu = WeightSequence("table", NEGATIVE_SIDE,

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, determinism, serialization."""
 
 import json
+import warnings
 
 import pytest
 
@@ -144,3 +145,28 @@ class TestSelftest:
         code, out, _ = run(capsys, "--cmd", "selftest", "--trials", "10")
         assert code == 0
         assert json.loads(out)["ok"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("coeffs,space", [
+        ('{"coeffs": [{"k": 0, "re": NaN, "im": 0}]}', None),
+        ('{"coeffs": [{"k": -2, "re": 1, "im": Infinity}]}', None),
+        ('{"coeffs": [{"k": 1, "re": -Infinity, "im": 0}]}', None),
+        ('{"coeffs": [{"k": -3, "re": 1e308, "im": 0}]}',
+         "pow:p=1;pow:p=1;pow:alpha=2;const:1;const:1;const:1"),
+        (F0, "pow:p=1;pow:p=1;pow:alpha=inf;const:1;const:1;const:1"),
+        (F0, "pow:p=inf;pow:p=1;const:1;const:1;const:1;const:1"),
+        (F0, "pow:p=1;powlog:p=nan;const:1;const:1;const:1;const:1"),
+        (F0, "pow:p=1;pow:p=1;const:1;const:1;const:1;const:inf"),
+    ])
+    def test_clean_refusal(self, capsys, coeffs, space):
+        argv = ["--cmd", "norm", "--input", coeffs]
+        if space is not None:
+            argv += ["--space", space]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err

@@ -11,6 +11,7 @@ from orlicz_wiener.errors import (
     UnderResolvedError,
     VanishingSymbolError,
 )
+from orlicz_wiener import factorization
 from orlicz_wiener.algebra import AlgebraSpace
 from orlicz_wiener.factorization import (
     factorize,
@@ -94,6 +95,17 @@ class TestLogSymbol:
 
 
 class TestFactorize:
+    def test_winding_number_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(s):
+            calls.append(s.size)
+            return winding_number(s)
+
+        monkeypatch.setattr(factorization, "winding_number", counting)
+        factorize(LaurentPolynomial.from_dict({0: 2, 1: 1, -2: 0.5j}))
+        assert calls == [256]
+
     def test_two_plus_t(self):
         b = LaurentPolynomial.from_dict({0: 2, 1: 1})
         res = factorize(b, 256, 32, 1e-12)

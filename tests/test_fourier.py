@@ -52,6 +52,14 @@ class TestLaurentPolynomial:
         with pytest.raises(SpecError):
             LaurentPolynomial.from_json({"coeffs": [{"k": 0, "re": 1, "im": 0, "x": 2}]})
 
+    @pytest.mark.parametrize("re,im", [
+        (float("nan"), 0.0), (1.0, float("inf")), (float("-inf"), 1.0),
+        ("nan", 0.0), ("x", 0.0), ([1.0], 0.0), (None, 0.0),
+    ])
+    def test_json_non_finite_or_non_numeric_rejected(self, re, im):
+        with pytest.raises(SpecError):
+            LaurentPolynomial.from_json({"coeffs": [{"k": 1, "re": re, "im": im}]})
+
 
 class TestEvaluate:
     def test_constant_plus_mode(self):

@@ -1,8 +1,13 @@
 """Tests for Orlicz functions, weight sequences, and the Luxemburg norm."""
 
+import json
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orlicz_wiener import orlicz
 from orlicz_wiener.errors import DomainError, InvalidWeightError, SpecError
 from orlicz_wiener.orlicz import (
     NEGATIVE_SIDE,
@@ -21,7 +26,32 @@ def weighted_lp_norm(c, p, phi, w):
     return float(np.sum(np.abs(c) ** p * phi(n) ** p * w(n)) ** (1 / p))
 
 
+def mp_luxemburg_norm(c, fn, phi, w):
+    """50-digit oracle: the root of modular = 1, bracketed by doubling and
+    located by mpmath's Ridders solver."""
+    with mpmath.workdps(50):
+        n = np.arange(phi.start, phi.start + len(c))
+        a = [mpmath.mpf(float(x)) * mpmath.mpf(float(y))
+             for x, y in zip(np.abs(c), phi(n))]
+        ws = [mpmath.mpf(float(y)) for y in w(n)]
+
+        def big_phi(x):
+            return mpmath.expm1(x) if fn.family == "expm1" else x ** fn.p * mpmath.log1p(x)
+
+        def excess(lam):
+            return mpmath.fsum(big_phi(x / lam) * y for x, y in zip(a, ws)) - 1
+        hi = max(a)
+        while excess(hi) > 0:
+            hi *= 2
+        lo = hi / 2
+        while excess(lo) <= 0:
+            lo /= 2
+        return float(mpmath.findroot(excess, (lo, hi), solver="ridder", tol=1e-40))
+
+
 CONST1 = WeightSequence("const", NEGATIVE_SIDE, 1.0)
+TABLE_NEG = WeightSequence("table", NEGATIVE_SIDE, table=(0.5, 1.0, 1.0, 3.0),
+                           table_delta2=6.0)
 
 
 class TestOrliczFunction:
@@ -49,6 +79,13 @@ class TestOrliczFunction:
     @pytest.mark.parametrize("spec", ["pow:p=2", "expm1", "powlog:p=1.5"])
     def test_spec_round_trip(self, spec):
         assert OrliczFunction.from_spec(spec).spec() == spec
+
+    @pytest.mark.parametrize("spec", [
+        "pow:p=inf", "pow:p=nan", "powlog:p=inf", "powlog:p=-inf", "powlog:p=nan",
+    ])
+    def test_non_finite_spec_rejected(self, spec):
+        with pytest.raises(SpecError):
+            OrliczFunction.from_spec(spec)
 
     @pytest.mark.parametrize("fn", [
         OrliczFunction("pow", 1), OrliczFunction("pow", 2.5),
@@ -127,6 +164,22 @@ class TestWeightSequence:
     @pytest.mark.parametrize("spec", ["pow:alpha=1.5", "log", "const:2"])
     def test_spec_round_trip(self, spec):
         assert WeightSequence.from_spec(spec, NEGATIVE_SIDE).spec() == spec
+
+    @pytest.mark.parametrize("spec", [
+        "pow:alpha=inf", "pow:alpha=nan", "const:inf", "const:-inf", "const:nan",
+    ])
+    def test_non_finite_spec_rejected(self, spec):
+        with pytest.raises(SpecError):
+            WeightSequence.from_spec(spec, NEGATIVE_SIDE)
+
+    @pytest.mark.parametrize("values,delta2", [
+        ([1.0, float("nan")], 2.0), ([1.0, float("inf")], 2.0), ([1.0, 2.0], float("inf")),
+    ])
+    def test_non_finite_table_rejected(self, tmp_path, values, delta2):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"values": values, "delta2": delta2}))
+        with pytest.raises(SpecError):
+            WeightSequence.from_spec(f"table:{path}", NEGATIVE_SIDE)
 
 
 class TestModular:
@@ -229,7 +282,89 @@ class TestLuxemburgNorm:
             assert modular(c, fn, CONST1, CONST1, lam * (1 + 10 * tol)) <= 1
             assert modular(c, fn, CONST1, CONST1, lam * (1 - 10 * tol)) >= 1 - 1e-9
 
+    @pytest.mark.parametrize("fn", [
+        OrliczFunction("expm1"), OrliczFunction("powlog", 1),
+        OrliczFunction("powlog", 2.5),
+    ])
+    def test_high_precision_oracle(self, fn):
+        rng = np.random.default_rng(29)
+        weights = [CONST1, WeightSequence("pow", NEGATIVE_SIDE, 1.5),
+                   WeightSequence("log", NEGATIVE_SIDE), TABLE_NEG]
+        for i in range(12):
+            m = int(rng.integers(1, 30))
+            c = (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)) * 10.0 ** rng.uniform(-3, 2)
+            phi, w = weights[i % 4], weights[(i // 4 + 1) % 4]
+            got = luxemburg_norm(c, fn, phi, w)
+            assert got == pytest.approx(mp_luxemburg_norm(c, fn, phi, w), rel=1e-10)
+
+    def test_mean_modular_calls_per_solve(self, monkeypatch):
+        calls = []
+        real = orlicz.modular
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(orlicz, "modular", counting)
+        rng = np.random.default_rng(31)
+        fns = [OrliczFunction("pow", 1.5), OrliczFunction("expm1"),
+               OrliczFunction("powlog", 2)]
+        weights = [CONST1, WeightSequence("pow", NEGATIVE_SIDE, 1.0),
+                   WeightSequence("log", NEGATIVE_SIDE), TABLE_NEG]
+        solves = 300
+        for i in range(solves):
+            m = int(rng.integers(1, 65))
+            c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+            luxemburg_norm(c, fns[i % 3], weights[i % 4], weights[(i // 4) % 4])
+        assert len(calls) / solves <= 12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308 + 1e308j])
+    def test_non_finite_input_rejected(self, bad):
+        c = np.array([1.0, bad, 0.5])
+        phi = WeightSequence("pow", NEGATIVE_SIDE, 2.0)
+        with pytest.raises(DomainError):
+            luxemburg_norm(c, OrliczFunction("expm1"), phi, CONST1)
+
     def test_tol_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             luxemburg_norm(np.array([1.0]), OrliczFunction("pow", 1), CONST1,
                            CONST1, tol=1e-2)
+
+
+def _weights(klass):
+    return st.one_of(
+        st.builds(WeightSequence, st.just("pow"), st.just(klass), st.floats(0, 2)),
+        st.just(WeightSequence("log", klass)),
+        st.builds(WeightSequence, st.just("const"), st.just(klass), st.floats(1e-3, 1e3)),
+        st.lists(st.floats(0.1, 10), min_size=1, max_size=8).map(
+            lambda t: WeightSequence("table", klass, table=tuple(t), table_delta2=1e3)),
+    )
+
+
+_ORLICZ = st.one_of(
+    st.builds(OrliczFunction, st.just("pow"), st.floats(1, 4)),
+    st.just(OrliczFunction("expm1")),
+    st.builds(OrliczFunction, st.just("powlog"), st.floats(1, 4)),
+)
+
+
+@st.composite
+def _solver_cases(draw):
+    klass = draw(st.sampled_from([NEGATIVE_SIDE, NONNEGATIVE_SIDE]))
+    mags = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1)), min_size=1, max_size=40))
+    scale = 10.0 ** draw(st.floats(-6, 3))
+    return (np.array(mags) * scale, draw(_ORLICZ), draw(_weights(klass)),
+            draw(_weights(klass)), draw(st.sampled_from([1e-12, 1e-6, 1e-3])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_solver_cases())
+def test_solver_brackets_the_norm(case):
+    """modular <= 1 at the returned scale and > 1 a relative 2 tol below it."""
+    c, fn, phi, w, tol = case
+    lam = luxemburg_norm(c, fn, phi, w, tol)
+    if not np.any(c > 0):
+        assert lam == 0
+        return
+    assert modular(c, fn, phi, w, lam) <= 1
+    assert modular(c, fn, phi, w, lam * (1 - 2 * tol)) > 1
