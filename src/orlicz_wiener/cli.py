@@ -133,6 +133,8 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_VIOLATION
     if args.trials < 1:
         raise SpecError("trials must be >= 1")
+    if args.support < 1:
+        raise SpecError("support must be >= 1")
     doc = {}
     ok = True
     for family in FAMILIES:
@@ -178,6 +180,8 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.support < 1:
+        raise SpecError("support must be >= 1")
     ok = True
     doc = {}
     for family in FAMILIES:

@@ -46,7 +46,12 @@ class WindingDiagnostics:
 @dataclass
 class FactorizationResult:
     """Winding index, scalar factor, truncated one-sided factors, and the
-    pointwise reconstruction residual over the grid."""
+    pointwise reconstruction residual over the grid.
+
+    shifted_residual is the same residual at the half-step points
+    theta = 2 pi (j + 1/2) / N, which the coefficients were not fitted
+    to; it is reported only, and left out of to_json().
+    """
 
     kappa: int
     scalar: complex
@@ -56,6 +61,7 @@ class FactorizationResult:
     truncation: int
     grid_size: int
     log_coeffs: LaurentPolynomial
+    shifted_residual: float
 
     def to_json(self) -> dict:
         return {
@@ -113,14 +119,20 @@ def _continuous_log(s: GridSamples) -> GridSamples:
     return GridSamples(np.log(np.abs(s.values)) + 1j * args)
 
 
-def _one_sided_eval(lp: LaurentPolynomial, thetas: np.ndarray, side: int) -> np.ndarray:
-    """Evaluate only the strictly positive (side=+1) or strictly negative
-    (side=-1) index part of lp on the grid."""
-    ks = np.arange(1, lp.n_max + 1) * side
-    if len(ks) == 0:
-        return np.zeros(len(thetas), dtype=complex)
-    coeffs = np.array([lp.coeff(int(k)) for k in ks])
-    return np.exp(1j * np.multiply.outer(thetas, ks)) @ coeffs
+def _one_sided_eval(lp: LaurentPolynomial, n_grid: int, side: int) -> np.ndarray:
+    """Values on the n_grid-point grid of only the strictly positive
+    (side=+1) or strictly negative (side=-1) index part of lp: the other
+    half of the coefficients and k = 0 are masked out."""
+    k = np.arange(-lp.n_max, lp.n_max + 1)
+    c = np.where(side * k > 0, lp.coeffs, 0)
+    return sample(LaurentPolynomial(c, lp.n_max), n_grid).values
+
+
+def _half_step(lp: LaurentPolynomial, n_grid: int) -> np.ndarray:
+    """Values of lp at theta = 2 pi (j + 1/2) / n_grid: the grid samples of
+    lp with f_k twisted by e^{i pi k / n_grid}."""
+    twist = np.exp(1j * np.pi * np.arange(-lp.n_max, lp.n_max + 1) / n_grid)
+    return sample(LaurentPolynomial(lp.coeffs * twist, lp.n_max), n_grid).values
 
 
 def _resolve_winding(b: LaurentPolynomial, n_grid: int, max_grid: int = MAX_GRID):
@@ -155,15 +167,17 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     logs = _continuous_log(s)
     lc = fourier_coefficients(logs, truncation)
     scalar = cmath.exp(lc.coeff(0))
-    thetas = s.thetas
-    plus_vals = np.exp(_one_sided_eval(lc, thetas, +1))
-    minus_vals = np.exp(_one_sided_eval(lc, thetas, -1))
+    n = s.size
+    plus_vals = np.exp(_one_sided_eval(lc, n, +1))
+    minus_vals = np.exp(_one_sided_eval(lc, n, -1))
     plus = fourier_coefficients(GridSamples(plus_vals), truncation)
     minus = fourier_coefficients(GridSamples(minus_vals), truncation)
-    recon = scalar * plus.evaluate(thetas) * minus.evaluate(thetas)
+    recon = scalar * sample(plus, n).values * sample(minus, n).values
     residual = float(np.max(np.abs(s.values - recon)))
     if residual > tol:
         raise TruncationError(residual, tol)
+    shifted = scalar * _half_step(plus, n) * _half_step(minus, n)
+    shifted_residual = float(np.max(np.abs(_half_step(b, n) - shifted)))
     return FactorizationResult(
         kappa=0,
         scalar=scalar,
@@ -173,6 +187,7 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
         truncation=truncation,
         grid_size=s.size,
         log_coeffs=lc,
+        shifted_residual=shifted_residual,
     )
 
 
@@ -180,9 +195,8 @@ def membership(res: FactorizationResult, sp: AlgebraSpace,
                tol: float = 1e-12) -> dict[str, NormReport]:
     """Combined norms of both factors and their inverses (inverses obtained
     by exponentiating the negated one-sided log parts)."""
-    thetas = GridSamples(np.zeros(res.grid_size, dtype=complex)).thetas
-    inv_plus_vals = np.exp(-_one_sided_eval(res.log_coeffs, thetas, +1))
-    inv_minus_vals = np.exp(-_one_sided_eval(res.log_coeffs, thetas, -1))
+    inv_plus_vals = np.exp(-_one_sided_eval(res.log_coeffs, res.grid_size, +1))
+    inv_minus_vals = np.exp(-_one_sided_eval(res.log_coeffs, res.grid_size, -1))
     inv_plus = fourier_coefficients(GridSamples(inv_plus_vals), res.truncation)
     inv_minus = fourier_coefficients(GridSamples(inv_minus_vals), res.truncation)
     return {

@@ -67,7 +67,7 @@ class LaurentPolynomial:
             if not isinstance(item, dict) or set(item) != {"k", "re", "im"}:
                 raise SpecError("each coefficient must have exactly keys 'k', 're', 'im'")
             k = item["k"]
-            if not isinstance(k, int):
+            if not isinstance(k, int) or isinstance(k, bool):
                 raise SpecError(f"coefficient index must be an integer, got {k!r}")
             if k in entries:
                 raise SpecError(f"duplicate coefficient index {k}")
@@ -160,9 +160,16 @@ class GridSamples:
 
 
 def sample(f: LaurentPolynomial, n_grid: int) -> GridSamples:
-    """Evaluate f on the uniform n_grid-point grid."""
-    s = GridSamples(np.zeros(n_grid, dtype=complex))
-    return GridSamples(f.evaluate(s.thetas))
+    """Evaluate f on the uniform n_grid-point grid by one inverse FFT.
+
+    Each f_k goes to bin k mod n_grid; indices equal mod n_grid take the
+    same value on the grid, so folding them is exact for any n_grid.
+    """
+    if n_grid < 2 or n_grid & (n_grid - 1):
+        raise SpecError(f"grid size must be a power of two >= 2, got {n_grid}")
+    bins = np.zeros(n_grid, dtype=complex)
+    np.add.at(bins, np.arange(-f.n_max, f.n_max + 1) % n_grid, f.coeffs)
+    return GridSamples(np.fft.ifft(bins) * n_grid)
 
 
 def fourier_coefficients(s: GridSamples, band: int) -> LaurentPolynomial:
@@ -173,7 +180,4 @@ def fourier_coefficients(s: GridSamples, band: int) -> LaurentPolynomial:
     if band > s.size // 2 - 1:
         raise SpecError(f"band {band} too large for grid of size {s.size}")
     spec = np.fft.fft(s.values) / s.size
-    c = np.zeros(2 * band + 1, dtype=complex)
-    for k in range(-band, band + 1):
-        c[k + band] = spec[k % s.size]
-    return LaurentPolynomial(c, band)
+    return LaurentPolynomial(spec[np.arange(-band, band + 1) % s.size], band)

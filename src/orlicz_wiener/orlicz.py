@@ -24,7 +24,7 @@ _ORLICZ_FAMILIES = ("pow", "expm1", "powlog")
 _WEIGHT_FAMILIES = ("pow", "log", "const", "table")
 
 # Luxemburg solver policy: the relative bracket width at which a solve
-# stops, and the cap on bracketing doublings and on narrowing steps.
+# stops, and the cap on narrowing steps.
 DEFAULT_NORM_TOL = 1e-12
 MAX_STEPS = 200
 
@@ -271,7 +271,8 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
     """inf{lam > 0 : modular(c, ..., lam) <= 1} by bracketing and regula falsi.
 
     Exponentially brackets the threshold starting from the scale of the
-    largest weighted entry, then narrows the bracket by regula falsi with
+    largest weighted entry, halving or doubling until the scale leaves the
+    range of doubles if need be, then narrows the bracket by regula falsi with
     the Anderson-Bjorck correction on (log lam, log modular), a relation
     that is exactly linear for the ``pow`` family.  Each new point lies at
     least tol/4 of the upper end inside the bracket, so a point on the
@@ -300,24 +301,24 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
     m = at(ref)
     if m <= 1:
         hi, m_hi = ref, m
-        for _ in range(MAX_STEPS):
+        while True:
             lo = hi / 2
+            if lo == 0:
+                return 0.0  # modular stays <= 1 down to the smallest double
             m_lo = at(lo)
             if m_lo > 1:
                 break
             hi, m_hi = lo, m_lo
-        else:
-            return 0.0  # modular stays <= 1 down to underflow scale
     else:
         lo, m_lo = ref, m
-        for _ in range(MAX_STEPS):
+        while True:
             hi = lo * 2
+            if hi == math.inf:
+                raise DomainError("failed to bracket the Luxemburg norm")
             m_hi = at(hi)
             if m_hi <= 1:
                 break
             lo, m_lo = hi, m_hi
-        else:
-            raise DomainError("failed to bracket the Luxemburg norm")
 
     # Abscissae are log(lam/ref), which keeps them small and precise.
     x_lo, y_lo = math.log(lo / ref), _log(m_lo)

@@ -89,6 +89,16 @@ class TestVerify:
         code, _, _ = run(capsys, "--cmd", "verify", "--trials", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("cmd,support", [("verify", "-5"), ("verify", "0"),
+                                             ("selftest", "-5")])
+    def test_support_below_one_usage_error(self, capsys, cmd, support):
+        code, out, err = run(capsys, "--cmd", cmd, "--trials", "2",
+                             "--support", support)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_determinism(self, capsys):
         args = ("--cmd", "verify", "--trials", "4", "--support", "6",
                 "--seed", "11")
@@ -158,6 +168,7 @@ class TestNonFiniteInput:
         (F0, "pow:p=inf;pow:p=1;const:1;const:1;const:1;const:1"),
         (F0, "pow:p=1;powlog:p=nan;const:1;const:1;const:1;const:1"),
         (F0, "pow:p=1;pow:p=1;const:1;const:1;const:1;const:inf"),
+        ('{"coeffs": [{"k": true, "re": 1, "im": 0}]}', None),
     ])
     def test_clean_refusal(self, capsys, coeffs, space):
         argv = ["--cmd", "norm", "--input", coeffs]

@@ -172,6 +172,40 @@ class TestFactorize:
         assert np.allclose(res2.plus.coeffs, res1.plus.coeffs, atol=1e-10)
         assert np.allclose(res2.minus.coeffs, res1.minus.coeffs, atol=1e-10)
 
+    def test_shifted_residual_on_product_symbol(self):
+        # b = G (1 - a t)(1 - c / t): closed-form factors b+ = 1 - a t and
+        # b- = 1 - c / t, checked at the half-step points by dense sums.
+        g, a, c = 1.5 - 0.5j, 0.4 + 0.2j, -0.3j
+        b = LaurentPolynomial.from_dict({-1: -g * c, 0: g * (1 + a * c), 1: -g * a})
+        res = factorize(b, 256, 32, 1e-12)
+        assert res.scalar == pytest.approx(g, abs=1e-12)
+        assert abs(res.plus.coeff(1) + a) <= 1e-12
+        assert abs(res.minus.coeff(-1) + c) <= 1e-12
+        th = 2 * np.pi * (np.arange(256) + 0.5) / 256
+        oracle = np.max(np.abs(b.evaluate(th) - res.scalar * res.plus.evaluate(th)
+                               * res.minus.evaluate(th)))
+        assert res.shifted_residual == pytest.approx(oracle, abs=1e-14)
+        assert res.shifted_residual <= 1e-12
+        assert "shifted_residual" not in res.to_json()
+
+
+class TestOneSidedEval:
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_matches_dense_one_sided_sum(self, side):
+        rng = np.random.default_rng(53 + side)
+        n_grid = 64
+        th = 2 * np.pi * np.arange(n_grid) / n_grid
+        for n_max in (0, 1, 5, 16):
+            c = rng.uniform(-1, 1, 2 * n_max + 1) + 1j * rng.uniform(-1, 1, 2 * n_max + 1)
+            lp = LaurentPolynomial(c, n_max)
+            before = lp.coeffs.copy()
+            dense = np.zeros(n_grid, dtype=complex)
+            for k in range(1, n_max + 1):
+                dense += lp.coeff(side * k) * np.exp(1j * side * k * th)
+            got = factorization._one_sided_eval(lp, n_grid, side)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * max(lp.wiener_norm(), 1)
+            assert np.array_equal(lp.coeffs, before)  # not masked in place
+
 
 def _exp_poly(q, n_grid, band):
     """Symbol exp(q) as a truncated series, via pointwise exponentiation."""

@@ -60,6 +60,11 @@ class TestLaurentPolynomial:
         with pytest.raises(SpecError):
             LaurentPolynomial.from_json({"coeffs": [{"k": 1, "re": re, "im": im}]})
 
+    @pytest.mark.parametrize("k", [True, False, 1.0, "1", None])
+    def test_json_non_integer_index_rejected(self, k):
+        with pytest.raises(SpecError):
+            LaurentPolynomial.from_json({"coeffs": [{"k": k, "re": 1.0, "im": 0.0}]})
+
 
 class TestEvaluate:
     def test_constant_plus_mode(self):
@@ -163,7 +168,39 @@ class TestSplit:
             assert np.array_equal(g.coeffs, f.coeffs)
 
 
+class TestSample:
+    @pytest.mark.parametrize("n_grid", [2, 8, 32, 256])
+    def test_matches_dense_evaluation(self, n_grid):
+        # n_max runs past n_grid / 2, so indices equal mod n_grid share a bin.
+        rng = np.random.default_rng(n_grid)
+        for _ in range(10):
+            f = random_poly(rng, int(rng.integers(0, 3 * n_grid)))
+            dense = f.evaluate(2 * np.pi * np.arange(n_grid) / n_grid)
+            got = sample(f, n_grid).values
+            assert np.max(np.abs(got - dense)) <= 1e-12 * f.wiener_norm()
+
+    @pytest.mark.parametrize("n_grid", [0, 1, 3, 12, -8])
+    def test_grid_must_be_power_of_two(self, n_grid):
+        with pytest.raises(SpecError):
+            sample(LaurentPolynomial.from_dict({0: 1}), n_grid)
+
+
 class TestFourierCoefficients:
+    def test_matches_indexed_loop_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for n_grid in (2, 8, 64):
+            v = rng.uniform(-1, 1, n_grid) + 1j * rng.uniform(-1, 1, n_grid)
+            s = GridSamples(v)
+            spec = np.fft.fft(v) / n_grid
+            for band in range(n_grid // 2):
+                loop = np.zeros(2 * band + 1, dtype=complex)
+                for k in range(-band, band + 1):
+                    loop[k + band] = spec[k % n_grid]
+                got = fourier_coefficients(s, band)
+                want = LaurentPolynomial(loop, band)
+                assert got.n_max == want.n_max
+                assert np.array_equal(got.coeffs, want.coeffs)
+
     def test_single_mode(self):
         f = LaurentPolynomial.from_dict({1: 1})
         got = fourier_coefficients(sample(f, 8), 3)

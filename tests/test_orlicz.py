@@ -318,6 +318,16 @@ class TestLuxemburgNorm:
             luxemburg_norm(c, fns[i % 3], weights[i % 4], weights[(i // 4) % 4])
         assert len(calls) / solves <= 12
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("w_const", [1e-300, 1e300])
+    def test_power_closed_form_far_from_the_first_scale(self, p, w_const):
+        # The bracket starts at max |c_n| phi_n = 1, and the norm is of the
+        # order of w_const^(1/p): hundreds of halvings or doublings away.
+        w = WeightSequence("const", NEGATIVE_SIDE, w_const)
+        c = np.array([1.0, -0.5j])
+        got = luxemburg_norm(c, OrliczFunction("pow", p), CONST1, w)
+        assert got == pytest.approx(weighted_lp_norm(c, p, CONST1, w), rel=1e-10, abs=0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308 + 1e308j])
     def test_non_finite_input_rejected(self, bad):
         c = np.array([1.0, bad, 0.5])
