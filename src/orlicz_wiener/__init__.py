@@ -28,7 +28,6 @@ from .algebra import (
     NormReport,
     horbach_norm,
     random_element,
-    theorem_constant,
     verify_coefficient_bound,
     verify_one_sided,
     verify_theorem,
@@ -55,7 +54,7 @@ __all__ = [
     "validate_weight",
     "LaurentPolynomial", "GridSamples", "sample", "fourier_coefficients",
     "AlgebraSpace", "NormReport", "InequalityWitness",
-    "wnf_norm", "theorem_constant", "verify_theorem", "verify_one_sided",
+    "wnf_norm", "verify_theorem", "verify_one_sided",
     "verify_coefficient_bound", "verify_weight_shift", "horbach_norm",
     "random_element",
     "WindingDiagnostics", "FactorizationResult",

@@ -144,96 +144,74 @@ def wnf_norm(f: LaurentPolynomial, sp: AlgebraSpace,
     )
 
 
-def theorem_constant(sp: AlgebraSpace) -> float:
-    return sp.algebra_constant()
+def _norm_witness(lhs: float, rhs: float, c: float) -> InequalityWitness:
+    return InequalityWitness(lhs, rhs, c, lhs <= rhs * (1 + INEQ_SLACK))
 
 
-def verify_theorem(f: LaurentPolynomial, g: LaurentPolynomial, sp: AlgebraSpace,
-                   tol: float = DEFAULT_NORM_TOL) -> InequalityWitness:
-    """Check |fg| <= C |f| |g| in the combined norm."""
+def verify_theorem(nf: NormReport, ng: NormReport, nfg: NormReport,
+                   sp: AlgebraSpace) -> InequalityWitness:
+    """Check |fg| <= C |f| |g| in the combined norm, given the norm reports
+    of f, g and fg."""
     c = sp.algebra_constant()
-    lhs = wnf_norm(f.multiply(g), sp, tol).total
-    nf = wnf_norm(f, sp, tol).total
-    ng = wnf_norm(g, sp, tol).total
-    rhs = c * nf * ng
-    return InequalityWitness(lhs, rhs, c, lhs <= rhs * (1 + INEQ_SLACK))
+    return _norm_witness(nfg.total, c * nf.total * ng.total, c)
 
 
-def verify_one_sided(f: LaurentPolynomial, g: LaurentPolynomial, sp: AlgebraSpace,
-                     side: str, tol: float = DEFAULT_NORM_TOL) -> InequalityWitness:
-    """Check the one-sided product bound on the chosen coefficient side."""
-    nf = wnf_norm(f, sp, tol)
-    ng = wnf_norm(g, sp, tol)
-    prod = wnf_norm(f.multiply(g), sp, tol)
-    if side == "negative":
-        c = sp.neg_constant()
-        lhs = prod.negative
-        rhs = c * (nf.wiener * ng.negative + ng.wiener * nf.negative)
-    elif side == "nonnegative":
-        c = sp.pos_constant()
-        lhs = prod.nonnegative
-        rhs = c * (nf.wiener * ng.nonnegative + ng.wiener * nf.nonnegative)
-    else:
-        raise DomainError(f"side must be 'negative' or 'nonnegative', got {side!r}")
-    return InequalityWitness(lhs, rhs, c, lhs <= rhs * (1 + INEQ_SLACK))
+def verify_one_sided(nf: NormReport, ng: NormReport, nfg: NormReport,
+                     sp: AlgebraSpace) -> tuple[InequalityWitness, InequalityWitness]:
+    """Check the one-sided product bounds on the negative and on the
+    nonnegative coefficient side, given the norm reports of f, g and fg."""
+    c_neg, c_pos = sp.neg_constant(), sp.pos_constant()
+    return (
+        _norm_witness(nfg.negative,
+                      c_neg * (nf.wiener * ng.negative + ng.wiener * nf.negative), c_neg),
+        _norm_witness(nfg.nonnegative,
+                      c_pos * (nf.wiener * ng.nonnegative + ng.wiener * nf.nonnegative),
+                      c_pos),
+    )
 
 
-class _AbsCoeffs:
-    """|f_j| with zero outside the band; takes whole index arrays."""
+def _sides(f: LaurentPolynomial):
+    """(|f_{-j}|, |f_j|) for j = 0..n_max, with the j = 0 entry of the
+    negative side set to 0."""
+    mags = np.abs(f.coeffs)
+    return np.concatenate(([0.0], mags[:f.n_max][::-1])), mags[f.n_max:]
 
-    def __init__(self, f: LaurentPolynomial):
-        self.mags = np.abs(f.coeffs)
-        self.reach = f.n_max
 
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(idx))
-        mask = np.abs(idx) <= self.reach
-        out[mask] = self.mags[idx[mask] + self.reach]
+def verify_coefficient_bound(f: LaurentPolynomial,
+                             g: LaurentPolynomial) -> list[InequalityWitness]:
+    """Check the coefficient-level convolution majorant of |(fg)_{-k}| for
+    k = 1..deg, then of |(fg)_k| for k = 0..deg, where deg = f.n_max + g.n_max.
+
+    The majorant sums, over both orders (x, y) of the pair (f, g), a tail
+    and a head sum:
+      negative side:     sum_{j>=0} |x_j||y_{-k-j}| + sum_{j=1}^{k//2} |x_{-j}||y_{-k+j}|
+      nonnegative side:  sum_{j>=1} |x_{-j}||y_{k+j}| + sum_{j=0}^{k//2} |x_j||y_{k-j}|
+    The tails are correlations.  A head sum and its swapped twin together
+    cover j = 1..k-1 (negative side) or j = 0..k (nonnegative side) once
+    each, except the middle term j = k/2 of an even k, which they count
+    twice: one convolution plus that diagonal term.
+    """
+    deg = f.n_max + g.n_max
+    prod = np.abs(np.convolve(f.coeffs, g.coeffs))  # |(fg)_i| at i + deg
+    lhs = np.concatenate([prod[:deg][::-1], prod[deg:]])
+    a_neg, a_pos = _sides(f)
+    b_neg, b_pos = _sides(g)
+
+    def tail(u, v):  # sum_j u[j] v[k+j] for k = 0..deg
+        out = np.zeros(deg + 1)
+        corr = np.convolve(u[::-1], v)[len(u) - 1:]
+        out[:len(corr)] = corr
         return out
 
-
-def _coeff_bound_rhs(a: _AbsCoeffs, b: _AbsCoeffs, k: int, side: str) -> float:
-    """The four-sum majorant of |(fg)_{-k}| (negative side, k >= 1) or
-    |(fg)_k| (nonnegative side, k >= 0)."""
-    half = k // 2
-    reach = max(a.reach, b.reach)
-    j_tail = np.arange(0, reach + 1)
-    j_head = np.arange(1, half + 1)
-    j_half = np.arange(0, half + 1)
-    total = 0.0
-    for x, y in ((a, b), (b, a)):
-        if side == "negative":
-            total += x.take(j_tail) @ y.take(-k - j_tail)
-            total += x.take(-j_head) @ y.take(-k + j_head)
-        else:
-            total += x.take(-j_tail[1:]) @ y.take(k + j_tail[1:])
-            total += x.take(j_half) @ y.take(k - j_half)
-    return float(total)
-
-
-def verify_coefficient_bound(f: LaurentPolynomial, g: LaurentPolynomial,
-                             k: int, side: str) -> InequalityWitness:
-    """Check the coefficient-level convolution majorant at index k."""
-    if side == "negative":
-        if k < 1:
-            raise DomainError("negative side requires k >= 1")
-        target = -k
-    elif side == "nonnegative":
-        if k < 0:
-            raise DomainError("nonnegative side requires k >= 0")
-        target = k
-    else:
-        raise DomainError(f"side must be 'negative' or 'nonnegative', got {side!r}")
-    # (fg)_target = sum_j f_j g_{target-j} over the j where both are stored
-    lo = max(-f.n_max, target - g.n_max)
-    hi = min(f.n_max, target + g.n_max)
-    lhs = 0.0
-    if lo <= hi:
-        fs = f.coeffs[lo + f.n_max: hi + f.n_max + 1]
-        gs = g.coeffs[target - hi + g.n_max: target - lo + g.n_max + 1]
-        lhs = abs(complex(fs @ gs[::-1]))
-    rhs = _coeff_bound_rhs(_AbsCoeffs(f), _AbsCoeffs(g), k, side)
-    return InequalityWitness(lhs, rhs, 1.0, lhs <= rhs + COEFF_SLACK * (1 + rhs))
+    mid = min(f.n_max, g.n_max) + 1
+    rhs_neg = tail(a_pos, b_neg) + tail(b_pos, a_neg) + np.convolve(a_neg, b_neg)
+    rhs_neg[:2 * mid:2] += a_neg[:mid] * b_neg[:mid]
+    rhs_pos = tail(a_neg, b_pos) + tail(b_neg, a_pos) + np.convolve(a_pos, b_pos)
+    rhs_pos[:2 * mid:2] += a_pos[:mid] * b_pos[:mid]
+    rhs = np.concatenate([rhs_neg[1:], rhs_pos])
+    holds = lhs <= rhs + COEFF_SLACK * (1 + rhs)
+    return [InequalityWitness(lhs_k, rhs_k, 1.0, ok)
+            for lhs_k, rhs_k, ok in zip(lhs.tolist(), rhs.tolist(), holds.tolist())]
 
 
 @dataclass
@@ -289,15 +267,11 @@ def horbach_norm(f: LaurentPolynomial, p: float, r: float,
 
 def random_element(support: int, seed, scale: float = 1.0) -> LaurentPolynomial:
     """Deterministic pseudo-random coefficients: real and imaginary parts
-    uniform in [-scale, scale] for every index in [-support, support]."""
+    uniform in [-scale, scale] for every index in [-support, support].
+    ``seed`` may also be a ``numpy.random.Generator``, which is drawn from."""
     if support < 0:
         raise DomainError("support must be nonnegative")
     rng = np.random.default_rng(seed)
-    return random_element_rng(rng, support, scale)
-
-
-def random_element_rng(rng: np.random.Generator, support: int,
-                       scale: float = 1.0) -> LaurentPolynomial:
     n = 2 * support + 1
     re = rng.uniform(-scale, scale, n)
     im = rng.uniform(-scale, scale, n)
@@ -306,7 +280,7 @@ def random_element_rng(rng: np.random.Generator, support: int,
 
 __all__ = [
     "AlgebraSpace", "NormReport", "InequalityWitness", "ShiftReport",
-    "DEFAULT_SPACE_SPEC", "wnf_norm", "theorem_constant", "verify_theorem",
-    "verify_one_sided", "verify_coefficient_bound", "verify_weight_shift",
-    "horbach_norm", "random_element", "random_element_rng", "validate_weight",
+    "DEFAULT_SPACE_SPEC", "wnf_norm", "verify_theorem", "verify_one_sided",
+    "verify_coefficient_bound", "verify_weight_shift", "horbach_norm",
+    "random_element", "validate_weight",
 ]

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .algebra import DEFAULT_SPACE_SPEC, AlgebraSpace, wnf_norm
 from .fourier import LaurentPolynomial
-from .harness import FAMILIES, replay, run_suite, run_weight_shift_suite
+from .harness import FAMILIES, NORM_FAMILIES, replay, run_suite, run_weight_shift_suite
 from .orlicz import validate_weight
 
 EXIT_OK = 0
@@ -135,14 +135,11 @@ def _cmd_verify(args) -> int:
         raise SpecError("trials must be >= 1")
     if args.support < 1:
         raise SpecError("support must be >= 1")
-    doc = {}
-    ok = True
-    for family in FAMILIES:
-        trials = args.trials if family != "coefficient_bound" else max(1, args.trials // 2)
-        support = args.support if family != "coefficient_bound" else min(args.support, 32)
-        rep = run_suite(family, trials, args.seed, support)
-        doc[family] = rep.to_json()
-        ok = ok and rep.ok
+    reports = run_suite(NORM_FAMILIES, args.trials, args.seed, args.support)
+    reports |= run_suite(("coefficient_bound",), max(1, args.trials // 2), args.seed,
+                         min(args.support, 32))
+    doc = {family: rep.to_json() for family, rep in reports.items()}
+    ok = all(rep.ok for rep in reports.values())
     shift = run_weight_shift_suite()
     doc["weight_shift"] = {"ok": all(r["ok"] for r in shift.values()), "families": shift}
     ok = ok and doc["weight_shift"]["ok"]
@@ -182,12 +179,9 @@ def _cmd_factorize(args) -> int:
 def _cmd_selftest(args) -> int:
     if args.support < 1:
         raise SpecError("support must be >= 1")
-    ok = True
-    doc = {}
-    for family in FAMILIES:
-        rep = run_suite(family, min(args.trials, 50), args.seed, min(args.support, 16))
-        doc[family] = rep.to_json()
-        ok = ok and rep.ok
+    reports = run_suite(FAMILIES, min(args.trials, 50), args.seed, min(args.support, 16))
+    doc = {family: rep.to_json() for family, rep in reports.items()}
+    ok = all(rep.ok for rep in reports.values())
     shift = run_weight_shift_suite(1000)
     doc["weight_shift_ok"] = all(r["ok"] for r in shift.values())
     ok = ok and doc["weight_shift_ok"]

@@ -161,6 +161,8 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
         raise SpecError(
             f"grid size {n_grid} must be a power of two >= 4*max(truncation, degree)"
         )
+    if n_grid > max_grid:
+        raise SpecError(f"grid size {n_grid} exceeds the largest grid {max_grid}")
     s, diag = _resolve_winding(b, n_grid, max_grid)
     if diag.kappa != 0:
         raise IndexObstructionError(diag.kappa)

@@ -18,11 +18,12 @@ from .errors import SpecError
 from .algebra import (
     AlgebraSpace,
     InequalityWitness,
-    random_element_rng,
+    random_element,
     verify_coefficient_bound,
     verify_one_sided,
     verify_theorem,
     verify_weight_shift,
+    wnf_norm,
 )
 from .orlicz import NEGATIVE_SIDE, NONNEGATIVE_SIDE, OrliczFunction, WeightSequence
 
@@ -30,7 +31,8 @@ from .orlicz import NEGATIVE_SIDE, NONNEGATIVE_SIDE, OrliczFunction, WeightSeque
 ORLICZ_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 WEIGHT_EXPONENTS = (0.0, 0.5, 1.0, 2.0)
 
-FAMILIES = ("theorem", "one_sided_negative", "one_sided_nonnegative", "coefficient_bound")
+NORM_FAMILIES = ("theorem", "one_sided_negative", "one_sided_nonnegative")
+FAMILIES = NORM_FAMILIES + ("coefficient_bound",)
 
 
 def _draw_orlicz(rng: np.random.Generator) -> OrliczFunction:
@@ -82,34 +84,36 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def run_trial(family: str, seed: int, trial: int, support: int) -> list[InequalityWitness]:
-    """Run one trial of the given inequality family; deterministic in
-    (seed, trial, support)."""
+def run_trial(families, seed: int, trial: int,
+              support: int) -> dict[str, list[InequalityWitness]]:
+    """Run one trial of each of the given inequality families on a single
+    draw of (space, f, g); deterministic in (seed, trial, support).  The
+    norm families share one norm report each of f, g and fg."""
+    unknown = [fam for fam in families if fam not in FAMILIES]
+    if unknown:
+        raise SpecError(f"unknown suite family {unknown[0]!r}")
+    if min(seed, trial, support) < 0:
+        raise SpecError(f"seed, trial and support must be >= 0, got "
+                        f"seed={seed}, trial={trial}, support={support}")
     rng = _trial_rng(seed, trial)
     sp = draw_space(rng)
     sup_f = int(rng.integers(0, support + 1))
     sup_g = int(rng.integers(0, support + 1))
-    f = random_element_rng(rng, sup_f)
-    g = random_element_rng(rng, sup_g)
-    fp = fingerprint(family, seed, trial, support)
+    f = random_element(sup_f, rng)
+    g = random_element(sup_g, rng)
 
-    if family == "theorem":
-        witnesses = [verify_theorem(f, g, sp)]
-    elif family == "one_sided_negative":
-        witnesses = [verify_one_sided(f, g, sp, "negative")]
-    elif family == "one_sided_nonnegative":
-        witnesses = [verify_one_sided(f, g, sp, "nonnegative")]
-    elif family == "coefficient_bound":
-        deg = f.n_max + g.n_max
-        witnesses = [verify_coefficient_bound(f, g, k, "negative")
-                     for k in range(1, deg + 1)]
-        witnesses += [verify_coefficient_bound(f, g, k, "nonnegative")
-                      for k in range(0, deg + 1)]
-    else:
-        raise SpecError(f"unknown suite family {family!r}")
-    for w in witnesses:
-        w.fingerprint = fp
-    return witnesses
+    witnesses = {}
+    if not set(families).isdisjoint(NORM_FAMILIES):
+        norms = (wnf_norm(f, sp), wnf_norm(g, sp), wnf_norm(f.multiply(g), sp))
+        neg, nonneg = verify_one_sided(*norms, sp)
+        witnesses.update(theorem=[verify_theorem(*norms, sp)],
+                         one_sided_negative=[neg], one_sided_nonnegative=[nonneg])
+    if "coefficient_bound" in families:
+        witnesses["coefficient_bound"] = verify_coefficient_bound(f, g)
+    for family in families:
+        for w in witnesses[family]:
+            w.fingerprint = fingerprint(family, seed, trial, support)
+    return {family: witnesses[family] for family in families}
 
 
 @dataclass
@@ -156,31 +160,38 @@ def worker_count() -> int:
 
 
 def _trial_batch(args) -> list:
-    family, seed, lo, hi, support = args
-    return [run_trial(family, seed, t, support) for t in range(lo, hi)]
+    families, seed, lo, hi, support = args
+    return [run_trial(families, seed, t, support) for t in range(lo, hi)]
 
 
-def run_suite(family: str, trials: int, seed: int, support: int,
-              workers: int | None = None) -> SuiteReport:
-    """Run a whole family; results are absorbed in trial order regardless
-    of how many workers produced them."""
+def run_suite(families, trials: int, seed: int, support: int,
+              workers: int | None = None) -> dict[str, SuiteReport]:
+    """Run the given families over the same trials, one draw per trial;
+    results are absorbed in trial order regardless of how many workers
+    produced them."""
     if trials < 1:
         raise SpecError("trials must be >= 1")
     if workers is None:
         workers = worker_count()
-    report = SuiteReport(family, trials)
+    families = tuple(families)
+    reports = {family: SuiteReport(family, trials) for family in families}
+
+    def absorb(by_family):
+        for family, witnesses in by_family.items():
+            reports[family].absorb(witnesses)
+
     if workers <= 1:
         for t in range(trials):
-            report.absorb(run_trial(family, seed, t, support))
-        return report
+            absorb(run_trial(families, seed, t, support))
+        return reports
     chunk = max(1, trials // (workers * 4))
-    batches = [(family, seed, lo, min(lo + chunk, trials), support)
+    batches = [(families, seed, lo, min(lo + chunk, trials), support)
                for lo in range(0, trials, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for batch in pool.map(_trial_batch, batches):
-            for witnesses in batch:
-                report.absorb(witnesses)
-    return report
+            for by_family in batch:
+                absorb(by_family)
+    return reports
 
 
 def run_weight_shift_suite(k_max: int = 10_000) -> dict:
@@ -198,4 +209,4 @@ def run_weight_shift_suite(k_max: int = 10_000) -> dict:
 def replay(fp: str) -> list[InequalityWitness]:
     """Re-run the single trial identified by a fingerprint."""
     family, seed, trial, support = parse_fingerprint(fp)
-    return run_trial(family, seed, trial, support)
+    return run_trial((family,), seed, trial, support)[family]

@@ -4,14 +4,14 @@ verifiers."""
 import numpy as np
 import pytest
 
-from orlicz_wiener.errors import DomainError, SpecError
+from orlicz_wiener import harness
+from orlicz_wiener.errors import SpecError
 from orlicz_wiener.algebra import (
     DEFAULT_SPACE_SPEC,
     AlgebraSpace,
     ShiftReport,
     horbach_norm,
     random_element,
-    theorem_constant,
     verify_coefficient_bound,
     verify_one_sided,
     verify_theorem,
@@ -19,13 +19,26 @@ from orlicz_wiener.algebra import (
     wnf_norm,
 )
 from orlicz_wiener.fourier import LaurentPolynomial
-from orlicz_wiener.harness import WEIGHT_EXPONENTS, draw_space, replay, run_trial
+from orlicz_wiener.harness import (
+    FAMILIES,
+    NORM_FAMILIES,
+    WEIGHT_EXPONENTS,
+    draw_space,
+    replay,
+    run_suite,
+    run_trial,
+)
 from orlicz_wiener.orlicz import (
     NEGATIVE_SIDE,
     NONNEGATIVE_SIDE,
     OrliczFunction,
     WeightSequence,
 )
+
+
+def norms(f, g, sp):
+    """The norm reports of f, g and fg."""
+    return wnf_norm(f, sp), wnf_norm(g, sp), wnf_norm(f.multiply(g), sp)
 
 
 def make_space(neg_orlicz="pow:p=1", pos_orlicz="pow:p=1", neg_scale="const:1",
@@ -55,22 +68,22 @@ class TestAlgebraSpace:
 
 class TestTheoremConstant:
     def test_all_ones(self):
-        assert theorem_constant(make_space()) == 9.0  # 1 + 2*2*1 + 2*2*1
+        assert make_space().algebra_constant() == 9.0  # 1 + 2*2*1 + 2*2*1
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_power_nonnegative_scale(self, beta):
         sp = make_space(pos_scale=f"pow:alpha={beta}")
-        assert theorem_constant(sp) == pytest.approx(5 + 4 * 2**beta)
+        assert sp.algebra_constant() == pytest.approx(5 + 4 * 2**beta)
 
     def test_all_twos(self):
         sp = make_space(neg_scale="pow:alpha=1", neg_sum="pow:alpha=1",
                         pos_scale="pow:alpha=1", pos_sum="pow:alpha=1")
-        assert theorem_constant(sp) == 25.0  # 1 + 2*3*2 + 2*3*2
+        assert sp.algebra_constant() == 25.0  # 1 + 2*3*2 + 2*3*2
 
     def test_recomputable_from_parts(self):
         sp = make_space(neg_scale="pow:alpha=1.5", pos_sum="log")
         expected = 1 + 2 * sp.neg_constant() + 2 * sp.pos_constant()
-        assert theorem_constant(sp) == pytest.approx(expected)
+        assert sp.algebra_constant() == pytest.approx(expected)
 
 
 class TestWnfNorm:
@@ -93,13 +106,13 @@ class TestWnfNorm:
 
 class TestVerifyTheorem:
     def test_zero_pair(self):
-        w = verify_theorem(LaurentPolynomial.zero(), LaurentPolynomial.zero(),
-                           make_space())
+        zero = LaurentPolynomial.zero()
+        w = verify_theorem(*norms(zero, zero, make_space()), make_space())
         assert w.holds and w.lhs == 0 and w.rhs == 0
 
     def test_constant_pair(self):
         f = LaurentPolynomial.from_dict({0: 1})
-        w = verify_theorem(f, f, make_space())
+        w = verify_theorem(*norms(f, f, make_space()), make_space())
         assert w.lhs == pytest.approx(2, rel=1e-9)
         assert w.rhs == pytest.approx(36, rel=1e-9)
         assert w.holds
@@ -110,27 +123,21 @@ class TestVerifyTheorem:
             sp = draw_space(rng)
             f = random_element(int(rng.integers(0, 16)), int(rng.integers(0, 2**31)))
             g = random_element(int(rng.integers(0, 16)), int(rng.integers(0, 2**31)))
-            assert verify_theorem(f, g, sp).holds
+            assert verify_theorem(*norms(f, g, sp), sp).holds
 
 
 class TestVerifyOneSided:
     def test_zero_pair(self):
-        for side in ("negative", "nonnegative"):
-            w = verify_one_sided(LaurentPolynomial.zero(), LaurentPolynomial.zero(),
-                                 make_space(), side)
-            assert w.holds
+        zero = LaurentPolynomial.zero()
+        ws = verify_one_sided(*norms(zero, zero, make_space()), make_space())
+        assert len(ws) == 2 and all(w.holds for w in ws)
 
     def test_single_negative_modes(self):
         f = LaurentPolynomial.from_dict({-1: 1})
-        w = verify_one_sided(f, f, make_space(), "negative")
+        w = verify_one_sided(*norms(f, f, make_space()), make_space())[0]
         assert w.lhs == pytest.approx(1, rel=1e-9)
         assert w.rhs == pytest.approx(4, rel=1e-9)
         assert w.holds
-
-    def test_bad_side_rejected(self):
-        f = LaurentPolynomial.zero()
-        with pytest.raises(DomainError):
-            verify_one_sided(f, f, make_space(), "sideways")
 
     def test_chain_implies_theorem(self):
         # product norm pieces, bounded one by one, assemble to the full bound
@@ -147,7 +154,39 @@ class TestVerifyOneSided:
             assert prod.negative <= 2 * sp.neg_constant() * nf.total * ng.total * slack
             assert (prod.nonnegative
                     <= 2 * sp.pos_constant() * nf.total * ng.total * slack)
-            assert prod.total <= theorem_constant(sp) * nf.total * ng.total * slack
+            assert prod.total <= sp.algebra_constant() * nf.total * ng.total * slack
+
+
+def coefficient_targets(f, g):
+    """The product index of each coefficient-bound witness, in order."""
+    deg = f.n_max + g.n_max
+    return list(range(-1, -deg - 1, -1)) + list(range(0, deg + 1))
+
+
+def majorant_oracle(f, g, target):
+    """|(fg)_target| and its majorant, each index pair summed one at a time
+    straight from the definition: over (x, y) = (f, g) and (g, f),
+      target = -k < 0:  sum_{j>=0} |x_j||y_{-k-j}| + sum_{j=1}^{k//2} |x_{-j}||y_{-k+j}|
+      target = k >= 0:  sum_{j>=1} |x_{-j}||y_{k+j}| + sum_{j=0}^{k//2} |x_j||y_{k-j}|
+    """
+    reach = f.n_max + g.n_max
+    lhs = 0j
+    for j in range(-f.n_max, f.n_max + 1):
+        lhs += f.coeff(j) * g.coeff(target - j)
+    k = abs(target)
+    rhs = 0.0
+    for x, y in ((f, g), (g, f)):
+        if target < 0:
+            for j in range(0, reach + 1):
+                rhs += abs(x.coeff(j)) * abs(y.coeff(-k - j))
+            for j in range(1, k // 2 + 1):
+                rhs += abs(x.coeff(-j)) * abs(y.coeff(-k + j))
+        else:
+            for j in range(1, reach + 1):
+                rhs += abs(x.coeff(-j)) * abs(y.coeff(k + j))
+            for j in range(0, k // 2 + 1):
+                rhs += abs(x.coeff(j)) * abs(y.coeff(k - j))
+    return abs(lhs), rhs
 
 
 class TestVerifyCoefficientBound:
@@ -157,33 +196,48 @@ class TestVerifyCoefficientBound:
             f = random_element(int(rng.integers(0, 9)), int(rng.integers(0, 2**31)))
             g = random_element(int(rng.integers(0, 12)), int(rng.integers(0, 2**31)))
             fg = f.multiply(g)
-            for k in range(0, fg.n_max + 3):
-                for side, target in (("negative", -k), ("nonnegative", k)):
-                    if side == "negative" and k == 0:
-                        continue
-                    w = verify_coefficient_bound(f, g, k, side)
-                    assert w.lhs == pytest.approx(abs(fg.coeff(target)),
-                                                  rel=1e-12, abs=1e-15)
+            ws = verify_coefficient_bound(f, g)
+            assert len(ws) == 2 * fg.n_max + 1
+            for target, w in zip(coefficient_targets(f, g), ws):
+                assert w.lhs == pytest.approx(abs(fg.coeff(target)),
+                                              rel=1e-12, abs=1e-15)
 
     def test_pair_of_negative_modes(self):
         f = LaurentPolynomial.from_dict({-1: 1})
-        w = verify_coefficient_bound(f, f, 2, "negative")
+        ws = dict(zip(coefficient_targets(f, f), verify_coefficient_bound(f, f)))
+        w = ws[-2]
         assert w.lhs == pytest.approx(1)
         assert w.rhs == pytest.approx(2)
         assert w.holds
 
     def test_zero_factor(self):
         g = LaurentPolynomial.from_dict({-1: 1, 0: 2, 3: 1j})
-        for k, side in [(1, "negative"), (0, "nonnegative"), (5, "nonnegative")]:
-            w = verify_coefficient_bound(LaurentPolynomial.zero(), g, k, side)
-            assert w.lhs == 0 and w.holds
+        ws = verify_coefficient_bound(LaurentPolynomial.zero(), g)
+        assert len(ws) == 7
+        assert all(w.lhs == 0 and w.holds for w in ws)
 
-    def test_invalid_k_rejected(self):
-        f = LaurentPolynomial.zero()
-        with pytest.raises(DomainError):
-            verify_coefficient_bound(f, f, 0, "negative")
-        with pytest.raises(DomainError):
-            verify_coefficient_bound(f, f, -1, "nonnegative")
+    @pytest.mark.parametrize("f,g", [
+        (LaurentPolynomial.zero(), LaurentPolynomial.zero()),
+        (LaurentPolynomial.zero(), random_element(5, 1)),
+        (random_element(4, 2), LaurentPolynomial.zero()),
+        (LaurentPolynomial.from_dict({0: 2 - 1j}), random_element(6, 3)),
+        (random_element(0, 4), random_element(0, 5)),
+        (random_element(2, 6), random_element(7, 7)),
+        (random_element(9, 8), random_element(1, 9)),
+        (random_element(5, 10), random_element(5, 11)),
+        (LaurentPolynomial.from_dict({-3: 1, 2: -1j}),
+         LaurentPolynomial.from_dict({-4: 0.5, 1: 2})),
+    ], ids=["zero-zero", "zero-g", "f-zero", "const-g", "deg0", "unequal-2-7",
+            "unequal-9-1", "equal-5", "sparse"])
+    def test_matches_brute_force_oracle(self, f, g):
+        targets = coefficient_targets(f, g)
+        ws = verify_coefficient_bound(f, g)
+        assert len(ws) == len(targets)
+        for target, w in zip(targets, ws):
+            lhs, rhs = majorant_oracle(f, g, target)
+            assert w.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-15), target
+            assert w.rhs == pytest.approx(rhs, rel=1e-12, abs=0), target
+            assert w.constant == 1.0 and w.holds
 
     def test_random_pairs_all_k(self):
         rng = np.random.default_rng(41)
@@ -191,14 +245,10 @@ class TestVerifyCoefficientBound:
         for _ in range(30):
             f = random_element(int(rng.integers(0, 9)), int(rng.integers(0, 2**31)))
             g = random_element(int(rng.integers(0, 9)), int(rng.integers(0, 2**31)))
-            deg = f.n_max + g.n_max
-            for k in range(1, deg + 1):
-                w = verify_coefficient_bound(f, g, k, "negative")
+            for target, w in zip(coefficient_targets(f, g), verify_coefficient_bound(f, g)):
                 assert w.holds
-                ratios.append(w.ratio)
-            for k in range(0, deg + 1):
-                w = verify_coefficient_bound(f, g, k, "nonnegative")
-                assert w.holds
+                assert w.rhs == pytest.approx(majorant_oracle(f, g, target)[1],
+                                              rel=1e-12, abs=0)
                 ratios.append(w.ratio)
         assert max(ratios) <= 1 + 1e-12
 
@@ -315,10 +365,48 @@ class TestRandomElement:
 
 class TestHarnessReplay:
     def test_replay_matches_original(self):
-        first = run_trial("theorem", 7, 3, 16)
+        first = run_trial(("theorem",), 7, 3, 16)["theorem"]
         again = replay("theorem:seed=7:trial=3:support=16")
         assert [w.to_json() for w in first] == [w.to_json() for w in again]
 
     def test_bad_fingerprint_rejected(self):
         with pytest.raises(SpecError):
             replay("nonsense")
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(SpecError):
+            run_trial(("theorem", "sideways"), 7, 3, 16)
+
+
+class TestSharedTrial:
+    def test_one_draw_gives_every_family(self):
+        shared = run_trial(FAMILIES, 7, 3, 16)
+        assert list(shared) == list(FAMILIES)
+        for family in FAMILIES:
+            alone = run_trial((family,), 7, 3, 16)[family]
+            assert [w.to_json() for w in shared[family]] == [w.to_json() for w in alone]
+            assert {w.fingerprint for w in alone} == {f"{family}:seed=7:trial=3:support=16"}
+
+    @pytest.mark.parametrize("families,calls", [
+        (NORM_FAMILIES, 3), (("theorem",), 3), (("one_sided_nonnegative",), 3),
+        (FAMILIES, 3), (("coefficient_bound",), 0),
+    ])
+    def test_wnf_norm_calls_per_trial(self, monkeypatch, families, calls):
+        count = [0]
+        original = harness.wnf_norm
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "wnf_norm", counted)
+        run_trial(families, 7, 3, 16)
+        assert count[0] == calls
+
+    def test_pool_matches_serial(self):
+        serial = run_suite(FAMILIES, 6, 5, 8, workers=1)
+        pooled = run_suite(FAMILIES, 6, 5, 8, workers=2)
+        assert list(serial) == list(pooled) == list(FAMILIES)
+        for family in FAMILIES:
+            assert pooled[family].to_json() == serial[family].to_json()
+            assert pooled[family].checks > 0

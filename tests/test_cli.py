@@ -99,6 +99,19 @@ class TestVerify:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--cmd", "verify", "--trials", "2", "--seed", "-1"),
+        ("--cmd", "selftest", "--trials", "2", "--seed", "-3"),
+        ("--cmd", "verify", "--replay", "theorem:seed=7:trial=-2:support=5"),
+        ("--cmd", "verify", "--replay", "theorem:seed=7:trial=2:support=-5"),
+    ], ids=["verify-seed", "selftest-seed", "replay-trial", "replay-support"])
+    def test_negative_seed_or_fingerprint_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_determinism(self, capsys):
         args = ("--cmd", "verify", "--trials", "4", "--support", "6",
                 "--seed", "11")
@@ -143,6 +156,20 @@ class TestFactorize:
         code, out, _ = run(capsys, "--cmd", "factorize", "--input", z)
         assert code == 3
         assert json.loads(out)["error"] == "vanishing-symbol"
+
+    def test_grid_above_cap_refused_before_sampling(self, capsys, monkeypatch):
+        from orlicz_wiener import factorization
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(factorization, "sample", no_sampling)
+        code, out, err = run(capsys, "--cmd", "factorize", "--input", TWO_PLUS_T,
+                             "--grid", "131072")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "131072" in err
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "--cmd", "factorize", "--input", TWO_PLUS_T,

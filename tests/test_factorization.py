@@ -146,6 +146,8 @@ class TestFactorize:
             factorize(b, 128, 64)
         with pytest.raises(SpecError):
             factorize(b, 100, 16)
+        with pytest.raises(SpecError):
+            factorize(b, 512, 16, max_grid=256)
 
     def test_one_sidedness_and_unit_constant(self):
         rng = np.random.default_rng(47)
