@@ -8,6 +8,11 @@ The coefficient-bound floats depend on the order in which the majorant and
 the product coefficient are summed, so they may move within 1e-12 relative.
 The factorization residual is rounding noise and is held to selftest's own
 bound only.
+
+`tests/golden/norm_long.json` holds `wnf_norm` of seeded support-4096
+symbols for every pair of Orlicz families, with the weights cycling through
+every weight family.  Those norms must match exactly.  Run this file as a
+script (`PYTHONPATH=src python tests/test_golden.py`) to write it again.
 """
 
 import json
@@ -15,11 +20,16 @@ from pathlib import Path
 
 import pytest
 
+from orlicz_wiener.algebra import AlgebraSpace, random_element, wnf_norm
 from orlicz_wiener.cli import main
+from orlicz_wiener.orlicz import (
+    NEGATIVE_SIDE, NONNEGATIVE_SIDE, OrliczFunction, WeightSequence)
 
 GOLDEN = Path(__file__).parent / "golden"
 NORM_FAMILIES = ("theorem", "one_sided_negative", "one_sided_nonnegative")
 SUMMED = ("lhs", "rhs", "ratio")
+NORM_SUPPORT = 4096
+ORLICZ = (OrliczFunction("pow", 1.5), OrliczFunction("expm1"), OrliczFunction("powlog", 2.5))
 
 
 def close(got, want):
@@ -79,3 +89,34 @@ def test_replay(capsys, family):
             for key in SUMMED:
                 assert close(got_w.pop(key), want_w.pop(key)), key
         assert got_w == want_w
+
+
+def _weight(i, klass):
+    return (WeightSequence("pow", klass, 0.5), WeightSequence("log", klass),
+            WeightSequence("const", klass, 2.0),
+            WeightSequence("table", klass, table=(1.0, 1.25, 1.5, 2.0),
+                           table_delta2=2.0))[i % 4]
+
+
+def norm_long_cases():
+    """(seed, space, symbol) for each of the 3 x 3 Orlicz family pairs."""
+    cases = []
+    for i in range(len(ORLICZ) ** 2):
+        sp = AlgebraSpace(ORLICZ[i % 3], ORLICZ[i // 3],
+                          _weight(i, NEGATIVE_SIDE), _weight(i + 1, NEGATIVE_SIDE),
+                          _weight(i + 2, NONNEGATIVE_SIDE), _weight(i + 3, NONNEGATIVE_SIDE))
+        cases.append((i, sp, random_element(NORM_SUPPORT, i)))
+    return cases
+
+
+def norm_long_doc():
+    return [{"seed": seed, "space": sp.spec(), **wnf_norm(f, sp).to_json()}
+            for seed, sp, f in norm_long_cases()]
+
+
+def test_norm_long():
+    assert norm_long_doc() == golden("norm_long.json")
+
+
+if __name__ == "__main__":
+    (GOLDEN / "norm_long.json").write_text(json.dumps(norm_long_doc(), indent=2) + "\n")
