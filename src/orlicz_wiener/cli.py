@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 verification violation, 2 usage/config error,
-3 factorization obstruction (nonzero winding or vanishing symbol).
+3 factorization obstruction (nonzero winding or vanishing symbol),
+4 internal error (an unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_OBSTRUCTION = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,12 +211,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OrliczWienerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect: refuse on one line, not a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -31,6 +31,10 @@ from .orlicz import NEGATIVE_SIDE, NONNEGATIVE_SIDE, OrliczFunction, WeightSeque
 ORLICZ_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 WEIGHT_EXPONENTS = (0.0, 0.5, 1.0, 2.0)
 
+# Largest support bound a trial accepts.  Each factor has 2 * support + 1
+# coefficients and their product is convolved directly.
+MAX_SUPPORT = 1 << 16
+
 NORM_FAMILIES = ("theorem", "one_sided_negative", "one_sided_nonnegative")
 FAMILIES = NORM_FAMILIES + ("coefficient_bound",)
 
@@ -95,6 +99,8 @@ def run_trial(families, seed: int, trial: int,
     if min(seed, trial, support) < 0:
         raise SpecError(f"seed, trial and support must be >= 0, got "
                         f"seed={seed}, trial={trial}, support={support}")
+    if support > MAX_SUPPORT:
+        raise SpecError(f"support must be <= {MAX_SUPPORT}, got {support}")
     rng = _trial_rng(seed, trial)
     sp = draw_space(rng)
     sup_f = int(rng.integers(0, support + 1))

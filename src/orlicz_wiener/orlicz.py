@@ -243,10 +243,21 @@ def validate_weight(nu: WeightSequence, n_max: int) -> WeightReport:
     return WeightReport(positive, nondecreasing, doubling, sup, c, n_max)
 
 
-def _index_range(phi: WeightSequence, w: WeightSequence, length: int) -> np.ndarray:
+def _weighted(c: np.ndarray, phi: WeightSequence, w: WeightSequence):
+    """(|c_n| phi_n, w_n) over the support of c: the parts of the modular
+    that do not depend on the scale."""
     if phi.klass != w.klass:
         raise SpecError("argument and summand weights must share one index class")
-    return np.arange(phi.start, phi.start + length)
+    n = np.arange(phi.start, phi.start + c.size)
+    with np.errstate(over="ignore"):
+        return np.abs(c) * phi(n), w(n)
+
+
+def _modular_sum(scaled: np.ndarray, w_n: np.ndarray, orlicz: OrliczFunction,
+                 lam: float) -> float:
+    """Sum of Phi(scaled_n / lam) w_n: the modular on precomputed parts."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(orlicz(scaled / lam) * w_n))
 
 
 def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
@@ -260,43 +271,41 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
     c = np.asarray(c)
     if c.size == 0:
         return 0.0
-    n = _index_range(phi, w, c.size)
-    with np.errstate(over="ignore"):
-        terms = orlicz(np.abs(c) * phi(n) / lam) * w(n)
-    return float(np.sum(terms))
+    return _modular_sum(*_weighted(c, phi, w), orlicz, lam)
 
 
 def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
                    w: WeightSequence, tol: float = DEFAULT_NORM_TOL) -> float:
     """inf{lam > 0 : modular(c, ..., lam) <= 1} by bracketing and regula falsi.
 
-    Exponentially brackets the threshold starting from the scale of the
-    largest weighted entry, halving or doubling until the scale leaves the
-    range of doubles if need be, then narrows the bracket by regula falsi with
-    the Anderson-Bjorck correction on (log lam, log modular), a relation
-    that is exactly linear for the ``pow`` family.  Each new point lies at
-    least tol/4 of the upper end inside the bracket, so a point on the
-    root also closes the far side; the geometric midpoint stands in when a
-    log-modular is not finite.  Stops at relative width tol and returns
-    the certified upper end of the bracket, so the modular at the returned
-    value is <= 1.
+    Computes |c_n| phi_n and w_n once; every iterate then evaluates the
+    modular by the kernel that the public ``modular`` also uses, so the two
+    agree bit for bit.  Exponentially brackets the threshold starting from
+    the scale of the largest weighted entry, halving or doubling until the
+    scale leaves the range of doubles if need be, then narrows the bracket
+    by regula falsi with the Anderson-Bjorck correction on
+    (log lam, log modular), a relation that is exactly linear for the
+    ``pow`` family.  Each new point lies at least tol/4 of the upper end
+    inside the bracket, so a point on the root also closes the far side;
+    the geometric midpoint stands in when a log-modular is not finite.
+    Stops at relative width tol, certifies both ends of the bracket through
+    the public ``modular`` (<= 1 at the upper end, > 1 at the lower end),
+    and returns the upper end.
     """
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
     c = np.asarray(c)
     if c.size == 0:
         return 0.0
-    n = _index_range(phi, w, c.size)
-    with np.errstate(over="ignore"):
-        scaled = np.abs(c) * phi(n)
-    if not (np.all(np.isfinite(scaled)) and np.all(np.isfinite(w(n)))):
+    scaled, w_n = _weighted(c, phi, w)
+    if not (np.all(np.isfinite(scaled)) and np.all(np.isfinite(w_n))):
         raise DomainError("weighted coefficients and weights must be finite")
     ref = float(np.max(scaled))
     if ref == 0:
         return 0.0
 
     def at(lam):
-        return modular(c, orlicz, phi, w, lam)
+        return _modular_sum(scaled, w_n, orlicz, lam)
 
     m = at(ref)
     if m <= 1:
@@ -342,6 +351,8 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
             if last < 0:
                 y_hi *= _anderson_bjorck(y, y_lo)
             lo, x_lo, y_lo, last = lam, math.log(lam / ref), y, -1
+    if not modular(c, orlicz, phi, w, hi) <= 1 < modular(c, orlicz, phi, w, lo):
+        raise RuntimeError("the Luxemburg bracket failed its certificate")
     return hi
 
 

@@ -5,7 +5,10 @@ import warnings
 
 import pytest
 
+from orlicz_wiener import cli
 from orlicz_wiener.cli import main
+from orlicz_wiener.errors import DomainError, SpecError
+from orlicz_wiener.harness import MAX_SUPPORT
 
 F0 = json.dumps({"coeffs": [{"k": 0, "re": 1.0, "im": 0.0}]})
 TWO_PLUS_T = json.dumps({"coeffs": [{"k": 0, "re": 2.0, "im": 0.0},
@@ -112,6 +115,18 @@ class TestVerify:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--cmd", "verify", "--trials", "1", "--support", "99999999999999999999"),
+        ("--cmd", "verify", "--trials", "1", "--support", str(MAX_SUPPORT + 1)),
+        ("--cmd", "verify", "--replay", "theorem:seed=7:trial=2:support=99999999999999999999"),
+    ], ids=["verify-int64", "verify-cap", "replay"])
+    def test_support_above_cap_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: support must be <= ")
+        assert "Traceback" not in err
+
     def test_determinism(self, capsys):
         args = ("--cmd", "verify", "--trials", "4", "--support", "6",
                 "--seed", "11")
@@ -208,3 +223,23 @@ class TestNonFiniteInput:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestUnexpectedException:
+    @pytest.mark.parametrize("exc,code", [
+        (RuntimeError("boom\nsecond line"), 4),
+        (SpecError("bad spec"), 2),
+        (DomainError("out of domain"), 2),
+    ])
+    def test_one_line_and_exit_code(self, capsys, monkeypatch, exc, code):
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_norm", raising)
+        got, out, err = run(capsys, "--cmd", "norm", "--input", F0)
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        if code == cli.EXIT_INTERNAL:
+            assert err == "error: internal error: RuntimeError: boom second line\n"

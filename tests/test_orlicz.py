@@ -298,14 +298,16 @@ class TestLuxemburgNorm:
             assert got == pytest.approx(mp_luxemburg_norm(c, fn, phi, w), rel=1e-10)
 
     def test_mean_modular_calls_per_solve(self, monkeypatch):
+        # Counts every evaluation of the modular kernel: the iterates and
+        # the two certificate calls of the public modular.
         calls = []
-        real = orlicz.modular
+        real = orlicz._modular_sum
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(orlicz, "modular", counting)
+        monkeypatch.setattr(orlicz, "_modular_sum", counting)
         rng = np.random.default_rng(31)
         fns = [OrliczFunction("pow", 1.5), OrliczFunction("expm1"),
                OrliczFunction("powlog", 2)]
@@ -316,7 +318,24 @@ class TestLuxemburgNorm:
             m = int(rng.integers(1, 65))
             c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
             luxemburg_norm(c, fns[i % 3], weights[i % 4], weights[(i // 4) % 4])
-        assert len(calls) / solves <= 12
+        assert 1 <= len(calls) / solves <= 12
+
+    @pytest.mark.parametrize("fn", [OrliczFunction("pow", 1.5), OrliczFunction("expm1")])
+    def test_bracket_certified_through_public_modular(self, monkeypatch, fn):
+        scales = []
+        real = orlicz.modular
+
+        def recording(c, orlicz_fn, phi, w, lam):
+            scales.append(lam)
+            return real(c, orlicz_fn, phi, w, lam)
+
+        monkeypatch.setattr(orlicz, "modular", recording)
+        c = np.array([1.0, -2.0j, 0.5])
+        tol = 1e-6
+        lam = luxemburg_norm(c, fn, WeightSequence("log", NEGATIVE_SIDE), CONST1, tol)
+        assert scales[0] == lam
+        assert lam * (1 - tol) <= scales[1] < lam
+        assert len(scales) == 2
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("w_const", [1e-300, 1e300])
@@ -378,3 +397,27 @@ def test_solver_brackets_the_norm(case):
         return
     assert modular(c, fn, phi, w, lam) <= 1
     assert modular(c, fn, phi, w, lam * (1 - 2 * tol)) > 1
+
+
+@st.composite
+def _modular_cases(draw):
+    klass = draw(st.sampled_from([NEGATIVE_SIDE, NONNEGATIVE_SIDE]))
+    c = draw(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                         allow_infinity=False), min_size=1, max_size=40))
+    return (np.array(c), draw(_ORLICZ), draw(_weights(klass)), draw(_weights(klass)),
+            10.0 ** draw(st.floats(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_modular_cases())
+def test_kernel_on_hoisted_parts_is_the_public_modular(case):
+    """The kernel that the solver iterates on, fed |c_n| phi_n and w_n
+    computed once, returns exactly what the public modular returns, and
+    both equal the modular written out in one expression."""
+    c, fn, phi, w, lam = case
+    n = np.arange(phi.start, phi.start + len(c))
+    scaled, w_n = np.abs(c) * phi(n), w(n)
+    hoisted = orlicz._weighted(c, phi, w)
+    assert np.array_equal(hoisted[0], scaled) and np.array_equal(hoisted[1], w_n)
+    expected = float(np.sum(fn(np.abs(c) * phi(n) / lam) * w(n)))
+    assert orlicz._modular_sum(scaled, w_n, fn, lam) == modular(c, fn, phi, w, lam) == expected
