@@ -18,6 +18,7 @@ from .orlicz import (
     OrliczFunction,
     WeightSequence,
     luxemburg_norm,
+    luxemburg_norms,
     modular,
     validate_weight,
 )
@@ -33,6 +34,7 @@ from .algebra import (
     verify_theorem,
     verify_weight_shift,
     wnf_norm,
+    wnf_norms,
 )
 from .factorization import (
     FactorizationResult,
@@ -51,10 +53,10 @@ __all__ = [
     "IndexObstructionError", "TruncationError",
     "NEGATIVE_SIDE", "NONNEGATIVE_SIDE",
     "OrliczFunction", "WeightSequence", "modular", "luxemburg_norm",
-    "validate_weight",
+    "luxemburg_norms", "validate_weight",
     "LaurentPolynomial", "GridSamples", "sample", "fourier_coefficients",
     "AlgebraSpace", "NormReport", "InequalityWitness",
-    "wnf_norm", "verify_theorem", "verify_one_sided",
+    "wnf_norm", "wnf_norms", "verify_theorem", "verify_one_sided",
     "verify_coefficient_bound", "verify_weight_shift", "horbach_norm",
     "random_element",
     "WindingDiagnostics", "FactorizationResult",

@@ -3,6 +3,7 @@ constant, and brute-force checks of the inequalities behind it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ from .orlicz import (
     OrliczFunction,
     WeightSequence,
     luxemburg_norm,
+    luxemburg_norms,
     validate_weight,
 )
 
@@ -128,20 +130,39 @@ class InequalityWitness:
             "rhs": self.rhs,
             "constant": self.constant,
             "holds": self.holds,
-            "ratio": self.ratio,
+            "ratio": self.ratio if math.isfinite(self.ratio) else None,
             "fingerprint": self.fingerprint,
         }
+
+
+def _one_sided_problems(f: LaurentPolynomial, sp: AlgebraSpace) -> list:
+    """The (c, orlicz, phi, w) problems of f's two one-sided norms."""
+    neg, nonneg = f.split()
+    return [(neg, sp.neg_orlicz, sp.neg_scale, sp.neg_sum),
+            (nonneg, sp.pos_orlicz, sp.pos_scale, sp.pos_sum)]
+
+
+def _norm_report(f: LaurentPolynomial, negative: float, nonnegative: float) -> NormReport:
+    with np.errstate(over="ignore"):
+        report = NormReport(f.wiener_norm(), negative, nonnegative)
+    if not math.isfinite(report.total):
+        raise DomainError("the combined norm is not finite in double precision")
+    return report
 
 
 def wnf_norm(f: LaurentPolynomial, sp: AlgebraSpace,
              tol: float = DEFAULT_NORM_TOL) -> NormReport:
     """Absolute-sum norm plus the two one-sided Luxemburg norms."""
-    neg, nonneg = f.split()
-    return NormReport(
-        wiener=f.wiener_norm(),
-        negative=luxemburg_norm(neg, sp.neg_orlicz, sp.neg_scale, sp.neg_sum, tol),
-        nonnegative=luxemburg_norm(nonneg, sp.pos_orlicz, sp.pos_scale, sp.pos_sum, tol),
-    )
+    neg, nonneg = _one_sided_problems(f, sp)
+    return _norm_report(f, luxemburg_norm(*neg, tol), luxemburg_norm(*nonneg, tol))
+
+
+def wnf_norms(pairs, tol: float = DEFAULT_NORM_TOL) -> list[NormReport]:
+    """``wnf_norm`` of each (f, sp) pair, bit for bit, with every one-sided
+    norm from one batched solve."""
+    pairs = list(pairs)
+    lams = luxemburg_norms([p for f, sp in pairs for p in _one_sided_problems(f, sp)], tol)
+    return [_norm_report(f, lams[2 * i], lams[2 * i + 1]) for i, (f, sp) in enumerate(pairs)]
 
 
 def _norm_witness(lhs: float, rhs: float, c: float) -> InequalityWitness:
@@ -280,7 +301,7 @@ def random_element(support: int, seed, scale: float = 1.0) -> LaurentPolynomial:
 
 __all__ = [
     "AlgebraSpace", "NormReport", "InequalityWitness", "ShiftReport",
-    "DEFAULT_SPACE_SPEC", "wnf_norm", "verify_theorem", "verify_one_sided",
+    "DEFAULT_SPACE_SPEC", "wnf_norm", "wnf_norms", "verify_theorem", "verify_one_sided",
     "verify_coefficient_bound", "verify_weight_shift", "horbach_norm",
     "random_element", "validate_weight",
 ]

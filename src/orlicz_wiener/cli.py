@@ -20,7 +20,7 @@ from .errors import (
     VanishingSymbolError,
 )
 from .algebra import DEFAULT_SPACE_SPEC, AlgebraSpace, wnf_norm
-from .fourier import LaurentPolynomial
+from .fourier import MAX_DEGREE, LaurentPolynomial
 from .harness import FAMILIES, NORM_FAMILIES, replay, run_suite, run_weight_shift_suite
 from .orlicz import validate_weight
 
@@ -80,7 +80,7 @@ def _load_coefficients(raw: str | None) -> LaurentPolynomial:
 
 def _emit(doc: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     elif fmt == "csv":
         flat = {k: v for k, v in _flatten(doc) if isinstance(v, (int, float, bool, str))}
         print(",".join(flat))
@@ -114,6 +114,8 @@ def _cmd_norm(args) -> int:
 
 def _cmd_weights(args) -> int:
     sp = AlgebraSpace.from_spec(args.space)
+    if args.support > MAX_DEGREE:
+        raise SpecError(f"support must be <= {MAX_DEGREE}, got {args.support}")
     n_max = max(args.support, 2)
     doc = {
         "negative_scale": validate_weight(sp.neg_scale, n_max).to_json(),

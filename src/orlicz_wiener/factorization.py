@@ -16,7 +16,7 @@ from .errors import (
     UnderResolvedError,
     VanishingSymbolError,
 )
-from .algebra import AlgebraSpace, NormReport, wnf_norm
+from .algebra import AlgebraSpace, NormReport, wnf_norms
 from .fourier import GridSamples, LaurentPolynomial, fourier_coefficients, sample
 
 VANISH_TOL = 1e-12
@@ -196,14 +196,12 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
 def membership(res: FactorizationResult, sp: AlgebraSpace,
                tol: float = 1e-12) -> dict[str, NormReport]:
     """Combined norms of both factors and their inverses (inverses obtained
-    by exponentiating the negated one-sided log parts)."""
+    by exponentiating the negated one-sided log parts), from one batched
+    solve."""
     inv_plus_vals = np.exp(-_one_sided_eval(res.log_coeffs, res.grid_size, +1))
     inv_minus_vals = np.exp(-_one_sided_eval(res.log_coeffs, res.grid_size, -1))
     inv_plus = fourier_coefficients(GridSamples(inv_plus_vals), res.truncation)
     inv_minus = fourier_coefficients(GridSamples(inv_minus_vals), res.truncation)
-    return {
-        "plus": wnf_norm(res.plus, sp, tol),
-        "plus_inverse": wnf_norm(inv_plus, sp, tol),
-        "minus": wnf_norm(res.minus, sp, tol),
-        "minus_inverse": wnf_norm(inv_minus, sp, tol),
-    }
+    parts = {"plus": res.plus, "plus_inverse": inv_plus,
+             "minus": res.minus, "minus_inverse": inv_minus}
+    return dict(zip(parts, wnf_norms([(f, sp) for f in parts.values()], tol)))

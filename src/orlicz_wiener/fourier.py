@@ -10,6 +10,10 @@ import numpy as np
 
 from .errors import SpecError
 
+# Largest |k| a coefficient JSON document may use; a polynomial is stored
+# densely over -n_max..n_max, so the cap bounds its memory (32 MiB).
+MAX_DEGREE = 1 << 20
+
 
 @dataclass
 class LaurentPolynomial:
@@ -58,7 +62,8 @@ class LaurentPolynomial:
     def from_json(cls, doc) -> "LaurentPolynomial":
         """Parse {"coeffs": [{"k": int, "re": float, "im": float}, ...]}.
 
-        Unknown keys, duplicate k and non-finite values are rejected.
+        Unknown keys, duplicate k, |k| above MAX_DEGREE and non-finite
+        values are rejected.
         """
         if not isinstance(doc, dict) or set(doc) != {"coeffs"}:
             raise SpecError("coefficient JSON must have exactly the key 'coeffs'")
@@ -69,6 +74,8 @@ class LaurentPolynomial:
             k = item["k"]
             if not isinstance(k, int) or isinstance(k, bool):
                 raise SpecError(f"coefficient index must be an integer, got {k!r}")
+            if abs(k) > MAX_DEGREE:
+                raise SpecError(f"coefficient index {k} exceeds the degree cap {MAX_DEGREE}")
             if k in entries:
                 raise SpecError(f"duplicate coefficient index {k}")
             try:

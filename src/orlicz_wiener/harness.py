@@ -1,15 +1,14 @@
 """Randomized verification suites with replayable per-trial fingerprints.
 
 Each trial is a pure function of (seed, trial index, support bound), so a
-fingerprint string is enough to reproduce any witness exactly.  Trials may
-be fanned out across processes; reports are merged in trial order so the
-output never depends on the worker count.
+fingerprint string is enough to reproduce any witness exactly.  Trials are
+drawn a chunk at a time and the one-sided norms of a whole chunk are solved
+together; witnesses are built and absorbed in trial order, so the output
+never depends on the chunk size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .algebra import (
     verify_one_sided,
     verify_theorem,
     verify_weight_shift,
-    wnf_norm,
+    wnf_norms,
 )
 from .orlicz import NEGATIVE_SIDE, NONNEGATIVE_SIDE, OrliczFunction, WeightSequence
 
@@ -34,6 +33,11 @@ WEIGHT_EXPONENTS = (0.0, 0.5, 1.0, 2.0)
 # Largest support bound a trial accepts.  Each factor has 2 * support + 1
 # coefficients and their product is convolved directly.
 MAX_SUPPORT = 1 << 16
+
+# Budget of padded terms in one batched solve: a chunk holds as many trials
+# as fit when each of their six one-sided sides has the longest possible
+# length, 2 * support + 1 (at least one trial).
+CHUNK_TERMS = 1 << 18
 
 NORM_FAMILIES = ("theorem", "one_sided_negative", "one_sided_nonnegative")
 FAMILIES = NORM_FAMILIES + ("coefficient_bound",)
@@ -88,11 +92,7 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def run_trial(families, seed: int, trial: int,
-              support: int) -> dict[str, list[InequalityWitness]]:
-    """Run one trial of each of the given inequality families on a single
-    draw of (space, f, g); deterministic in (seed, trial, support).  The
-    norm families share one norm report each of f, g and fg."""
+def _check_trials(families, seed: int, trial: int, support: int):
     unknown = [fam for fam in families if fam not in FAMILIES]
     if unknown:
         raise SpecError(f"unknown suite family {unknown[0]!r}")
@@ -101,25 +101,58 @@ def run_trial(families, seed: int, trial: int,
                         f"seed={seed}, trial={trial}, support={support}")
     if support > MAX_SUPPORT:
         raise SpecError(f"support must be <= {MAX_SUPPORT}, got {support}")
+
+
+def _draw_trial(seed: int, trial: int, support: int):
+    """The draw (space, f, g) of one trial; pure in (seed, trial, support)."""
     rng = _trial_rng(seed, trial)
     sp = draw_space(rng)
     sup_f = int(rng.integers(0, support + 1))
     sup_g = int(rng.integers(0, support + 1))
-    f = random_element(sup_f, rng)
-    g = random_element(sup_g, rng)
+    return sp, random_element(sup_f, rng), random_element(sup_g, rng)
 
+
+def _witnesses(families, sp, f, g, norms) -> dict[str, list[InequalityWitness]]:
+    """Every requested family's witnesses of one draw, given the norm
+    reports (f, g, fg) when a norm family is requested."""
     witnesses = {}
-    if not set(families).isdisjoint(NORM_FAMILIES):
-        norms = (wnf_norm(f, sp), wnf_norm(g, sp), wnf_norm(f.multiply(g), sp))
+    if norms is not None:
         neg, nonneg = verify_one_sided(*norms, sp)
         witnesses.update(theorem=[verify_theorem(*norms, sp)],
                          one_sided_negative=[neg], one_sided_nonnegative=[nonneg])
     if "coefficient_bound" in families:
         witnesses["coefficient_bound"] = verify_coefficient_bound(f, g)
-    for family in families:
-        for w in witnesses[family]:
-            w.fingerprint = fingerprint(family, seed, trial, support)
     return {family: witnesses[family] for family in families}
+
+
+def _run_trials(families, seed: int, trials: range, support: int):
+    """Yield each trial's witnesses in trial order.  The norm families
+    share one norm report each of f, g and fg; all of a chunk's reports
+    come from one batched solve, a chunk holding at most CHUNK_TERMS
+    padded terms."""
+    solve = not set(families).isdisjoint(NORM_FAMILIES)
+    chunk = max(1, CHUNK_TERMS // (6 * (2 * support + 1)))
+    for lo in range(trials.start, trials.stop, chunk):
+        drawn = [(t, *_draw_trial(seed, t, support))
+                 for t in range(lo, min(lo + chunk, trials.stop))]
+        norms = [None] * len(drawn)
+        if solve:
+            reports = wnf_norms((h, sp) for _, sp, f, g in drawn for h in (f, g, f.multiply(g)))
+            norms = [reports[3 * i:3 * i + 3] for i in range(len(drawn))]
+        for (t, sp, f, g), n in zip(drawn, norms):
+            by_family = _witnesses(families, sp, f, g, n)
+            for family, witnesses in by_family.items():
+                for w in witnesses:
+                    w.fingerprint = fingerprint(family, seed, t, support)
+            yield by_family
+
+
+def run_trial(families, seed: int, trial: int,
+              support: int) -> dict[str, list[InequalityWitness]]:
+    """Run one trial of each of the given inequality families on a single
+    draw of (space, f, g); deterministic in (seed, trial, support)."""
+    _check_trials(families, seed, trial, support)
+    return next(_run_trials(families, seed, range(trial, trial + 1), support))
 
 
 @dataclass
@@ -155,48 +188,17 @@ class SuiteReport:
         }
 
 
-def worker_count() -> int:
-    """Worker cap from ORLICZ_WIENER_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get("ORLICZ_WIENER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SpecError(f"ORLICZ_WIENER_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _trial_batch(args) -> list:
-    families, seed, lo, hi, support = args
-    return [run_trial(families, seed, t, support) for t in range(lo, hi)]
-
-
-def run_suite(families, trials: int, seed: int, support: int,
-              workers: int | None = None) -> dict[str, SuiteReport]:
+def run_suite(families, trials: int, seed: int, support: int) -> dict[str, SuiteReport]:
     """Run the given families over the same trials, one draw per trial;
-    results are absorbed in trial order regardless of how many workers
-    produced them."""
+    results are absorbed in trial order."""
     if trials < 1:
         raise SpecError("trials must be >= 1")
-    if workers is None:
-        workers = worker_count()
     families = tuple(families)
+    _check_trials(families, seed, 0, support)
     reports = {family: SuiteReport(family, trials) for family in families}
-
-    def absorb(by_family):
+    for by_family in _run_trials(families, seed, range(trials), support):
         for family, witnesses in by_family.items():
             reports[family].absorb(witnesses)
-
-    if workers <= 1:
-        for t in range(trials):
-            absorb(run_trial(families, seed, t, support))
-        return reports
-    chunk = max(1, trials // (workers * 4))
-    batches = [(families, seed, lo, min(lo + chunk, trials), support)
-               for lo in range(0, trials, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for batch in pool.map(_trial_batch, batches):
-            for by_family in batch:
-                absorb(by_family)
     return reports
 
 

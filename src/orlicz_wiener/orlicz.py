@@ -9,6 +9,7 @@ arrays, so every modular is a finite sum.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -253,13 +254,6 @@ def _weighted(c: np.ndarray, phi: WeightSequence, w: WeightSequence):
         return np.abs(c) * phi(n), w(n)
 
 
-def _modular_sum(scaled: np.ndarray, w_n: np.ndarray, orlicz: OrliczFunction,
-                 lam: float) -> float:
-    """Sum of Phi(scaled_n / lam) w_n: the modular on precomputed parts."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(orlicz(scaled / lam) * w_n))
-
-
 def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
             lam: float) -> float:
     """Sum of Phi(|c_n| phi_n / lam) w_n over the support of c.
@@ -271,50 +265,25 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
     c = np.asarray(c)
     if c.size == 0:
         return 0.0
-    return _modular_sum(*_weighted(c, phi, w), orlicz, lam)
-
-
-def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
-                   w: WeightSequence, tol: float = DEFAULT_NORM_TOL) -> float:
-    """inf{lam > 0 : modular(c, ..., lam) <= 1} by bracketing and regula falsi.
-
-    Computes |c_n| phi_n and w_n once; every iterate then evaluates the
-    modular by the kernel that the public ``modular`` also uses, so the two
-    agree bit for bit.  Exponentially brackets the threshold starting from
-    the scale of the largest weighted entry, halving or doubling until the
-    scale leaves the range of doubles if need be, then narrows the bracket
-    by regula falsi with the Anderson-Bjorck correction on
-    (log lam, log modular), a relation that is exactly linear for the
-    ``pow`` family.  Each new point lies at least tol/4 of the upper end
-    inside the bracket, so a point on the root also closes the far side;
-    the geometric midpoint stands in when a log-modular is not finite.
-    Stops at relative width tol, certifies both ends of the bracket through
-    the public ``modular`` (<= 1 at the upper end, > 1 at the lower end),
-    and returns the upper end.
-    """
-    if not 0 < tol <= 1e-3:
-        raise DomainError("tol must lie in (0, 1e-3]")
-    c = np.asarray(c)
-    if c.size == 0:
-        return 0.0
     scaled, w_n = _weighted(c, phi, w)
-    if not (np.all(np.isfinite(scaled)) and np.all(np.isfinite(w_n))):
-        raise DomainError("weighted coefficients and weights must be finite")
-    ref = float(np.max(scaled))
-    if ref == 0:
-        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.sum(orlicz(scaled / lam) * w_n))
 
-    def at(lam):
-        return _modular_sum(scaled, w_n, orlicz, lam)
 
-    m = at(ref)
+def _luxemburg_steps(ref: float, tol: float):
+    """One Luxemburg solve as a coroutine: yields each scale lam, receives
+    the modular there, and returns the final bracket (lo, hi), with the
+    modular <= 1 at hi and > 1 at lo; (0.0, 0.0) when the modular stays
+    <= 1 down to the smallest double.  ``ref`` is the largest weighted
+    entry, where the bracketing starts."""
+    m = yield ref
     if m <= 1:
         hi, m_hi = ref, m
         while True:
             lo = hi / 2
             if lo == 0:
-                return 0.0  # modular stays <= 1 down to the smallest double
-            m_lo = at(lo)
+                return 0.0, 0.0
+            m_lo = yield lo
             if m_lo > 1:
                 break
             hi, m_hi = lo, m_lo
@@ -324,7 +293,7 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
             hi = lo * 2
             if hi == math.inf:
                 raise DomainError("failed to bracket the Luxemburg norm")
-            m_hi = at(hi)
+            m_hi = yield hi
             if m_hi <= 1:
                 break
             lo, m_lo = hi, m_hi
@@ -341,7 +310,7 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
             x = x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo)
         gap = 0.25 * tol * hi
         lam = min(max(ref * math.exp(x), lo + gap), hi - gap)
-        m = at(lam)
+        m = yield lam
         y = _log(m)
         if m <= 1:
             if last > 0:
@@ -351,7 +320,154 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
             if last < 0:
                 y_hi *= _anderson_bjorck(y, y_lo)
             lo, x_lo, y_lo, last = lam, math.log(lam / ref), y, -1
-    if not modular(c, orlicz, phi, w, hi) <= 1 < modular(c, orlicz, phi, w, lo):
+    return lo, hi
+
+
+class _Batch:
+    """The rows |c_n| phi_n and w_n of many solves, sorted by (Orlicz
+    function, length) and zero-padded into matrices, so that every group
+    (defined below) and every block of equal-length rows is a contiguous
+    slice.
+
+    ``order[j]`` is the position, in the rows given, of sorted row j.
+    Rows are live until ``finish`` is called on them.
+    """
+
+    def __init__(self, rows):
+        self.order = sorted(range(len(rows)), key=lambda i: (
+            rows[i][0].family, rows[i][0].p, rows[i][1].size))
+        self.lengths = [rows[i][1].size for i in self.order]
+        if len(rows) == 1:  # nothing to pad: use the row's own arrays
+            self.scaled, self.w = rows[0][1][None], rows[0][2][None]
+        else:
+            shape = (len(rows), max(self.lengths))
+            self.scaled, self.w = np.zeros(shape), np.zeros(shape)
+            for j, i in enumerate(self.order):
+                self.scaled[j, :self.lengths[j]] = rows[i][1]
+                self.w[j, :self.lengths[j]] = rows[i][2]
+        self.done = [False] * len(rows)
+        self.m = np.zeros(len(rows))
+        # A group is the rows of one Orlicz function whose lengths lie in
+        # one octave (2^(k-1), 2^k], so padding at most doubles the work.
+        # Per group: [Orlicz function, first live row, last live row + 1,
+        # blocks]; per block: [start, stop, length, live rows].
+        self.groups = []
+        for (orlicz, _), group in itertools.groupby(range(len(rows)), key=lambda j: (
+                rows[self.order[j]][0], (self.lengths[j] - 1).bit_length())):
+            group = list(group)
+            blocks = []
+            for length, block in itertools.groupby(group, key=self.lengths.__getitem__):
+                block = list(block)
+                blocks.append([block[0], block[-1] + 1, length, len(block)])
+            self.groups.append([orlicz, group[0], group[-1] + 1, blocks])
+        self.block_of = [block for *_, blocks in self.groups for block in blocks
+                         for _ in range(block[0], block[1])]
+
+    def finish(self, j: int):
+        self.done[j] = True
+        self.block_of[j][3] -= 1
+
+    def modulars(self, lam: np.ndarray) -> np.ndarray:
+        """The modular of each live row j at the scale lam[j]; other
+        entries are stale.  Phi is evaluated once per group, on the span of
+        its live rows.  Each block of equal-length rows is summed along
+        its rows: that gives the bits of ``np.sum`` on each row alone, which
+        a zero-padded row would not, because numpy's pairwise blocking
+        depends on the length."""
+        m = self.m
+        for group in self.groups:
+            orlicz, lo, hi, blocks = group
+            while lo < hi and self.done[lo]:
+                lo += 1
+            while lo < hi and self.done[hi - 1]:
+                hi -= 1
+            group[1], group[2] = lo, hi
+            if lo == hi:
+                continue
+            width = self.lengths[hi - 1]
+            if hi - lo == 1:  # one live row: the 1-D arithmetic of ``modular``
+                with np.errstate(over="ignore"):
+                    m[lo] = np.add.reduce(orlicz(self.scaled[lo, :width] / lam[lo])
+                                          * self.w[lo, :width])
+                continue
+            with np.errstate(over="ignore"):
+                v = orlicz(self.scaled[lo:hi, :width] / lam[lo:hi, None]) * self.w[lo:hi, :width]
+            for a, b, length, live in blocks:
+                a, b = max(a, lo), min(b, hi)
+                if live and a < b:
+                    m[a:b] = np.add.reduce(v[a - lo:b - lo, :length], axis=1)
+        return m
+
+
+def _brackets(problems, tol: float) -> list:
+    """The final bracket (lo, hi) of each (c, orlicz, phi, w) problem's
+    Luxemburg solve, (0.0, 0.0) where the norm is 0.  Every live solve is
+    stepped together: one batched modular evaluation per step."""
+    if not 0 < tol <= 1e-3:
+        raise DomainError("tol must lie in (0, 1e-3]")
+    brackets = [(0.0, 0.0)] * len(problems)
+    rows, refs, where = [], [], []
+    for i, (c, orlicz, phi, w) in enumerate(problems):
+        c = np.asarray(c)
+        if c.size == 0:
+            continue
+        scaled, w_n = _weighted(c, phi, w)
+        if not (np.all(np.isfinite(scaled)) and np.all(np.isfinite(w_n))):
+            raise DomainError("weighted coefficients and weights must be finite")
+        ref = float(np.max(scaled))
+        if ref > 0:
+            rows.append((orlicz, scaled, w_n))
+            refs.append(ref)
+            where.append(i)
+    if not rows:
+        return brackets
+    batch = _Batch(rows)
+    steps = [_luxemburg_steps(refs[i], tol) for i in batch.order]
+    lam = np.array([next(step) for step in steps])
+    live = range(len(steps))
+    while live:
+        m = batch.modulars(lam).tolist()
+        running = []
+        for j in live:
+            try:
+                lam[j] = steps[j].send(m[j])
+            except StopIteration as done:
+                brackets[where[batch.order[j]]] = done.value
+                batch.finish(j)
+            else:
+                running.append(j)
+        live = running
+    return brackets
+
+
+def luxemburg_norms(problems, tol: float = DEFAULT_NORM_TOL) -> list[float]:
+    """``luxemburg_norm`` of each (c, orlicz, phi, w) problem, bit for bit,
+    with every solve stepped together (see ``luxemburg_norm``)."""
+    return [hi for _, hi in _brackets(problems, tol)]
+
+
+def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
+                   w: WeightSequence, tol: float = DEFAULT_NORM_TOL) -> float:
+    """inf{lam > 0 : modular(c, ..., lam) <= 1} by bracketing and regula falsi.
+
+    The solve is the coroutine ``_luxemburg_steps``, run as a batch of one
+    by the loop that ``luxemburg_norms`` runs on many problems at once.
+    That loop computes |c_n| phi_n and w_n once and evaluates the
+    modular of each iterate on them, with the same bits as the public
+    ``modular``.  The solve exponentially brackets the threshold starting
+    from the scale of the largest weighted entry, halving or doubling until
+    the scale leaves the range of doubles if need be, then narrows the
+    bracket by regula falsi with the Anderson-Bjorck correction on
+    (log lam, log modular), a relation that is exactly linear for the
+    ``pow`` family.  Each new point lies at least tol/4 of the upper end
+    inside the bracket, so a point on the root also closes the far side;
+    the geometric midpoint stands in when a log-modular is not finite.
+    It stops at relative width tol and returns the upper end, where the
+    modular is <= 1.  Here both ends are also certified through the
+    public ``modular`` (<= 1 at the upper end, > 1 at the lower end).
+    """
+    [(lo, hi)] = _brackets([(c, orlicz, phi, w)], tol)
+    if hi > 0 and not modular(c, orlicz, phi, w, hi) <= 1 < modular(c, orlicz, phi, w, lo):
         raise RuntimeError("the Luxemburg bracket failed its certificate")
     return hi
 

@@ -49,7 +49,7 @@ def report(num, name, ok, detail=""):
 
 def test_criterion_1_theorem_suite():
     start = time.monotonic()
-    rep = run_suite(("theorem",), 1000, SEED, 64, workers=1)["theorem"]
+    rep = run_suite(("theorem",), 1000, SEED, 64)["theorem"]
     elapsed = time.monotonic() - start
     ok = rep.ok and rep.max_ratio <= 1.0
     report(1, "algebra inequality, 1000 random pairs", ok,
@@ -58,10 +58,8 @@ def test_criterion_1_theorem_suite():
 
 
 def test_criterion_2_one_sided_suites():
-    neg = run_suite(("one_sided_negative",), 1000, SEED + 1, 64,
-                    workers=1)["one_sided_negative"]
-    pos = run_suite(("one_sided_nonnegative",), 1000, SEED + 2, 64,
-                    workers=1)["one_sided_nonnegative"]
+    neg = run_suite(("one_sided_negative",), 1000, SEED + 1, 64)["one_sided_negative"]
+    pos = run_suite(("one_sided_nonnegative",), 1000, SEED + 2, 64)["one_sided_nonnegative"]
     ok = neg.ok and pos.ok
     report(2, "one-sided product bounds, 1000 trials per side", ok,
            f"max ratios {neg.max_ratio:.3e} / {pos.max_ratio:.3e}")

@@ -4,7 +4,7 @@ verifiers."""
 import numpy as np
 import pytest
 
-from orlicz_wiener import harness
+from orlicz_wiener import algebra, harness
 from orlicz_wiener.errors import SpecError
 from orlicz_wiener.algebra import (
     DEFAULT_SPACE_SPEC,
@@ -378,6 +378,19 @@ class TestHarnessReplay:
             run_trial(("theorem", "sideways"), 7, 3, 16)
 
 
+def _batch_sizes(monkeypatch) -> list:
+    """Record the number of problems in each batched solve from now on."""
+    sizes = []
+    original = algebra.luxemburg_norms
+
+    def counted(problems, *args, **kwargs):
+        sizes.append(len(problems))
+        return original(problems, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "luxemburg_norms", counted)
+    return sizes
+
+
 class TestSharedTrial:
     def test_one_draw_gives_every_family(self):
         shared = run_trial(FAMILIES, 7, 3, 16)
@@ -387,26 +400,27 @@ class TestSharedTrial:
             assert [w.to_json() for w in shared[family]] == [w.to_json() for w in alone]
             assert {w.fingerprint for w in alone} == {f"{family}:seed=7:trial=3:support=16"}
 
-    @pytest.mark.parametrize("families,calls", [
+    @pytest.mark.parametrize("families,reports", [
         (NORM_FAMILIES, 3), (("theorem",), 3), (("one_sided_nonnegative",), 3),
         (FAMILIES, 3), (("coefficient_bound",), 0),
     ])
-    def test_wnf_norm_calls_per_trial(self, monkeypatch, families, calls):
-        count = [0]
-        original = harness.wnf_norm
-
-        def counted(*args, **kwargs):
-            count[0] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "wnf_norm", counted)
+    def test_wnf_norm_calls_per_trial(self, monkeypatch, families, reports):
+        # A norm-family trial needs the norm reports of f, g and fg: two
+        # one-sided problems each, all sent to the batched solver at once.
+        batches = _batch_sizes(monkeypatch)
         run_trial(families, 7, 3, 16)
-        assert count[0] == calls
+        assert sum(batches) == 2 * reports
+        assert len(batches) == (1 if reports else 0)
 
-    def test_pool_matches_serial(self):
-        serial = run_suite(FAMILIES, 6, 5, 8, workers=1)
-        pooled = run_suite(FAMILIES, 6, 5, 8, workers=2)
-        assert list(serial) == list(pooled) == list(FAMILIES)
+    # Support 8: each trial's six sides are padded to at most 17 terms.
+    @pytest.mark.parametrize("budget,chunks", [(1, 6), (2 * 6 * 17, 3), (harness.CHUNK_TERMS, 1)])
+    def test_chunk_budget_does_not_change_reports(self, monkeypatch, budget, chunks):
+        whole = run_suite(FAMILIES, 6, 5, 8)
+        batches = _batch_sizes(monkeypatch)
+        monkeypatch.setattr(harness, "CHUNK_TERMS", budget)
+        chunked = run_suite(FAMILIES, 6, 5, 8)
+        assert batches == [6 * 6 // chunks] * chunks
+        assert list(chunked) == list(whole) == list(FAMILIES)
         for family in FAMILIES:
-            assert pooled[family].to_json() == serial[family].to_json()
-            assert pooled[family].checks > 0
+            assert chunked[family].to_json() == whole[family].to_json()
+            assert chunked[family].checks > 0

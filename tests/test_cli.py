@@ -1,12 +1,15 @@
 """CLI contract tests: exit codes, determinism, serialization."""
 
 import json
+import math
 import warnings
 
 import pytest
 
 from orlicz_wiener import cli
+from orlicz_wiener.algebra import InequalityWitness
 from orlicz_wiener.cli import main
+from orlicz_wiener.fourier import MAX_DEGREE, LaurentPolynomial
 from orlicz_wiener.errors import DomainError, SpecError
 from orlicz_wiener.harness import MAX_SUPPORT
 
@@ -223,6 +226,54 @@ class TestNonFiniteInput:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestHugeAndNonFinite:
+    @pytest.mark.parametrize("argv", [
+        ["--cmd", "norm", "--input",
+         json.dumps({"coeffs": [{"k": 100000000000, "re": 1, "im": 0}]})],
+        ["--cmd", "norm", "--input",
+         json.dumps({"coeffs": [{"k": -MAX_DEGREE - 1, "re": 1, "im": 0}]})],
+        ["--cmd", "factorize", "--input",
+         json.dumps({"coeffs": [{"k": 100000000000, "re": 1, "im": 0}]})],
+        ["--cmd", "weights", "--support", "100000000000"],
+        ["--cmd", "weights", "--support", str(MAX_DEGREE + 1)],
+    ])
+    def test_index_above_degree_cap_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert str(MAX_DEGREE) in err
+
+    def test_degree_cap_itself_accepted(self):
+        doc = {"coeffs": [{"k": -MAX_DEGREE, "re": 1, "im": 0}]}
+        assert LaurentPolynomial.from_json(doc).n_max == MAX_DEGREE
+
+    @pytest.mark.parametrize("coeffs", [
+        [{"k": -1, "re": 1e308, "im": 1e308}],
+        [{"k": -1, "re": 1e308, "im": 1e308}, {"k": 0, "re": 1e308, "im": 1e308}],
+    ])
+    def test_non_finite_norm_refused(self, capsys, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--cmd", "norm", "--input",
+                                 json.dumps({"coeffs": coeffs}))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_emit_refuses_non_json_numbers(self, capsys):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                cli._emit({"x": value}, "json")
+        assert capsys.readouterr().out == ""
+
+    def test_witness_with_zero_rhs_writes_null_ratio(self):
+        doc = InequalityWitness(1.0, 0.0, 1.0, False).to_json()
+        assert doc["ratio"] is None
+        assert json.loads(json.dumps(doc, allow_nan=False))["ratio"] is None
+        assert InequalityWitness(0.0, 0.0, 1.0, True).to_json()["ratio"] == 0.0
 
 
 class TestUnexpectedException:

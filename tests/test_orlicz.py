@@ -1,6 +1,7 @@
 """Tests for Orlicz functions, weight sequences, and the Luxemburg norm."""
 
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -15,9 +16,26 @@ from orlicz_wiener.orlicz import (
     OrliczFunction,
     WeightSequence,
     luxemburg_norm,
+    luxemburg_norms,
     modular,
     validate_weight,
 )
+
+
+def _counting_steps(steps, received):
+    """Wrap the solve coroutine so that every modular value sent to it is
+    appended to ``received``."""
+    def counting(*args):
+        solve = steps(*args)
+        lam = next(solve)
+        try:
+            while True:
+                m = yield lam
+                received.append(m)
+                lam = solve.send(m)
+        except StopIteration as done:
+            return done.value
+    return counting
 
 
 def weighted_lp_norm(c, p, phi, w):
@@ -298,26 +316,22 @@ class TestLuxemburgNorm:
             assert got == pytest.approx(mp_luxemburg_norm(c, fn, phi, w), rel=1e-10)
 
     def test_mean_modular_calls_per_solve(self, monkeypatch):
-        # Counts every evaluation of the modular kernel: the iterates and
-        # the two certificate calls of the public modular.
+        # Counts every modular value that a solve receives from the batched loop.
         calls = []
-        real = orlicz._modular_sum
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(orlicz, "_modular_sum", counting)
+        monkeypatch.setattr(orlicz, "_luxemburg_steps",
+                            _counting_steps(orlicz._luxemburg_steps, calls))
         rng = np.random.default_rng(31)
         fns = [OrliczFunction("pow", 1.5), OrliczFunction("expm1"),
                OrliczFunction("powlog", 2)]
         weights = [CONST1, WeightSequence("pow", NEGATIVE_SIDE, 1.0),
                    WeightSequence("log", NEGATIVE_SIDE), TABLE_NEG]
         solves = 300
+        problems = []
         for i in range(solves):
             m = int(rng.integers(1, 65))
             c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
-            luxemburg_norm(c, fns[i % 3], weights[i % 4], weights[(i // 4) % 4])
+            problems.append((c, fns[i % 3], weights[i % 4], weights[(i // 4) % 4]))
+        luxemburg_norms(problems)
         assert 1 <= len(calls) / solves <= 12
 
     @pytest.mark.parametrize("fn", [OrliczFunction("pow", 1.5), OrliczFunction("expm1")])
@@ -408,16 +422,94 @@ def _modular_cases(draw):
             10.0 ** draw(st.floats(-3, 3)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_modular_cases())
-def test_kernel_on_hoisted_parts_is_the_public_modular(case):
-    """The kernel that the solver iterates on, fed |c_n| phi_n and w_n
-    computed once, returns exactly what the public modular returns, and
-    both equal the modular written out in one expression."""
-    c, fn, phi, w, lam = case
-    n = np.arange(phi.start, phi.start + len(c))
-    scaled, w_n = np.abs(c) * phi(n), w(n)
-    hoisted = orlicz._weighted(c, phi, w)
-    assert np.array_equal(hoisted[0], scaled) and np.array_equal(hoisted[1], w_n)
-    expected = float(np.sum(fn(np.abs(c) * phi(n) / lam) * w(n)))
-    assert orlicz._modular_sum(scaled, w_n, fn, lam) == modular(c, fn, phi, w, lam) == expected
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(_modular_cases(), min_size=1, max_size=8))
+def test_kernel_on_hoisted_parts_is_the_public_modular(cases):
+    """The batched modular of each row, with |c_n| phi_n and w_n
+    computed once and padded into one matrix, returns exactly what the
+    public modular returns, and both equal the modular written out in one
+    expression."""
+    rows = []
+    for c, fn, phi, w in (case[:4] for case in cases):
+        n = np.arange(phi.start, phi.start + len(c))
+        scaled, w_n = orlicz._weighted(c, phi, w)
+        assert np.array_equal(scaled, np.abs(c) * phi(n)) and np.array_equal(w_n, w(n))
+        rows.append((fn, scaled, w_n))
+    batch = orlicz._Batch(rows)
+    lam = np.array([cases[i][4] for i in batch.order])
+    got = batch.modulars(lam)
+    for j, i in enumerate(batch.order):
+        c, fn, phi, w, scale = cases[i]
+        n = np.arange(phi.start, phi.start + len(c))
+        expected = float(np.sum(fn(np.abs(c) * phi(n) / scale) * w(n)))
+        assert float(got[j]) == modular(c, fn, phi, w, scale) == expected
+
+
+@st.composite
+def _batches(draw):
+    """A mixed batch of solves over every Orlicz family and weight family,
+    on both index classes, with empty and all-zero sides and repeated
+    lengths, and one tolerance for the whole batch."""
+    problems = []
+    for _ in range(draw(st.integers(1, 12))):
+        klass = draw(st.sampled_from([NEGATIVE_SIDE, NONNEGATIVE_SIDE]))
+        length = draw(st.sampled_from([0, 1, 2, 3, 7, 8, 9, 16, 40]))
+        mags = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1)),
+                             min_size=length, max_size=length))
+        if mags and draw(st.booleans()):
+            mags = [0.0] * length
+        scale = 10.0 ** draw(st.floats(-6, 3))
+        problems.append((np.array(mags) * scale, draw(_ORLICZ), draw(_weights(klass)),
+                         draw(_weights(klass))))
+    return problems, draw(st.sampled_from([1e-12, 1e-6, 1e-3]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_batches())
+def test_batched_solves_equal_the_serial_solves(batch):
+    problems, tol = batch
+    assert luxemburg_norms(problems, tol) == [luxemburg_norm(*p, tol) for p in problems]
+
+
+class TestBatchedEdgeCases:
+    TINY = WeightSequence("const", NEGATIVE_SIDE, 1e-300)
+    HUGE = WeightSequence("const", NEGATIVE_SIDE, 1e300)
+    ORDINARY = (np.array([0.5, -1.0, 0.25j]), OrliczFunction("powlog", 2), CONST1,
+                WeightSequence("log", NEGATIVE_SIDE))
+
+    def _same(self, problems):
+        got = luxemburg_norms(problems)
+        assert got == [luxemburg_norm(*p) for p in problems]
+        return got
+
+    def test_underflow_to_zero(self):
+        row = (np.array([1e-300]), OrliczFunction("pow", 1), CONST1, self.TINY)
+        assert self._same([self.ORDINARY, row, self.ORDINARY])[1] == 0.0
+
+    def test_far_scales(self):
+        # The bracket starts at 1 and the norm is 1e300 or 1e-300 for p = 1:
+        # about a thousand doublings or halvings away.
+        c = np.array([1.0, -0.5j])
+        rows = [(c, OrliczFunction("pow", 1), CONST1, w) for w in (self.HUGE, self.TINY)]
+        got = self._same(rows + [self.ORDINARY])
+        for (_, fn, phi, w), lam in zip(rows, got):
+            assert lam == pytest.approx(weighted_lp_norm(c, 1, phi, w), rel=1e-10, abs=0)
+
+    def test_modular_overflows_to_inf(self, monkeypatch):
+        received = []
+        monkeypatch.setattr(orlicz, "_luxemburg_steps",
+                            _counting_steps(orlicz._luxemburg_steps, received))
+        row = (np.array([1.0]), OrliczFunction("expm1"), CONST1, self.TINY)
+        assert self._same([row, self.ORDINARY])[0] > 0
+        assert math.inf in received
+
+    def test_unbracketable_row_raises_as_the_serial_solve(self):
+        row = (np.array([1e300]), OrliczFunction("pow", 1), CONST1, self.HUGE)
+        with pytest.raises(DomainError) as serial:
+            luxemburg_norm(*row)
+        with pytest.raises(DomainError) as batched:
+            luxemburg_norms([self.ORDINARY, row, self.ORDINARY])
+        assert str(batched.value) == str(serial.value)
+
+    def test_empty_batch(self):
+        assert luxemburg_norms([]) == []
