@@ -46,12 +46,7 @@ class WindingDiagnostics:
 @dataclass
 class FactorizationResult:
     """Winding index, scalar factor, truncated one-sided factors, and the
-    pointwise reconstruction residual over the grid.
-
-    shifted_residual is the same residual at the half-step points
-    theta = 2 pi (j + 1/2) / N, which the coefficients were not fitted
-    to; it is reported only, and left out of to_json().
-    """
+    pointwise reconstruction residual over the grid."""
 
     kappa: int
     scalar: complex
@@ -61,7 +56,6 @@ class FactorizationResult:
     truncation: int
     grid_size: int
     log_coeffs: LaurentPolynomial
-    shifted_residual: float
 
     def to_json(self) -> dict:
         return {
@@ -128,11 +122,12 @@ def _one_sided_eval(lp: LaurentPolynomial, n_grid: int, side: int) -> np.ndarray
     return sample(LaurentPolynomial(c, lp.n_max), n_grid).values
 
 
-def _half_step(lp: LaurentPolynomial, n_grid: int) -> np.ndarray:
-    """Values of lp at theta = 2 pi (j + 1/2) / n_grid: the grid samples of
-    lp with f_k twisted by e^{i pi k / n_grid}."""
-    twist = np.exp(1j * np.pi * np.arange(-lp.n_max, lp.n_max + 1) / n_grid)
-    return sample(LaurentPolynomial(lp.coeffs * twist, lp.n_max), n_grid).values
+def _one_sided_factor(lc: LaurentPolynomial, n_grid: int, side: int, truncation: int,
+                      inverse: bool = False) -> LaurentPolynomial:
+    """Truncated coefficients of exp(+-(one-sided part of lc)): the factor
+    on the given side, or its inverse."""
+    part = _one_sided_eval(lc, n_grid, side)
+    return fourier_coefficients(GridSamples(np.exp(-part if inverse else part)), truncation)
 
 
 def _resolve_winding(b: LaurentPolynomial, n_grid: int, max_grid: int = MAX_GRID):
@@ -155,8 +150,11 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     analytic and anti-analytic parts, and exponentiate pointwise.
 
     Raises IndexObstructionError when the winding number is nonzero and
-    TruncationError when the reconstruction residual exceeds tol.
+    TruncationError when the reconstruction residual exceeds tol, which
+    must be positive and finite.
     """
+    if not 0 < tol < np.inf:
+        raise SpecError(f"residual tolerance must be positive and finite, got {tol}")
     if n_grid & (n_grid - 1) or n_grid < 4 * max(truncation, b.n_max, 1):
         raise SpecError(
             f"grid size {n_grid} must be a power of two >= 4*max(truncation, degree)"
@@ -170,16 +168,12 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     lc = fourier_coefficients(logs, truncation)
     scalar = cmath.exp(lc.coeff(0))
     n = s.size
-    plus_vals = np.exp(_one_sided_eval(lc, n, +1))
-    minus_vals = np.exp(_one_sided_eval(lc, n, -1))
-    plus = fourier_coefficients(GridSamples(plus_vals), truncation)
-    minus = fourier_coefficients(GridSamples(minus_vals), truncation)
+    plus = _one_sided_factor(lc, n, +1, truncation)
+    minus = _one_sided_factor(lc, n, -1, truncation)
     recon = scalar * sample(plus, n).values * sample(minus, n).values
     residual = float(np.max(np.abs(s.values - recon)))
     if residual > tol:
         raise TruncationError(residual, tol)
-    shifted = scalar * _half_step(plus, n) * _half_step(minus, n)
-    shifted_residual = float(np.max(np.abs(_half_step(b, n) - shifted)))
     return FactorizationResult(
         kappa=0,
         scalar=scalar,
@@ -189,7 +183,6 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
         truncation=truncation,
         grid_size=s.size,
         log_coeffs=lc,
-        shifted_residual=shifted_residual,
     )
 
 
@@ -198,10 +191,9 @@ def membership(res: FactorizationResult, sp: AlgebraSpace,
     """Combined norms of both factors and their inverses (inverses obtained
     by exponentiating the negated one-sided log parts), from one batched
     solve."""
-    inv_plus_vals = np.exp(-_one_sided_eval(res.log_coeffs, res.grid_size, +1))
-    inv_minus_vals = np.exp(-_one_sided_eval(res.log_coeffs, res.grid_size, -1))
-    inv_plus = fourier_coefficients(GridSamples(inv_plus_vals), res.truncation)
-    inv_minus = fourier_coefficients(GridSamples(inv_minus_vals), res.truncation)
-    parts = {"plus": res.plus, "plus_inverse": inv_plus,
-             "minus": res.minus, "minus_inverse": inv_minus}
+    lc, n, trunc = res.log_coeffs, res.grid_size, res.truncation
+    parts = {"plus": res.plus,
+             "plus_inverse": _one_sided_factor(lc, n, +1, trunc, inverse=True),
+             "minus": res.minus,
+             "minus_inverse": _one_sided_factor(lc, n, -1, trunc, inverse=True)}
     return dict(zip(parts, wnf_norms([(f, sp) for f in parts.values()], tol)))

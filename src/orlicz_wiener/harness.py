@@ -44,16 +44,17 @@ FAMILIES = NORM_FAMILIES + ("coefficient_bound",)
 
 
 def _draw_orlicz(rng: np.random.Generator) -> OrliczFunction:
-    fam = rng.choice(("pow", "expm1", "powlog"))
+    fam = ("pow", "expm1", "powlog")[rng.integers(3)]
     if fam == "expm1":
         return OrliczFunction("expm1")
-    return OrliczFunction(str(fam), float(rng.choice(ORLICZ_EXPONENTS)))
+    return OrliczFunction(fam, ORLICZ_EXPONENTS[rng.integers(len(ORLICZ_EXPONENTS))])
 
 
 def _draw_weight(rng: np.random.Generator, klass: str) -> WeightSequence:
-    fam = rng.choice(("pow", "log", "const"))
+    fam = ("pow", "log", "const")[rng.integers(3)]
     if fam == "pow":
-        return WeightSequence("pow", klass, float(rng.choice(WEIGHT_EXPONENTS)))
+        alpha = WEIGHT_EXPONENTS[rng.integers(len(WEIGHT_EXPONENTS))]
+        return WeightSequence("pow", klass, alpha)
     if fam == "log":
         return WeightSequence("log", klass)
     return WeightSequence("const", klass, 1.0)
@@ -142,8 +143,9 @@ def _run_trials(families, seed: int, trials: range, support: int):
         for (t, sp, f, g), n in zip(drawn, norms):
             by_family = _witnesses(families, sp, f, g, n)
             for family, witnesses in by_family.items():
+                fp = fingerprint(family, seed, t, support)
                 for w in witnesses:
-                    w.fingerprint = fingerprint(family, seed, t, support)
+                    w.fingerprint = fp
             yield by_family
 
 

@@ -8,7 +8,6 @@ arrays, so every modular is a finite sum.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -80,12 +79,12 @@ class OrliczFunction:
         raise SpecError(f"bad Orlicz spec {s!r}")
 
 
-@functools.lru_cache(maxsize=1)
-def _log_family_delta2() -> float:
-    # sup over n of ln(e + 2n)/ln(e + n); the ratio peaks at small n and
-    # decays to 1, so a long finite scan captures the supremum.
-    n = np.arange(1, 1 << 20, dtype=float)
-    return float(np.max(np.log(np.e + 2 * n) / np.log(np.e + n)))
+# The log weight's doubling constant, sup over n >= 1 of ln(e + 2n)/ln(e + n).
+# Since ln(e + 2n) < ln 2 + ln(e + n), the ratio is below 1 + ln 2/ln(e + n),
+# which is at most 1.2411 for n >= 15.  The ratio at n = 4 is 1.24523, so the
+# supremum is a maximum over n < 15, and the scan of n = 1..63 finds it.
+_LOG_SCAN = np.arange(1, 64, dtype=float)
+_LOG_DELTA2 = float(np.max(np.log(np.e + 2 * _LOG_SCAN) / np.log(np.e + _LOG_SCAN)))
 
 
 @dataclass(frozen=True)
@@ -143,15 +142,21 @@ class WeightSequence:
 
     def delta2_constant(self) -> float:
         """The doubling constant: analytic for builtin families, validated
-        against the table range for explicit weights."""
+        against the table range for explicit weights.  Raises DomainError
+        when the constant is not finite in double precision."""
         if self.family == "pow":
-            return 2.0**self.param
+            try:
+                return 2.0**self.param
+            except OverflowError:
+                raise DomainError(
+                    f"doubling constant of {self.spec()} is not finite") from None
         if self.family == "const":
             return 1.0
         if self.family == "log":
-            return _log_family_delta2()
+            return _LOG_DELTA2
         n = np.arange(1, 2 * len(self.table) + 2)
-        ratios = self(2 * n) / self(n)
+        with np.errstate(over="ignore"):
+            ratios = self(2 * n) / self(n)
         if np.max(ratios) > self.table_delta2 * (1 + 1e-12):
             raise InvalidWeightError(
                 f"supplied doubling constant {self.table_delta2} violated: "
@@ -190,12 +195,26 @@ class WeightSequence:
             try:
                 with open(path) as fh:
                     doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 raise SpecError(f"cannot read weight table {path!r}: {exc}") from exc
             if not isinstance(doc, dict) or set(doc) != {"values", "delta2"}:
                 raise SpecError("weight table JSON must have exactly keys 'values' and 'delta2'")
-            return cls("table", klass, table=tuple(doc["values"]), table_delta2=float(doc["delta2"]))
+            if not isinstance(doc["values"], list):
+                raise SpecError("weight table 'values' must be a list of real numbers")
+            return cls("table", klass, table=tuple(_table_real(v) for v in doc["values"]),
+                       table_delta2=_table_real(doc["delta2"]))
         raise SpecError(f"bad weight spec {s!r}")
+
+
+def _table_real(v) -> float:
+    """A weight table's JSON number as a float; strings, bools, null and
+    numbers beyond the double range are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SpecError(f"weight table entries must be real numbers, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise SpecError("weight table entry is beyond the double range") from exc
 
 
 @dataclass
@@ -227,15 +246,21 @@ class WeightReport:
 
 def validate_weight(nu: WeightSequence, n_max: int) -> WeightReport:
     """Check positivity, monotonicity, and the doubling condition for
-    indices up to n_max.  Failures are reported, not raised."""
+    indices up to n_max.  Failures are reported, not raised; values or
+    doubling ratios that are not finite in double precision raise
+    DomainError."""
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
     n = np.arange(nu.start, n_max + 1)
-    vals = nu(n)
+    m = np.arange(1, n_max // 2 + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = nu(n)
+        sup = float(np.max(nu(2 * m) / nu(m)))
+    if not (np.all(np.isfinite(vals)) and math.isfinite(sup)):
+        raise DomainError(f"weight {nu.spec()} or its doubling ratios overflow "
+                          f"up to index {n_max}")
     positive = bool(np.all(vals > 0))
     nondecreasing = bool(np.all(np.diff(vals) >= 0))
-    m = np.arange(1, n_max // 2 + 1)
-    sup = float(np.max(nu(2 * m) / nu(m))) if len(m) else 1.0
     try:
         c = nu.delta2_constant()
     except InvalidWeightError:

@@ -276,6 +276,41 @@ class TestHugeAndNonFinite:
         assert InequalityWitness(0.0, 0.0, 1.0, True).to_json()["ratio"] == 0.0
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("argv,table", [
+        (["--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "0", "--tol", "nan"], None),
+        (["--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "0", "--tol", "inf"], None),
+        (["--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "0", "--tol", "-1"], None),
+        (["--cmd", "weights", "--space", "pow:p=2;expm1;pow:alpha=500;log;const:1;const:1"],
+         None),
+        (["--cmd", "weights", "--space", "pow:p=2;expm1;pow:alpha=2000;log;const:1;const:1"],
+         None),
+        (["--cmd", "weights"], {"values": ["a"], "delta2": 2}),
+        (["--cmd", "weights"], {"values": 5, "delta2": 2}),
+        (["--cmd", "weights"], {"values": [1, 2], "delta2": "x"}),
+        (["--cmd", "weights"], {"values": [1, 2], "delta2": None}),
+        (["--cmd", "weights"], {"values": [1, True], "delta2": 2}),
+        (["--cmd", "weights"], {"values": [1e-300, 1e300], "delta2": 2}),
+        (["--cmd", "weights"], {"values": [10**400], "delta2": 2}),
+        (["--cmd", "weights"], '{"values": [1%s], "delta2": 2}' % ("0" * 5000)),
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "pow-500", "pow-2000",
+            "values-string", "values-number", "delta2-string", "delta2-null",
+            "values-bool", "ratio-overflow", "values-beyond-double",
+            "values-beyond-int-digits"])
+    def test_one_line_exit_2(self, capsys, tmp_path, argv, table):
+        if table is not None:
+            path = tmp_path / "w.json"
+            path.write_text(table if isinstance(table, str) else json.dumps(table))
+            argv = argv + ["--space", f"pow:p=2;expm1;table:{path};log;const:1;const:1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestUnexpectedException:
     @pytest.mark.parametrize("exc,code", [
         (RuntimeError("boom\nsecond line"), 4),
