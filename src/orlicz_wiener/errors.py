@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and the check on JSON
+numbers that every JSON parser in it uses."""
 
 
 class OrliczWienerError(Exception):
@@ -50,3 +51,15 @@ class TruncationError(OrliczWienerError):
         )
         self.residual = residual
         self.tol = tol
+
+
+def json_real(v, what: str) -> float:
+    """A JSON number as a float.  Strings, bools, null and integers beyond
+    the double range are refused with SpecError; ``what`` names the value
+    in the message."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SpecError(f"{what} must be a real number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise SpecError(f"{what} is beyond the double range") from exc

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, json_real
 
 # Largest |k| a coefficient JSON document may use; a polynomial is stored
 # densely over -n_max..n_max, so the cap bounds its memory (32 MiB).
@@ -62,11 +62,13 @@ class LaurentPolynomial:
     def from_json(cls, doc) -> "LaurentPolynomial":
         """Parse {"coeffs": [{"k": int, "re": float, "im": float}, ...]}.
 
-        Unknown keys, duplicate k, |k| above MAX_DEGREE and non-finite
-        values are rejected.
+        Unknown keys, a 'coeffs' that is not a list, duplicate k, |k| above
+        MAX_DEGREE, and values that are not finite JSON numbers are rejected.
         """
         if not isinstance(doc, dict) or set(doc) != {"coeffs"}:
             raise SpecError("coefficient JSON must have exactly the key 'coeffs'")
+        if not isinstance(doc["coeffs"], list):
+            raise SpecError("coefficient JSON 'coeffs' must be a list")
         entries = {}
         for item in doc["coeffs"]:
             if not isinstance(item, dict) or set(item) != {"k", "re", "im"}:
@@ -78,10 +80,8 @@ class LaurentPolynomial:
                 raise SpecError(f"coefficient index {k} exceeds the degree cap {MAX_DEGREE}")
             if k in entries:
                 raise SpecError(f"duplicate coefficient index {k}")
-            try:
-                v = complex(float(item["re"]), float(item["im"]))
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"coefficient {k} must have numeric 're' and 'im'") from exc
+            v = complex(json_real(item["re"], f"coefficient {k} 're'"),
+                        json_real(item["im"], f"coefficient {k} 'im'"))
             if not cmath.isfinite(v):
                 raise SpecError(f"coefficient {k} is not finite")
             entries[k] = v

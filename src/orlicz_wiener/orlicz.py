@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidWeightError, SpecError
+from .errors import DomainError, InvalidWeightError, SpecError, json_real
 
 NEGATIVE_SIDE = "W-"  # index set {1, 2, ...}
 NONNEGATIVE_SIDE = "W+"  # index set {0, 1, ...}
@@ -52,11 +52,17 @@ class OrliczFunction:
         if np.any(x < 0):
             raise DomainError("Orlicz functions are defined for x >= 0 only")
         with np.errstate(over="ignore"):
-            if self.family == "pow":
-                return x**self.p
-            if self.family == "expm1":
-                return np.expm1(x)
-            return x**self.p * np.log1p(x)
+            return self._at(x)
+
+    def _at(self, x: np.ndarray) -> np.ndarray:
+        """The function at an array x >= 0, with neither the sign check nor
+        an overflow policy of its own: the batched solver's arguments
+        |c_n| phi_n / lam are nonnegative by construction."""
+        if self.family == "pow":
+            return x**self.p
+        if self.family == "expm1":
+            return np.expm1(x)
+        return x**self.p * np.log1p(x)
 
     def spec(self) -> str:
         if self.family == "expm1":
@@ -201,20 +207,10 @@ class WeightSequence:
                 raise SpecError("weight table JSON must have exactly keys 'values' and 'delta2'")
             if not isinstance(doc["values"], list):
                 raise SpecError("weight table 'values' must be a list of real numbers")
-            return cls("table", klass, table=tuple(_table_real(v) for v in doc["values"]),
-                       table_delta2=_table_real(doc["delta2"]))
+            return cls("table", klass,
+                       table=tuple(json_real(v, "weight table entry") for v in doc["values"]),
+                       table_delta2=json_real(doc["delta2"], "weight table 'delta2'"))
         raise SpecError(f"bad weight spec {s!r}")
-
-
-def _table_real(v) -> float:
-    """A weight table's JSON number as a float; strings, bools, null and
-    numbers beyond the double range are refused."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecError(f"weight table entries must be real numbers, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError as exc:
-        raise SpecError("weight table entry is beyond the double range") from exc
 
 
 @dataclass
@@ -269,14 +265,9 @@ def validate_weight(nu: WeightSequence, n_max: int) -> WeightReport:
     return WeightReport(positive, nondecreasing, doubling, sup, c, n_max)
 
 
-def _weighted(c: np.ndarray, phi: WeightSequence, w: WeightSequence):
-    """(|c_n| phi_n, w_n) over the support of c: the parts of the modular
-    that do not depend on the scale."""
+def _check_class(phi: WeightSequence, w: WeightSequence):
     if phi.klass != w.klass:
         raise SpecError("argument and summand weights must share one index class")
-    n = np.arange(phi.start, phi.start + c.size)
-    with np.errstate(over="ignore"):
-        return np.abs(c) * phi(n), w(n)
 
 
 def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
@@ -285,14 +276,15 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
 
     The entry c[i] sits at index start+i of the weights' index class.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError("scale must be positive")
     c = np.asarray(c)
     if c.size == 0:
         return 0.0
-    scaled, w_n = _weighted(c, phi, w)
+    _check_class(phi, w)
+    n = np.arange(phi.start, phi.start + c.size)
     with np.errstate(over="ignore"):
-        return float(np.sum(orlicz(scaled / lam) * w_n))
+        return float(np.sum(orlicz(np.abs(c) * phi(n) / lam) * w(n)))
 
 
 def _luxemburg_steps(ref: float, tol: float):
@@ -348,28 +340,66 @@ def _luxemburg_steps(ref: float, tol: float):
     return lo, hi
 
 
+def _weight_values(rows) -> list:
+    """Per (c, orlicz, phi, w) row, the arrays (phi_n, w_n) of its weights
+    from the class start on, at least as long as c.
+
+    Each distinct weight sequence is evaluated once, over the longest row
+    that uses it, and its rows share that array: no weight is evaluated at
+    an index that no row reaches, so no batch refuses an overflow that the
+    serial solves of its rows would not.  Weights are told apart by value,
+    since every trial builds its own; the dataclass hash and equality run
+    in Python, so each weight object is looked up by value only once, and
+    by identity after that.  A cell is [weight, reach, values]."""
+    by_value, by_id, cells = {}, {}, []
+    for c, _, phi, w in rows:
+        pair = []
+        for nu in (phi, w):
+            cell = by_id.get(id(nu))
+            if cell is None:
+                cell = by_id[id(nu)] = by_value.setdefault(nu, [nu, 0])
+            cell[1] = max(cell[1], c.size)
+            pair.append(cell)
+        cells.append(pair)
+    with np.errstate(over="ignore"):
+        for cell in by_value.values():
+            nu, n = cell
+            cell.append(nu(np.arange(nu.start, nu.start + n)))
+    return [(phi_cell[2], w_cell[2]) for phi_cell, w_cell in cells]
+
+
 class _Batch:
     """The rows |c_n| phi_n and w_n of many solves, sorted by (Orlicz
     function, length) and zero-padded into matrices, so that every group
     (defined below) and every block of equal-length rows is a contiguous
     slice.
 
-    ``order[j]`` is the position, in the rows given, of sorted row j.
-    Rows are live until ``finish`` is called on them.
+    ``order[j]`` is the position, in the problems given, of sorted row j,
+    and ``refs[j]`` is that row's largest weighted entry.  Rows are live
+    until ``finish`` is called on them.
     """
 
-    def __init__(self, rows):
-        self.order = sorted(range(len(rows)), key=lambda i: (
-            rows[i][0].family, rows[i][0].p, rows[i][1].size))
-        self.lengths = [rows[i][1].size for i in self.order]
-        if len(rows) == 1:  # nothing to pad: use the row's own arrays
-            self.scaled, self.w = rows[0][1][None], rows[0][2][None]
-        else:
-            shape = (len(rows), max(self.lengths))
-            self.scaled, self.w = np.zeros(shape), np.zeros(shape)
-            for j, i in enumerate(self.order):
-                self.scaled[j, :self.lengths[j]] = rows[i][1]
-                self.w[j, :self.lengths[j]] = rows[i][2]
+    def __init__(self, problems):
+        """``problems`` holds (c, orlicz, phi, w) with c a nonempty array and
+        phi, w of one index class."""
+        self.order = sorted(range(len(problems)), key=lambda i: (
+            problems[i][1].family, problems[i][1].p, problems[i][0].size))
+        rows = [problems[i] for i in self.order]
+        self.lengths = [c.size for c, *_ in rows]
+        shape = (len(rows), max(self.lengths))
+        coeffs = np.zeros(shape, dtype=complex)
+        self.scaled, self.w = np.zeros(shape), np.zeros(shape)
+        for j, ((c, *_), (phi_n, w_n)) in enumerate(zip(rows, _weight_values(rows))):
+            n = c.size
+            coeffs[j, :n] = c
+            self.scaled[j, :n] = phi_n[:n]
+            self.w[j, :n] = w_n[:n]
+        with np.errstate(over="ignore"):
+            self.scaled *= np.abs(coeffs)
+        del coeffs
+        if not (np.isfinite(self.scaled).all() and np.isfinite(self.w).all()):
+            raise DomainError("weighted coefficients and weights must be finite")
+        self.refs = self.scaled.max(axis=1).tolist()
         self.done = [False] * len(rows)
         self.m = np.zeros(len(rows))
         # A group is the rows of one Orlicz function whose lengths lie in
@@ -378,7 +408,7 @@ class _Batch:
         # blocks]; per block: [start, stop, length, live rows].
         self.groups = []
         for (orlicz, _), group in itertools.groupby(range(len(rows)), key=lambda j: (
-                rows[self.order[j]][0], (self.lengths[j] - 1).bit_length())):
+                rows[j][1], (self.lengths[j] - 1).bit_length())):
             group = list(group)
             blocks = []
             for length, block in itertools.groupby(group, key=self.lengths.__getitem__):
@@ -412,11 +442,12 @@ class _Batch:
             width = self.lengths[hi - 1]
             if hi - lo == 1:  # one live row: the 1-D arithmetic of ``modular``
                 with np.errstate(over="ignore"):
-                    m[lo] = np.add.reduce(orlicz(self.scaled[lo, :width] / lam[lo])
+                    m[lo] = np.add.reduce(orlicz._at(self.scaled[lo, :width] / lam[lo])
                                           * self.w[lo, :width])
                 continue
             with np.errstate(over="ignore"):
-                v = orlicz(self.scaled[lo:hi, :width] / lam[lo:hi, None]) * self.w[lo:hi, :width]
+                v = (orlicz._at(self.scaled[lo:hi, :width] / lam[lo:hi, None])
+                     * self.w[lo:hi, :width])
             for a, b, length, live in blocks:
                 a, b = max(a, lo), min(b, hi)
                 if live and a < b:
@@ -431,25 +462,26 @@ def _brackets(problems, tol: float) -> list:
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
     brackets = [(0.0, 0.0)] * len(problems)
-    rows, refs, where = [], [], []
+    rows, where = [], []
     for i, (c, orlicz, phi, w) in enumerate(problems):
         c = np.asarray(c)
-        if c.size == 0:
-            continue
-        scaled, w_n = _weighted(c, phi, w)
-        if not (np.all(np.isfinite(scaled)) and np.all(np.isfinite(w_n))):
-            raise DomainError("weighted coefficients and weights must be finite")
-        ref = float(np.max(scaled))
-        if ref > 0:
-            rows.append((orlicz, scaled, w_n))
-            refs.append(ref)
+        if c.size:
+            _check_class(phi, w)
+            rows.append((c, orlicz, phi, w))
             where.append(i)
     if not rows:
         return brackets
     batch = _Batch(rows)
-    steps = [_luxemburg_steps(refs[i], tol) for i in batch.order]
-    lam = np.array([next(step) for step in steps])
-    live = range(len(steps))
+    # A row whose entries are all zero has norm 0 and is never stepped; its
+    # scale stays 1 so that its padded arithmetic stays finite.
+    steps, lam = {}, np.ones(len(rows))
+    for j, ref in enumerate(batch.refs):
+        if ref > 0:
+            steps[j] = _luxemburg_steps(ref, tol)
+            lam[j] = next(steps[j])
+        else:
+            batch.finish(j)
+    live = list(steps)
     while live:
         m = batch.modulars(lam).tolist()
         running = []

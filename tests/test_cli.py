@@ -1,10 +1,13 @@
 """CLI contract tests: exit codes, determinism, serialization."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orlicz_wiener import cli
 from orlicz_wiener.algebra import InequalityWitness
@@ -293,10 +296,18 @@ class TestRefusals:
         (["--cmd", "weights"], {"values": [1e-300, 1e300], "delta2": 2}),
         (["--cmd", "weights"], {"values": [10**400], "delta2": 2}),
         (["--cmd", "weights"], '{"values": [1%s], "delta2": 2}' % ("0" * 5000)),
+        (["--cmd", "norm", "--input", '{"coeffs": 5}'], None),
+        (["--cmd", "norm", "--input", '{"coeffs": null}'], None),
+        (["--cmd", "norm", "--input", '{"coeffs": [{"k": 0, "re": "1.5", "im": 0}]}'], None),
+        (["--cmd", "norm", "--input", '{"coeffs": [{"k": 0, "re": true, "im": 0}]}'], None),
+        (["--cmd", "norm", "--input", '{"coeffs": [{"k": 0, "re": 1, "im": null}]}'], None),
+        (["--cmd", "norm", "--input",
+          '{"coeffs": [{"k": 0, "re": 1%s, "im": 0}]}' % ("0" * 399)], None),
     ], ids=["tol-nan", "tol-inf", "tol-negative", "pow-500", "pow-2000",
             "values-string", "values-number", "delta2-string", "delta2-null",
             "values-bool", "ratio-overflow", "values-beyond-double",
-            "values-beyond-int-digits"])
+            "values-beyond-int-digits", "coeffs-number", "coeffs-null", "re-string",
+            "re-bool", "im-null", "re-beyond-double"])
     def test_one_line_exit_2(self, capsys, tmp_path, argv, table):
         if table is not None:
             path = tmp_path / "w.json"
@@ -329,3 +340,84 @@ class TestUnexpectedException:
         assert "Traceback" not in err
         if code == cli.EXIT_INTERNAL:
             assert err == "error: internal error: RuntimeError: boom second line\n"
+
+
+def _strict_json_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+_ODD_REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e-320, 10**400, "1.5", True, None, [1]]))
+_VALID_COEFFS = st.lists(st.fixed_dictionaries({"k": st.integers(-3, 3), "re": st.floats(-10, 10),
+                                                "im": st.floats(-10, 10)}),
+                         max_size=4, unique_by=lambda c: c["k"])
+_COEFF_DOC = st.one_of(
+    _VALID_COEFFS,
+    # a dominant constant term: winding number 0, so factorize succeeds
+    _VALID_COEFFS.map(lambda cs: [{"k": 0, "re": 50.0, "im": 0.0}]
+                      + [c for c in cs if c["k"] != 0]),
+    st.lists(st.fixed_dictionaries({
+        "k": st.one_of(st.integers(-3, 3), st.sampled_from([10**12, True, "1", 1.0])),
+        "re": st.one_of(st.floats(-10, 10), _ODD_REALS),
+        "im": st.one_of(st.floats(-10, 10), _ODD_REALS)}), max_size=4),
+    st.one_of(st.integers(), st.none(), st.text(max_size=3), st.just({"k": 0})),
+).map(lambda coeffs: {"coeffs": coeffs})
+_VALID_ORLICZ = ["pow:p=1", "pow:p=2.5", "expm1", "powlog:p=1.5"]
+_VALID_WEIGHTS = ["const:1", "const:1e-300", "log", "pow:alpha=1", "pow:alpha=500"]
+_ODD_SPECS = ["pow:p=0.5", "powlog:p=nan", "pow:p=inf", "bogus", "pow:alpha=-1", "const:0",
+              "const:inf", "table:/no/such/table.json", "pow:alpha=x", ""]
+_SPACE = st.one_of(
+    st.tuples(*[st.sampled_from(_VALID_ORLICZ)] * 2,
+              *[st.sampled_from(_VALID_WEIGHTS)] * 4).map(";".join),
+    st.lists(st.sampled_from(_VALID_ORLICZ + _VALID_WEIGHTS + _ODD_SPECS),
+             min_size=5, max_size=7).map(";".join),
+    st.text(max_size=12),
+)
+
+
+def _flag(valid, invalid):
+    """A flag value, valid three times in four."""
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(invalid))
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(["norm", "weights", "verify", "factorize", "selftest"]))
+    # The trial count and support are always given: their defaults make a
+    # verify run of a second.
+    argv = ["--cmd", cmd, "--trials", draw(_flag(["1", "2", "3"], ["-1", "0"])),
+            "--support", draw(_flag(["1", "4", "8"], ["-3", "0", str(10**20), "x"]))]
+    if cmd in ("norm", "factorize") and draw(st.integers(0, 9)):
+        argv += ["--input", json.dumps(draw(_COEFF_DOC))]
+    if draw(st.booleans()):
+        argv += ["--space", draw(_SPACE)]
+    flags = {
+        "--seed": _flag(["0", "7", str(2**70)], ["-1"]),
+        "--tol": _flag(["1e-12", "1e-6", "1e-3"], ["nan", "inf", "-1", "0", "1e-300", "0.5"]),
+        "--grid": _flag(["256", "1024"], ["-4", "0", "3", "16", "131072"]),
+        "--trunc": _flag(["1", "4", "16"], ["-1", "0", "100"]),
+    }
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_cli_exit_codes_and_strict_json(argv):
+    """Any spec, coefficient document and flag values give exit 0-3, with 1
+    only from verify or weights, no traceback, and stdout that is strict
+    JSON; a refusal prints nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert code != 1 or argv[1] in ("verify", "weights")
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err, argv
+    else:
+        json.loads(out, parse_constant=_strict_json_constant)

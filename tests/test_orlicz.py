@@ -219,6 +219,10 @@ class TestModular:
         with pytest.raises(DomainError):
             modular(np.array([1.0]), OrliczFunction("pow", 1), CONST1, CONST1, 0.0)
 
+    def test_nan_scale_rejected(self):
+        with pytest.raises(DomainError):
+            modular(np.array([1.0]), OrliczFunction("pow", 1), CONST1, CONST1, math.nan)
+
     def test_class_mismatch_rejected(self):
         w_pos = WeightSequence("const", NONNEGATIVE_SIDE, 1.0)
         with pytest.raises(SpecError):
@@ -431,18 +435,16 @@ def test_kernel_on_hoisted_parts_is_the_public_modular(cases):
     computed once and padded into one matrix, returns exactly what the
     public modular returns, and both equal the modular written out in one
     expression."""
-    rows = []
-    for c, fn, phi, w in (case[:4] for case in cases):
-        n = np.arange(phi.start, phi.start + len(c))
-        scaled, w_n = orlicz._weighted(c, phi, w)
-        assert np.array_equal(scaled, np.abs(c) * phi(n)) and np.array_equal(w_n, w(n))
-        rows.append((fn, scaled, w_n))
-    batch = orlicz._Batch(rows)
+    batch = orlicz._Batch([case[:4] for case in cases])
     lam = np.array([cases[i][4] for i in batch.order])
     got = batch.modulars(lam)
     for j, i in enumerate(batch.order):
         c, fn, phi, w, scale = cases[i]
         n = np.arange(phi.start, phi.start + len(c))
+        assert np.array_equal(batch.scaled[j, :len(c)], np.abs(c) * phi(n))
+        assert np.array_equal(batch.w[j, :len(c)], w(n))
+        assert not batch.scaled[j, len(c):].any() and not batch.w[j, len(c):].any()
+        assert batch.refs[j] == np.max(np.abs(c) * phi(n))
         expected = float(np.sum(fn(np.abs(c) * phi(n) / scale) * w(n)))
         assert float(got[j]) == modular(c, fn, phi, w, scale) == expected
 
@@ -451,7 +453,11 @@ def test_kernel_on_hoisted_parts_is_the_public_modular(cases):
 def _batches(draw):
     """A mixed batch of solves over every Orlicz family and weight family,
     on both index classes, with empty and all-zero sides and repeated
-    lengths, and one tolerance for the whole batch."""
+    lengths, and one tolerance for the whole batch.  Weights come from a
+    small pool per class, so one weight serves rows of different lengths
+    and the rows take prefixes of one evaluation."""
+    pool = {klass: draw(st.lists(_weights(klass), min_size=1, max_size=3))
+            for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE)}
     problems = []
     for _ in range(draw(st.integers(1, 12))):
         klass = draw(st.sampled_from([NEGATIVE_SIDE, NONNEGATIVE_SIDE]))
@@ -461,8 +467,8 @@ def _batches(draw):
         if mags and draw(st.booleans()):
             mags = [0.0] * length
         scale = 10.0 ** draw(st.floats(-6, 3))
-        problems.append((np.array(mags) * scale, draw(_ORLICZ), draw(_weights(klass)),
-                         draw(_weights(klass))))
+        problems.append((np.array(mags) * scale, draw(_ORLICZ),
+                         draw(st.sampled_from(pool[klass])), draw(st.sampled_from(pool[klass]))))
     return problems, draw(st.sampled_from([1e-12, 1e-6, 1e-3]))
 
 
@@ -515,3 +521,38 @@ class TestBatchedEdgeCases:
 
     def test_empty_batch(self):
         assert luxemburg_norms([]) == []
+
+    def test_each_distinct_weight_evaluated_once(self, monkeypatch):
+        # Equal weights built apart, as every trial builds them, count once.
+        calls = []
+        real = WeightSequence.__call__
+
+        def counting(nu, n):
+            calls.append(nu)
+            return real(nu, n)
+
+        monkeypatch.setattr(WeightSequence, "__call__", counting)
+        rng = np.random.default_rng(37)
+        problems = []
+        for i in range(60):
+            klass = (NEGATIVE_SIDE, NONNEGATIVE_SIDE)[i // 4 % 2]
+            c = rng.uniform(-1, 1, int(rng.integers(1, 30))) + 0j
+            problems.append((c, OrliczFunction("pow", 1 + i % 3),
+                             WeightSequence("pow", klass, float(i % 4)),
+                             WeightSequence("log", klass)))
+        luxemburg_norms(problems)
+        distinct = {nu for _, _, phi, w in problems for nu in (phi, w)}
+        assert len(calls) == len(distinct) == 10
+
+    def test_weight_overflowing_only_past_a_short_row(self):
+        # (n + 1)^500 is finite up to n = 3 and overflows from n = 4 on.
+        phi = WeightSequence("pow", NEGATIVE_SIDE, 500.0)
+        short = (np.array([1.0, 0.5j, -0.25]), OrliczFunction("pow", 2), phi, CONST1)
+        long = (np.ones(8), OrliczFunction("pow", 2), phi, CONST1)
+        with pytest.raises(DomainError) as serial:
+            luxemburg_norm(*long)
+        with pytest.raises(DomainError) as batched:
+            luxemburg_norms([short, long])
+        assert str(batched.value) == str(serial.value)
+        assert luxemburg_norms([short]) == [luxemburg_norm(*short)]
+        assert luxemburg_norm(*short) > 0
