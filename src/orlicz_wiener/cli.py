@@ -31,8 +31,16 @@ EXIT_OBSTRUCTION = 3
 EXIT_INTERNAL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line as every other refusal does: exit 2 with
+    one ``error:`` line on stderr, not argparse's usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="orlicz-wiener",
         description="Norms, inequality verification, and Wiener-Hopf "
                     "factorization for symbols with coefficients in "

@@ -34,9 +34,9 @@ WEIGHT_EXPONENTS = (0.0, 0.5, 1.0, 2.0)
 # coefficients and their product is convolved directly.
 MAX_SUPPORT = 1 << 16
 
-# Budget of padded terms in one batched solve: a chunk holds as many trials
-# as fit when each of their six one-sided sides has the longest possible
-# length, 2 * support + 1 (at least one trial).
+# Budget of terms in one batched solve, which lays its rows end to end: a
+# chunk holds as many trials as fit when each of their six one-sided sides
+# has the longest possible length, 2 * support + 1 (at least one trial).
 CHUNK_TERMS = 1 << 18
 
 NORM_FAMILIES = ("theorem", "one_sided_negative", "one_sided_nonnegative")
@@ -130,7 +130,7 @@ def _run_trials(families, seed: int, trials: range, support: int):
     """Yield each trial's witnesses in trial order.  The norm families
     share one norm report each of f, g and fg; all of a chunk's reports
     come from one batched solve, a chunk holding at most CHUNK_TERMS
-    padded terms."""
+    terms."""
     solve = not set(families).isdisjoint(NORM_FAMILIES)
     chunk = max(1, CHUNK_TERMS // (6 * (2 * support + 1)))
     for lo in range(trials.start, trials.stop, chunk):

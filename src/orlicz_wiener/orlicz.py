@@ -368,90 +368,65 @@ def _weight_values(rows) -> list:
     return [(phi_cell[2], w_cell[2]) for phi_cell, w_cell in cells]
 
 
+def _end_to_end(arrays) -> np.ndarray:
+    """The arrays laid end to end in one 1-D array, each led by one zero."""
+    lead = np.zeros(1)
+    return np.concatenate([x for a in arrays for x in (lead, a)])
+
+
 class _Batch:
-    """The rows |c_n| phi_n and w_n of many solves, sorted by (Orlicz
-    function, length) and zero-padded into matrices, so that every group
-    (defined below) and every block of equal-length rows is a contiguous
-    slice.
+    """The rows |c_n| phi_n and w_n of many solves, laid end to end in two
+    flat arrays, sorted by Orlicz function, with one zero before each row.
+
+    ``np.add.reduceat`` sums a segment as its first entry plus numpy's
+    pairwise sum of the rest, so from a row's leading zero it returns the
+    bits of ``np.sum`` on that row alone, whatever the row's length: one
+    call sums every row of one Orlicz function.
 
     ``order[j]`` is the position, in the problems given, of sorted row j,
-    and ``refs[j]`` is that row's largest weighted entry.  Rows are live
-    until ``finish`` is called on them.
+    ``starts[j]`` the position of its leading zero, and ``refs[j]`` its
+    largest weighted entry.
     """
 
     def __init__(self, problems):
         """``problems`` holds (c, orlicz, phi, w) with c a nonempty array and
         phi, w of one index class."""
         self.order = sorted(range(len(problems)), key=lambda i: (
-            problems[i][1].family, problems[i][1].p, problems[i][0].size))
+            problems[i][1].family, problems[i][1].p))
         rows = [problems[i] for i in self.order]
-        self.lengths = [c.size for c, *_ in rows]
-        shape = (len(rows), max(self.lengths))
-        coeffs = np.zeros(shape, dtype=complex)
-        self.scaled, self.w = np.zeros(shape), np.zeros(shape)
-        for j, ((c, *_), (phi_n, w_n)) in enumerate(zip(rows, _weight_values(rows))):
-            n = c.size
-            coeffs[j, :n] = c
-            self.scaled[j, :n] = phi_n[:n]
-            self.w[j, :n] = w_n[:n]
+        sizes = np.array([c.size + 1 for c, *_ in rows])
+        self.starts = np.cumsum(sizes) - sizes
+        values = _weight_values(rows)
+        coeffs = _end_to_end(c for c, *_ in rows)
+        self.scaled = _end_to_end(phi_n[:c.size] for (c, *_), (phi_n, _) in zip(rows, values))
+        self.w = _end_to_end(w_n[:c.size] for (c, *_), (_, w_n) in zip(rows, values))
         with np.errstate(over="ignore"):
             self.scaled *= np.abs(coeffs)
         del coeffs
         if not (np.isfinite(self.scaled).all() and np.isfinite(self.w).all()):
             raise DomainError("weighted coefficients and weights must be finite")
-        self.refs = self.scaled.max(axis=1).tolist()
-        self.done = [False] * len(rows)
-        self.m = np.zeros(len(rows))
-        # A group is the rows of one Orlicz function whose lengths lie in
-        # one octave (2^(k-1), 2^k], so padding at most doubles the work.
-        # Per group: [Orlicz function, first live row, last live row + 1,
-        # blocks]; per block: [start, stop, length, live rows].
-        self.groups = []
-        for (orlicz, _), group in itertools.groupby(range(len(rows)), key=lambda j: (
-                rows[j][1], (self.lengths[j] - 1).bit_length())):
+        # Exact: every entry is >= 0, so a leading zero never wins.
+        self.refs = np.maximum.reduceat(self.scaled, self.starts).tolist()
+        # Per Orlicz function: the function, its rows lo:hi, its flat span
+        # a:b, its rows' starts within the span and their sizes.
+        self.spans = []
+        for orlicz, group in itertools.groupby(range(len(rows)), key=lambda j: rows[j][1]):
             group = list(group)
-            blocks = []
-            for length, block in itertools.groupby(group, key=self.lengths.__getitem__):
-                block = list(block)
-                blocks.append([block[0], block[-1] + 1, length, len(block)])
-            self.groups.append([orlicz, group[0], group[-1] + 1, blocks])
-        self.block_of = [block for *_, blocks in self.groups for block in blocks
-                         for _ in range(block[0], block[1])]
-
-    def finish(self, j: int):
-        self.done[j] = True
-        self.block_of[j][3] -= 1
+            lo, hi = group[0], group[-1] + 1
+            a, b = self.starts[lo], self.starts[hi - 1] + sizes[hi - 1]
+            self.spans.append((orlicz, lo, hi, a, b, self.starts[lo:hi] - a, sizes[lo:hi]))
 
     def modulars(self, lam: np.ndarray) -> np.ndarray:
-        """The modular of each live row j at the scale lam[j]; other
-        entries are stale.  Phi is evaluated once per group, on the span of
-        its live rows.  Each block of equal-length rows is summed along
-        its rows: that gives the bits of ``np.sum`` on each row alone, which
-        a zero-padded row would not, because numpy's pairwise blocking
-        depends on the length."""
-        m = self.m
-        for group in self.groups:
-            orlicz, lo, hi, blocks = group
-            while lo < hi and self.done[lo]:
-                lo += 1
-            while lo < hi and self.done[hi - 1]:
-                hi -= 1
-            group[1], group[2] = lo, hi
-            if lo == hi:
-                continue
-            width = self.lengths[hi - 1]
-            if hi - lo == 1:  # one live row: the 1-D arithmetic of ``modular``
-                with np.errstate(over="ignore"):
-                    m[lo] = np.add.reduce(orlicz._at(self.scaled[lo, :width] / lam[lo])
-                                          * self.w[lo, :width])
-                continue
-            with np.errstate(over="ignore"):
-                v = (orlicz._at(self.scaled[lo:hi, :width] / lam[lo:hi, None])
-                     * self.w[lo:hi, :width])
-            for a, b, length, live in blocks:
-                a, b = max(a, lo), min(b, hi)
-                if live and a < b:
-                    m[a:b] = np.add.reduce(v[a - lo:b - lo, :length], axis=1)
+        """The modular of each row j at the scale lam[j].  Phi is evaluated
+        once per Orlicz function, on its whole span, and one
+        ``np.add.reduceat`` sums every row of the span."""
+        m = np.empty(len(lam))
+        with np.errstate(over="ignore"):
+            for orlicz, lo, hi, a, b, starts, sizes in self.spans:
+                # A span of one row, such as a long serial solve, needs no repeat.
+                scale = lam[lo] if hi - lo == 1 else np.repeat(lam[lo:hi], sizes)
+                v = orlicz._at(self.scaled[a:b] / scale) * self.w[a:b]
+                m[lo:hi] = np.add.reduceat(v, starts)
         return m
 
 
@@ -473,14 +448,13 @@ def _brackets(problems, tol: float) -> list:
         return brackets
     batch = _Batch(rows)
     # A row whose entries are all zero has norm 0 and is never stepped; its
-    # scale stays 1 so that its padded arithmetic stays finite.
+    # scale stays 1 so that its arithmetic stays finite.  Finished rows stay
+    # in the flat arrays and keep their last scale.
     steps, lam = {}, np.ones(len(rows))
     for j, ref in enumerate(batch.refs):
         if ref > 0:
             steps[j] = _luxemburg_steps(ref, tol)
             lam[j] = next(steps[j])
-        else:
-            batch.finish(j)
     live = list(steps)
     while live:
         m = batch.modulars(lam).tolist()
@@ -490,7 +464,6 @@ def _brackets(problems, tol: float) -> list:
                 lam[j] = steps[j].send(m[j])
             except StopIteration as done:
                 brackets[where[batch.order[j]]] = done.value
-                batch.finish(j)
             else:
                 running.append(j)
         live = running
@@ -509,12 +482,13 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
 
     The solve is the coroutine ``_luxemburg_steps``, run as a batch of one
     by the loop that ``luxemburg_norms`` runs on many problems at once.
-    That loop computes |c_n| phi_n and w_n once and evaluates the
-    modular of each iterate on them, with the same bits as the public
-    ``modular``.  The solve exponentially brackets the threshold starting
-    from the scale of the largest weighted entry, halving or doubling until
-    the scale leaves the range of doubles if need be, then narrows the
-    bracket by regula falsi with the Anderson-Bjorck correction on
+    That loop computes |c_n| phi_n and w_n once, lays them end to end
+    behind one zero (see ``_Batch``) and evaluates the modular of each
+    iterate on them, with the same bits as the public ``modular``.  The
+    solve exponentially brackets the threshold starting from the scale
+    of the largest weighted entry, halving or doubling until the scale
+    leaves the range of doubles if need be, then narrows the bracket by
+    regula falsi with the Anderson-Bjorck correction on
     (log lam, log modular), a relation that is exactly linear for the
     ``pow`` family.  Each new point lies at least tol/4 of the upper end
     inside the bracket, so a point on the root also closes the far side;

@@ -303,11 +303,16 @@ class TestRefusals:
         (["--cmd", "norm", "--input", '{"coeffs": [{"k": 0, "re": 1, "im": null}]}'], None),
         (["--cmd", "norm", "--input",
           '{"coeffs": [{"k": 0, "re": 1%s, "im": 0}]}' % ("0" * 399)], None),
+        (["--cmd", "weights", "--support", "x"], None),
+        (["--cmd", "weights", "--no-such-flag"], None),
+        (["--cmd", "bogus"], None),
+        (["--support", "8"], None),
     ], ids=["tol-nan", "tol-inf", "tol-negative", "pow-500", "pow-2000",
             "values-string", "values-number", "delta2-string", "delta2-null",
             "values-bool", "ratio-overflow", "values-beyond-double",
             "values-beyond-int-digits", "coeffs-number", "coeffs-null", "re-string",
-            "re-bool", "im-null", "re-beyond-double"])
+            "re-bool", "im-null", "re-beyond-double", "support-not-int", "unknown-flag",
+            "unknown-cmd", "missing-cmd"])
     def test_one_line_exit_2(self, capsys, tmp_path, argv, table):
         if table is not None:
             path = tmp_path / "w.json"
@@ -320,6 +325,12 @@ class TestRefusals:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_help_is_not_a_refusal(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: orlicz-wiener") and "--cmd" in out
+        assert err == ""
 
 
 class TestUnexpectedException:
@@ -393,7 +404,7 @@ def _argvs(draw):
     if draw(st.booleans()):
         argv += ["--space", draw(_SPACE)]
     flags = {
-        "--seed": _flag(["0", "7", str(2**70)], ["-1"]),
+        "--seed": _flag(["0", "7", str(2**70)], ["-1", "1.5"]),
         "--tol": _flag(["1e-12", "1e-6", "1e-3"], ["nan", "inf", "-1", "0", "1e-300", "0.5"]),
         "--grid": _flag(["256", "1024"], ["-4", "0", "3", "16", "131072"]),
         "--trunc": _flag(["1", "4", "16"], ["-1", "0", "100"]),
@@ -418,6 +429,6 @@ def test_cli_exit_codes_and_strict_json(argv):
     assert code != 1 or argv[1] in ("verify", "weights")
     assert "Traceback" not in err
     if code == 2:
-        assert out == "" and err, argv
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), argv
     else:
         json.loads(out, parse_constant=_strict_json_constant)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz_wiener import orlicz
+from orlicz_wiener import harness, orlicz
 from orlicz_wiener.errors import DomainError, InvalidWeightError, SpecError
 from orlicz_wiener.orlicz import (
     NEGATIVE_SIDE,
@@ -432,21 +432,37 @@ def _modular_cases(draw):
 @given(st.lists(_modular_cases(), min_size=1, max_size=8))
 def test_kernel_on_hoisted_parts_is_the_public_modular(cases):
     """The batched modular of each row, with |c_n| phi_n and w_n
-    computed once and padded into one matrix, returns exactly what the
-    public modular returns, and both equal the modular written out in one
-    expression."""
+    computed once and laid end to end, each row led by one zero, returns
+    exactly what the public modular returns, and both equal the modular
+    written out in one expression."""
     batch = orlicz._Batch([case[:4] for case in cases])
     lam = np.array([cases[i][4] for i in batch.order])
     got = batch.modulars(lam)
     for j, i in enumerate(batch.order):
         c, fn, phi, w, scale = cases[i]
         n = np.arange(phi.start, phi.start + len(c))
-        assert np.array_equal(batch.scaled[j, :len(c)], np.abs(c) * phi(n))
-        assert np.array_equal(batch.w[j, :len(c)], w(n))
-        assert not batch.scaled[j, len(c):].any() and not batch.w[j, len(c):].any()
+        a = batch.starts[j]
+        assert batch.scaled[a] == 0 and batch.w[a] == 0
+        assert np.array_equal(batch.scaled[a + 1:a + 1 + len(c)], np.abs(c) * phi(n))
+        assert np.array_equal(batch.w[a + 1:a + 1 + len(c)], w(n))
         assert batch.refs[j] == np.max(np.abs(c) * phi(n))
         expected = float(np.sum(fn(np.abs(c) * phi(n) / scale) * w(n)))
         assert float(got[j]) == modular(c, fn, phi, w, scale) == expected
+    assert len(batch.scaled) == len(batch.w) == sum(len(c) + 1 for c, *_ in cases)
+
+
+def test_reduceat_from_a_leading_zero_is_the_row_sum():
+    """The flat batched modular relies on this numpy behaviour:
+    ``np.add.reduceat`` over zero-led segments gives each row exactly
+    ``np.sum`` of the row alone, for every row length in one call."""
+    rng = np.random.default_rng(41)
+    # 2 * MAX_SUPPORT + 1 is the longest side a trial solves.
+    lengths = [*range(1, 301), 4097, 32769, 2 * harness.MAX_SUPPORT + 1]
+    rows = [10.0 ** rng.uniform(-5, 5, n) for n in lengths]
+    flat = np.concatenate([x for row in rows for x in (np.zeros(1), row)])
+    starts = np.cumsum([0] + [n + 1 for n in lengths[:-1]])
+    got = np.add.reduceat(flat, starts)
+    assert [float(x) for x in got] == [float(np.sum(row)) for row in rows]
 
 
 @st.composite
