@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 verification violation, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -91,8 +92,9 @@ def _emit(doc: dict, fmt: str):
         print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     elif fmt == "csv":
         flat = {k: v for k, v in _flatten(doc) if isinstance(v, (int, float, bool, str))}
-        print(",".join(flat))
-        print(",".join(str(v) for v in flat.values()))
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(flat)
+        out.writerow(flat.values())
     else:
         for k, v in _flatten(doc):
             print(f"{k}: {v}")

@@ -45,8 +45,9 @@ class WindingDiagnostics:
 
 @dataclass
 class FactorizationResult:
-    """Winding index, scalar factor, truncated one-sided factors, and the
-    pointwise reconstruction residual over the grid."""
+    """Winding index, scalar factor, truncated one-sided factors, the
+    pointwise reconstruction residual over the grid, the truncated
+    logarithm, and the truncated inverses of the factors."""
 
     kappa: int
     scalar: complex
@@ -56,6 +57,8 @@ class FactorizationResult:
     truncation: int
     grid_size: int
     log_coeffs: LaurentPolynomial
+    plus_inverse: LaurentPolynomial
+    minus_inverse: LaurentPolynomial
 
     def to_json(self) -> dict:
         return {
@@ -122,32 +125,25 @@ def _one_sided_eval(lp: LaurentPolynomial, n_grid: int, side: int) -> np.ndarray
     return sample(LaurentPolynomial(c, lp.n_max), n_grid).values
 
 
-def _one_sided_factor(lc: LaurentPolynomial, n_grid: int, side: int, truncation: int,
-                      inverse: bool = False) -> LaurentPolynomial:
-    """Truncated coefficients of exp(+-(one-sided part of lc)): the factor
-    on the given side, or its inverse."""
-    part = _one_sided_eval(lc, n_grid, side)
-    return fourier_coefficients(GridSamples(np.exp(-part if inverse else part)), truncation)
-
-
-def _resolve_winding(b: LaurentPolynomial, n_grid: int, max_grid: int = MAX_GRID):
+def _resolve_winding(b: LaurentPolynomial, n_grid: int):
     """Sample and compute the winding number, doubling the grid on
-    under-resolution up to the cap."""
+    under-resolution up to MAX_GRID."""
     while True:
         s = sample(b, n_grid)
         try:
             return s, winding_number(s)
         except UnderResolvedError:
-            if n_grid >= max_grid:
+            if n_grid >= MAX_GRID:
                 raise
             n_grid *= 2
 
 
 def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
-              tol: float = DEFAULT_RESIDUAL_TOL,
-              max_grid: int = MAX_GRID) -> FactorizationResult:
+              tol: float = DEFAULT_RESIDUAL_TOL) -> FactorizationResult:
     """Sample, take the continuous logarithm, split its coefficients into
-    analytic and anti-analytic parts, and exponentiate pointwise.
+    analytic and anti-analytic parts, evaluate each part once on the grid,
+    and exponentiate it pointwise: exp(+part) gives the factor and, once
+    the residual gate has passed, exp(-part) its inverse.
 
     Raises IndexObstructionError when the winding number is nonzero and
     TruncationError when the reconstruction residual exceeds tol, which
@@ -159,21 +155,23 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
         raise SpecError(
             f"grid size {n_grid} must be a power of two >= 4*max(truncation, degree)"
         )
-    if n_grid > max_grid:
-        raise SpecError(f"grid size {n_grid} exceeds the largest grid {max_grid}")
-    s, diag = _resolve_winding(b, n_grid, max_grid)
+    if n_grid > MAX_GRID:
+        raise SpecError(f"grid size {n_grid} exceeds the largest grid {MAX_GRID}")
+    s, diag = _resolve_winding(b, n_grid)
     if diag.kappa != 0:
         raise IndexObstructionError(diag.kappa)
     logs = _continuous_log(s)
     lc = fourier_coefficients(logs, truncation)
     scalar = cmath.exp(lc.coeff(0))
     n = s.size
-    plus = _one_sided_factor(lc, n, +1, truncation)
-    minus = _one_sided_factor(lc, n, -1, truncation)
+    parts = [_one_sided_eval(lc, n, side) for side in (+1, -1)]
+    plus, minus = (fourier_coefficients(GridSamples(np.exp(p)), truncation) for p in parts)
     recon = scalar * sample(plus, n).values * sample(minus, n).values
     residual = float(np.max(np.abs(s.values - recon)))
     if residual > tol:
         raise TruncationError(residual, tol)
+    plus_inverse, minus_inverse = (
+        fourier_coefficients(GridSamples(np.exp(-p)), truncation) for p in parts)
     return FactorizationResult(
         kappa=0,
         scalar=scalar,
@@ -183,17 +181,14 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
         truncation=truncation,
         grid_size=s.size,
         log_coeffs=lc,
+        plus_inverse=plus_inverse,
+        minus_inverse=minus_inverse,
     )
 
 
-def membership(res: FactorizationResult, sp: AlgebraSpace,
-               tol: float = 1e-12) -> dict[str, NormReport]:
-    """Combined norms of both factors and their inverses (inverses obtained
-    by exponentiating the negated one-sided log parts), from one batched
-    solve."""
-    lc, n, trunc = res.log_coeffs, res.grid_size, res.truncation
-    parts = {"plus": res.plus,
-             "plus_inverse": _one_sided_factor(lc, n, +1, trunc, inverse=True),
-             "minus": res.minus,
-             "minus_inverse": _one_sided_factor(lc, n, -1, trunc, inverse=True)}
-    return dict(zip(parts, wnf_norms([(f, sp) for f in parts.values()], tol)))
+def membership(res: FactorizationResult, sp: AlgebraSpace) -> dict[str, NormReport]:
+    """Combined norms of both factors and of the inverse factors that
+    ``factorize`` built, from one batched solve."""
+    parts = {"plus": res.plus, "plus_inverse": res.plus_inverse,
+             "minus": res.minus, "minus_inverse": res.minus_inverse}
+    return dict(zip(parts, wnf_norms([(f, sp) for f in parts.values()])))

@@ -4,7 +4,7 @@ convolution products, the absolute-sum norm, and coefficient splitting."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +148,7 @@ class LaurentPolynomial:
 class GridSamples:
     """Values of a function at theta_j = 2 pi j / N on a power-of-two grid."""
 
-    values: np.ndarray = field(default_factory=lambda: np.zeros(8, dtype=complex))
+    values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex).ravel()

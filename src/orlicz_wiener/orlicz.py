@@ -389,8 +389,8 @@ class _Batch:
     """
 
     def __init__(self, problems):
-        """``problems`` holds (c, orlicz, phi, w) with c a nonempty array and
-        phi, w of one index class."""
+        """``problems`` holds (c, orlicz, phi, w) with c an array, possibly
+        empty, and phi, w of one index class where c is nonempty."""
         self.order = sorted(range(len(problems)), key=lambda i: (
             problems[i][1].family, problems[i][1].p))
         rows = [problems[i] for i in self.order]
@@ -436,21 +436,18 @@ def _brackets(problems, tol: float) -> list:
     stepped together: one batched modular evaluation per step."""
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
-    brackets = [(0.0, 0.0)] * len(problems)
-    rows, where = [], []
-    for i, (c, orlicz, phi, w) in enumerate(problems):
-        c = np.asarray(c)
+    problems = [(np.asarray(c), *rest) for c, *rest in problems]
+    for c, _, phi, w in problems:
         if c.size:
             _check_class(phi, w)
-            rows.append((c, orlicz, phi, w))
-            where.append(i)
-    if not rows:
+    brackets = [(0.0, 0.0)] * len(problems)
+    if not problems:
         return brackets
-    batch = _Batch(rows)
-    # A row whose entries are all zero has norm 0 and is never stepped; its
-    # scale stays 1 so that its arithmetic stays finite.  Finished rows stay
-    # in the flat arrays and keep their last scale.
-    steps, lam = {}, np.ones(len(rows))
+    batch = _Batch(problems)
+    # An empty row or a row whose entries are all zero has norm 0 and is
+    # never stepped; its scale stays 1 so that its arithmetic stays finite.
+    # Finished rows stay in the flat arrays and keep their last scale.
+    steps, lam = {}, np.ones(len(problems))
     for j, ref in enumerate(batch.refs):
         if ref > 0:
             steps[j] = _luxemburg_steps(ref, tol)
@@ -463,7 +460,7 @@ def _brackets(problems, tol: float) -> list:
             try:
                 lam[j] = steps[j].send(m[j])
             except StopIteration as done:
-                brackets[where[batch.order[j]]] = done.value
+                brackets[batch.order[j]] = done.value
             else:
                 running.append(j)
         live = running

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, determinism, serialization."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -67,6 +68,19 @@ class TestNorm:
         assert code == 0
         header, values = out.strip().split("\n")
         assert "total" in header.split(",")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "4", "--grid", "64"),
+    ("--cmd", "verify", "--replay", "theorem:seed=7:trial=3:support=16"),
+], ids=["factorize", "replay"])
+def test_csv_row_has_one_field_per_header_field(capsys, argv):
+    # list-valued fields are JSON text with commas of their own
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert len(row) == len(header)
+    assert any(json.loads(field) for field in row if field.startswith("["))
 
 
 class TestWeights:

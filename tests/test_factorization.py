@@ -12,7 +12,7 @@ from orlicz_wiener.errors import (
     VanishingSymbolError,
 )
 from orlicz_wiener import factorization
-from orlicz_wiener.algebra import AlgebraSpace
+from orlicz_wiener.algebra import AlgebraSpace, wnf_norm
 from orlicz_wiener.factorization import (
     factorize,
     log_symbol,
@@ -108,7 +108,8 @@ class TestFactorize:
 
     def test_sample_calls_per_factorize_and_membership(self, monkeypatch):
         # one grid sample of b, one per one-sided log part, one per factor
-        # in the residual; membership samples only the two inverse factors
+        # in the residual; the inverse factors reuse the one-sided log
+        # parts, and membership only solves
         calls = []
 
         def counting(lp, n_grid):
@@ -120,7 +121,7 @@ class TestFactorize:
         assert calls == [256] * 5
         calls.clear()
         membership(res, SPACE)
-        assert calls == [256] * 2
+        assert calls == []
 
     def test_two_plus_t(self):
         b = LaurentPolynomial.from_dict({0: 2, 1: 1})
@@ -162,8 +163,15 @@ class TestFactorize:
             factorize(b, 128, 64)
         with pytest.raises(SpecError):
             factorize(b, 100, 16)
-        with pytest.raises(SpecError):
-            factorize(b, 512, 16, max_grid=256)
+
+    def test_grid_above_cap_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(factorization, "sample", no_sampling)
+        b = LaurentPolynomial.from_dict({0: 2, 1: 1})
+        with pytest.raises(SpecError, match=str(2 * factorization.MAX_GRID)):
+            factorize(b, 2 * factorization.MAX_GRID, 16)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
     def test_tolerance_outside_open_half_line_rejected(self, tol):
@@ -254,8 +262,19 @@ class TestMembership:
             assert rep.wiener == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_is_pointwise_reciprocal(self):
-        b = LaurentPolynomial.from_dict({-1: 0.2, 0: 2, 1: 0.5})
-        res = factorize(b)
+        for b in ({-1: 0.2, 0: 2, 1: 0.5}, {0: 2, 1: 1}, {-2: 0.5j, 0: 2, 1: 1}):
+            res = factorize(LaurentPolynomial.from_dict(b))
+            n = res.grid_size
+            for f, f_inverse, side in ((res.plus, res.plus_inverse, +1),
+                                       (res.minus, res.minus_inverse, -1)):
+                product = sample(f, n).values * sample(f_inverse, n).values
+                assert np.max(np.abs(product - 1)) <= 1e-12
+                # the inverse of a one-sided factor lives on the same side
+                for k in range(1, f_inverse.n_max + 1):
+                    assert abs(f_inverse.coeff(-side * k)) <= 1e-12
+
+    def test_norms_are_those_of_the_stored_factors(self):
+        res = factorize(LaurentPolynomial.from_dict({-2: 0.5j, 0: 2, 1: 1}))
         norms = membership(res, SPACE)
-        # b+ * (b+)^-1 == 1 on the circle, checked through the norms' finiteness
-        assert all(np.isfinite(rep.total) for rep in norms.values())
+        for name in ("plus", "plus_inverse", "minus", "minus_inverse"):
+            assert norms[name] == wnf_norm(getattr(res, name), SPACE)
