@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .orlicz import (
     DEFAULT_NORM_TOL,
     OrliczFunction,
     WeightSequence,
+    _end_to_end,
     luxemburg_norm,
     luxemburg_norms,
     validate_weight,
@@ -88,7 +90,8 @@ DEFAULT_SPACE_SPEC = "pow:p=1;pow:p=1;const:1;const:1;const:1;const:1"
 
 @dataclass
 class NormReport:
-    """The three norm pieces and their sum."""
+    """The three norm pieces and their sum.  The pieces may also be arrays,
+    one entry per norm, as ``wnf_norm_arrays`` returns them."""
 
     wiener: float
     negative: float
@@ -135,6 +138,21 @@ class InequalityWitness:
         }
 
 
+class Checks(NamedTuple):
+    """Many checked instances of one inequality lhs <= constant-scaled rhs,
+    as arrays of one length; for a single instance, as scalars."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    constant: np.ndarray
+    holds: np.ndarray
+
+    def witnesses(self) -> list[InequalityWitness]:
+        """One ``InequalityWitness`` per instance, with Python scalars."""
+        columns = (np.atleast_1d(a).tolist() for a in self)
+        return [InequalityWitness(*row) for row in zip(*columns)]
+
+
 def _one_sided_problems(f: LaurentPolynomial, sp: AlgebraSpace) -> list:
     """The (c, orlicz, phi, w) problems of f's two one-sided norms."""
     neg, nonneg = f.split()
@@ -157,38 +175,74 @@ def wnf_norm(f: LaurentPolynomial, sp: AlgebraSpace,
     return _norm_report(f, luxemburg_norm(*neg, tol), luxemburg_norm(*nonneg, tol))
 
 
-def wnf_norms(pairs, tol: float = DEFAULT_NORM_TOL) -> list[NormReport]:
-    """``wnf_norm`` of each (f, sp) pair, bit for bit, with every one-sided
-    norm from one batched solve."""
+def wnf_norm_arrays(pairs, tol: float = DEFAULT_NORM_TOL) -> NormReport:
+    """``wnf_norm`` of each (f, sp) pair, bit for bit, as one NormReport of
+    arrays over the pairs.  Every one-sided norm comes from one batched
+    solve, and every absolute sum from one ``np.add.reduceat`` over the
+    coefficient moduli laid end to end, each f led by one zero, which gives
+    each f the bits of ``np.sum`` (see ``orlicz._Batch``)."""
     pairs = list(pairs)
-    lams = luxemburg_norms([p for f, sp in pairs for p in _one_sided_problems(f, sp)], tol)
-    return [_norm_report(f, lams[2 * i], lams[2 * i + 1]) for i, (f, sp) in enumerate(pairs)]
+    lams = np.array(luxemburg_norms(
+        [p for f, sp in pairs for p in _one_sided_problems(f, sp)], tol))
+    sizes = np.array([f.coeffs.size + 1 for f, _ in pairs], dtype=int)
+    mags = _end_to_end(np.abs(f.coeffs) for f, _ in pairs) if pairs else np.zeros(0)
+    with np.errstate(over="ignore"):
+        report = NormReport(np.add.reduceat(mags, np.cumsum(sizes) - sizes),
+                            lams[0::2], lams[1::2])
+        finite = np.isfinite(report.total).all()
+    if not finite:
+        raise DomainError("the combined norm is not finite in double precision")
+    return report
 
 
-def _norm_witness(lhs: float, rhs: float, c: float) -> InequalityWitness:
-    return InequalityWitness(lhs, rhs, c, lhs <= rhs * (1 + INEQ_SLACK))
+def wnf_norms(pairs, tol: float = DEFAULT_NORM_TOL) -> list[NormReport]:
+    """``wnf_norm`` of each (f, sp) pair, bit for bit (see
+    ``wnf_norm_arrays``)."""
+    r = wnf_norm_arrays(pairs, tol)
+    return [NormReport(*x) for x in zip(r.wiener.tolist(), r.negative.tolist(),
+                                         r.nonnegative.tolist())]
+
+
+def _norm_checks(lhs, rhs, c) -> Checks:
+    return Checks(lhs, rhs, c, lhs <= rhs * (1 + INEQ_SLACK))
+
+
+def theorem_checks(nf: NormReport, ng: NormReport, nfg: NormReport, c) -> Checks:
+    """|fg| <= c |f| |g| in the combined norm, for norm reports of f, g and
+    fg and constants c that are all scalars or all arrays over trials."""
+    with np.errstate(over="ignore"):
+        return _norm_checks(nfg.total, c * nf.total * ng.total, c)
+
+
+def one_sided_checks(nf: NormReport, ng: NormReport, nfg: NormReport,
+                     c_neg, c_pos) -> tuple[Checks, Checks]:
+    """The one-sided product bounds on the negative and on the nonnegative
+    coefficient side, with constants c_neg and c_pos (see
+    ``theorem_checks``)."""
+    with np.errstate(over="ignore"):
+        return (
+            _norm_checks(nfg.negative,
+                         c_neg * (nf.wiener * ng.negative + ng.wiener * nf.negative), c_neg),
+            _norm_checks(nfg.nonnegative,
+                         c_pos * (nf.wiener * ng.nonnegative + ng.wiener * nf.nonnegative),
+                         c_pos),
+        )
 
 
 def verify_theorem(nf: NormReport, ng: NormReport, nfg: NormReport,
                    sp: AlgebraSpace) -> InequalityWitness:
     """Check |fg| <= C |f| |g| in the combined norm, given the norm reports
     of f, g and fg."""
-    c = sp.algebra_constant()
-    return _norm_witness(nfg.total, c * nf.total * ng.total, c)
+    [w] = theorem_checks(nf, ng, nfg, sp.algebra_constant()).witnesses()
+    return w
 
 
 def verify_one_sided(nf: NormReport, ng: NormReport, nfg: NormReport,
                      sp: AlgebraSpace) -> tuple[InequalityWitness, InequalityWitness]:
     """Check the one-sided product bounds on the negative and on the
     nonnegative coefficient side, given the norm reports of f, g and fg."""
-    c_neg, c_pos = sp.neg_constant(), sp.pos_constant()
-    return (
-        _norm_witness(nfg.negative,
-                      c_neg * (nf.wiener * ng.negative + ng.wiener * nf.negative), c_neg),
-        _norm_witness(nfg.nonnegative,
-                      c_pos * (nf.wiener * ng.nonnegative + ng.wiener * nf.nonnegative),
-                      c_pos),
-    )
+    neg, nonneg = one_sided_checks(nf, ng, nfg, sp.neg_constant(), sp.pos_constant())
+    return neg.witnesses()[0], nonneg.witnesses()[0]
 
 
 def _sides(f: LaurentPolynomial):
@@ -198,9 +252,8 @@ def _sides(f: LaurentPolynomial):
     return np.concatenate(([0.0], mags[:f.n_max][::-1])), mags[f.n_max:]
 
 
-def verify_coefficient_bound(f: LaurentPolynomial,
-                             g: LaurentPolynomial) -> list[InequalityWitness]:
-    """Check the coefficient-level convolution majorant of |(fg)_{-k}| for
+def coefficient_checks(f: LaurentPolynomial, g: LaurentPolynomial) -> Checks:
+    """The coefficient-level convolution majorant of |(fg)_{-k}| for
     k = 1..deg, then of |(fg)_k| for k = 0..deg, where deg = f.n_max + g.n_max.
 
     The majorant sums, over both orders (x, y) of the pair (f, g), a tail
@@ -230,9 +283,14 @@ def verify_coefficient_bound(f: LaurentPolynomial,
     rhs_pos = tail(a_neg, b_pos) + tail(b_neg, a_pos) + np.convolve(a_pos, b_pos)
     rhs_pos[:2 * mid:2] += a_pos[:mid] * b_pos[:mid]
     rhs = np.concatenate([rhs_neg[1:], rhs_pos])
-    holds = lhs <= rhs + COEFF_SLACK * (1 + rhs)
-    return [InequalityWitness(lhs_k, rhs_k, 1.0, ok)
-            for lhs_k, rhs_k, ok in zip(lhs.tolist(), rhs.tolist(), holds.tolist())]
+    return Checks(lhs, rhs, np.ones(len(lhs)), lhs <= rhs + COEFF_SLACK * (1 + rhs))
+
+
+def verify_coefficient_bound(f: LaurentPolynomial,
+                             g: LaurentPolynomial) -> list[InequalityWitness]:
+    """Check the coefficient-level convolution majorant at every index of
+    fg, in the order of ``coefficient_checks``."""
+    return coefficient_checks(f, g).witnesses()
 
 
 @dataclass
@@ -254,16 +312,25 @@ class ShiftReport:
 
 
 def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
-    """Check nu_k <= C nu_j for every j >= k - floor(k/2) up to k_max."""
+    """Check nu_k <= C nu_j for every j >= k - floor(k/2) up to k_max.
+
+    The bound at k is C times the minimum of nu over ceil(k/2)..k_max, and
+    ceil(k/2) <= h = ceil(k_max/2).  So one running minimum, in place, runs
+    over a contiguous array that holds the minimum over h..k_max and then
+    the values from h - 1 down to the class start: its entry i is the
+    minimum over h - i..k_max, and the bound at k is read at h - ceil(k/2).
+    """
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     c = nu.delta2_constant()
     n = np.arange(nu.start, k_max + 1)
     vals = nu(n)
-    # suffix minimum: smin[i] = min of vals[i:]
-    smin = np.minimum.accumulate(vals[::-1])[::-1]
-    j0 = np.maximum(nu.start, n - n // 2)
-    bound = c * smin[j0 - nu.start]
+    h = (k_max + 1) // 2
+    rmin = np.empty(h - nu.start + 1)
+    rmin[0] = vals[h - nu.start:].min()
+    rmin[1:] = vals[:h - nu.start][::-1]
+    np.minimum.accumulate(rmin, out=rmin)
+    bound = c * rmin[h - (n + 1) // 2]
     with np.errstate(divide="ignore"):
         max_ratio = float(np.max(vals / bound))
     violations = [{"k": int(n[i]), "value": float(vals[i]), "bound": float(bound[i])}
@@ -301,7 +368,8 @@ def random_element(support: int, seed, scale: float = 1.0) -> LaurentPolynomial:
 
 __all__ = [
     "AlgebraSpace", "NormReport", "InequalityWitness", "ShiftReport",
-    "DEFAULT_SPACE_SPEC", "wnf_norm", "wnf_norms", "verify_theorem", "verify_one_sided",
-    "verify_coefficient_bound", "verify_weight_shift", "horbach_norm",
+    "Checks", "DEFAULT_SPACE_SPEC", "wnf_norm", "wnf_norms", "wnf_norm_arrays",
+    "theorem_checks", "one_sided_checks", "coefficient_checks", "verify_theorem",
+    "verify_one_sided", "verify_coefficient_bound", "verify_weight_shift", "horbach_norm",
     "random_element", "validate_weight",
 ]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 1 verification violation, 2 usage/config error,
 3 factorization obstruction (nonzero winding or vanishing symbol),
-4 internal error (an unexpected exception, reported on one line).
+4 internal error (an unexpected exception, reported on one line),
+141 the reader of stdout went away (what a shell reports for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import factorization
@@ -30,6 +32,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_OBSTRUCTION = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "scale weight; nonnegative sum weight)")
     p.add_argument("--tol", type=float, default=None,
                    help="norm tolerance (default 1e-12) or factorization "
-                        "residual tolerance (default 1e-8)")
+                        "residual tolerance, relative to max|b| on the grid "
+                        "(default 1e-8)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--support", type=int, default=64)
@@ -222,7 +226,16 @@ def main(argv=None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        return handlers[args.cmd](args)
+        code = handlers[args.cmd](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing is left to read the output: send what is still buffered to
+        # the null device, so that the interpreter's last flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except OrliczWienerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,6 +19,8 @@ from .errors import (
 from .algebra import AlgebraSpace, NormReport, wnf_norms
 from .fourier import GridSamples, LaurentPolynomial, fourier_coefficients, sample
 
+# Both gates are relative to max|b| on the grid, so that a symbol and its
+# multiples by any nonzero scalar get the same answer.
 VANISH_TOL = 1e-12
 STEP_TOL = np.pi / 2
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -79,14 +81,16 @@ def _arg_steps(values: np.ndarray) -> np.ndarray:
 
 
 def winding_number(s: GridSamples) -> WindingDiagnostics:
-    """Unwrap the argument around the grid and count full turns."""
+    """Unwrap the argument around the grid and count full turns.  The
+    symbol counts as vanishing where its modulus is 0 or below VANISH_TOL
+    times its largest modulus on the grid."""
     if s.size < 8:
         raise SpecError("winding computation needs a grid of at least 8 points")
     mags = np.abs(s.values)
     min_mod = float(np.min(mags))
-    if min_mod < VANISH_TOL:
+    if min_mod == 0 or min_mod < VANISH_TOL * np.max(mags):
         raise VanishingSymbolError(
-            f"symbol modulus {min_mod:.3e} below {VANISH_TOL:.0e} on the grid"
+            f"symbol modulus {min_mod:.3e} below {VANISH_TOL:.0e} of its maximum on the grid"
         )
     steps = _arg_steps(s.values)
     worst = float(np.max(np.abs(steps)))
@@ -146,8 +150,9 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     the residual gate has passed, exp(-part) its inverse.
 
     Raises IndexObstructionError when the winding number is nonzero and
-    TruncationError when the reconstruction residual exceeds tol, which
-    must be positive and finite.
+    TruncationError when the reconstruction residual exceeds tol times
+    max|b| on the grid; tol must be positive and finite.  The residual
+    reported stays absolute.
     """
     if not 0 < tol < np.inf:
         raise SpecError(f"residual tolerance must be positive and finite, got {tol}")
@@ -168,8 +173,9 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     plus, minus = (fourier_coefficients(GridSamples(np.exp(p)), truncation) for p in parts)
     recon = scalar * sample(plus, n).values * sample(minus, n).values
     residual = float(np.max(np.abs(s.values - recon)))
-    if residual > tol:
-        raise TruncationError(residual, tol)
+    gate = tol * float(np.max(np.abs(s.values)))
+    if residual > gate:
+        raise TruncationError(residual, gate)
     plus_inverse, minus_inverse = (
         fourier_coefficients(GridSamples(np.exp(-p)), truncation) for p in parts)
     return FactorizationResult(

@@ -2,9 +2,10 @@
 
 Each trial is a pure function of (seed, trial index, support bound), so a
 fingerprint string is enough to reproduce any witness exactly.  Trials are
-drawn a chunk at a time and the one-sided norms of a whole chunk are solved
-together; witnesses are built and absorbed in trial order, so the output
-never depends on the chunk size.
+drawn a chunk at a time; the one-sided norms of a whole chunk are solved
+together, and each family's checks of the chunk are computed as arrays and
+absorbed at once, in trial order, so the output never depends on the chunk
+size.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ import numpy as np
 from .errors import SpecError
 from .algebra import (
     AlgebraSpace,
+    Checks,
     InequalityWitness,
+    NormReport,
+    coefficient_checks,
+    one_sided_checks,
     random_element,
-    verify_coefficient_bound,
-    verify_one_sided,
-    verify_theorem,
+    theorem_checks,
     verify_weight_shift,
-    wnf_norms,
+    wnf_norm_arrays,
 )
 from .orlicz import NEGATIVE_SIDE, NONNEGATIVE_SIDE, OrliczFunction, WeightSequence
 
@@ -113,40 +116,38 @@ def _draw_trial(seed: int, trial: int, support: int):
     return sp, random_element(sup_f, rng), random_element(sup_g, rng)
 
 
-def _witnesses(families, sp, f, g, norms) -> dict[str, list[InequalityWitness]]:
-    """Every requested family's witnesses of one draw, given the norm
-    reports (f, g, fg) when a norm family is requested."""
-    witnesses = {}
-    if norms is not None:
-        neg, nonneg = verify_one_sided(*norms, sp)
-        witnesses.update(theorem=[verify_theorem(*norms, sp)],
-                         one_sided_negative=[neg], one_sided_nonnegative=[nonneg])
+def _chunk_checks(families, drawn) -> dict[str, tuple[Checks, np.ndarray]]:
+    """Every requested family's checks of a chunk of draws (trial, space,
+    f, g), in trial order, each with the trial of every check.  The norm
+    families share one norm report each of f, g and fg, and all of them
+    come from one batched solve."""
+    trial = np.array([t for t, *_ in drawn])
+    checks = {}
+    if not set(families).isdisjoint(NORM_FAMILIES):
+        r = wnf_norm_arrays((h, sp) for _, sp, f, g in drawn for h in (f, g, f.multiply(g)))
+        nf, ng, nfg = (NormReport(r.wiener[i::3], r.negative[i::3], r.nonnegative[i::3])
+                       for i in range(3))
+        spaces = [sp for _, sp, _, _ in drawn]
+        neg, nonneg = one_sided_checks(nf, ng, nfg,
+                                       np.array([sp.neg_constant() for sp in spaces]),
+                                       np.array([sp.pos_constant() for sp in spaces]))
+        theorem = theorem_checks(nf, ng, nfg, np.array([sp.algebra_constant() for sp in spaces]))
+        checks.update(theorem=(theorem, trial), one_sided_negative=(neg, trial),
+                      one_sided_nonnegative=(nonneg, trial))
     if "coefficient_bound" in families:
-        witnesses["coefficient_bound"] = verify_coefficient_bound(f, g)
-    return {family: witnesses[family] for family in families}
+        per_trial = [coefficient_checks(f, g) for _, _, f, g in drawn]
+        checks["coefficient_bound"] = (Checks(*map(np.concatenate, zip(*per_trial))),
+                                       np.repeat(trial, [len(c.lhs) for c in per_trial]))
+    return {family: checks[family] for family in families}
 
 
 def _run_trials(families, seed: int, trials: range, support: int):
-    """Yield each trial's witnesses in trial order.  The norm families
-    share one norm report each of f, g and fg; all of a chunk's reports
-    come from one batched solve, a chunk holding at most CHUNK_TERMS
-    terms."""
-    solve = not set(families).isdisjoint(NORM_FAMILIES)
+    """Yield each chunk's ``_chunk_checks`` in trial order, a chunk holding
+    at most CHUNK_TERMS terms."""
     chunk = max(1, CHUNK_TERMS // (6 * (2 * support + 1)))
     for lo in range(trials.start, trials.stop, chunk):
-        drawn = [(t, *_draw_trial(seed, t, support))
-                 for t in range(lo, min(lo + chunk, trials.stop))]
-        norms = [None] * len(drawn)
-        if solve:
-            reports = wnf_norms((h, sp) for _, sp, f, g in drawn for h in (f, g, f.multiply(g)))
-            norms = [reports[3 * i:3 * i + 3] for i in range(len(drawn))]
-        for (t, sp, f, g), n in zip(drawn, norms):
-            by_family = _witnesses(families, sp, f, g, n)
-            for family, witnesses in by_family.items():
-                fp = fingerprint(family, seed, t, support)
-                for w in witnesses:
-                    w.fingerprint = fp
-            yield by_family
+        yield _chunk_checks(families, [(t, *_draw_trial(seed, t, support))
+                                       for t in range(lo, min(lo + chunk, trials.stop))])
 
 
 def run_trial(families, seed: int, trial: int,
@@ -154,7 +155,13 @@ def run_trial(families, seed: int, trial: int,
     """Run one trial of each of the given inequality families on a single
     draw of (space, f, g); deterministic in (seed, trial, support)."""
     _check_trials(families, seed, trial, support)
-    return next(_run_trials(families, seed, range(trial, trial + 1), support))
+    by_family = next(_run_trials(families, seed, range(trial, trial + 1), support))
+    witnesses = {}
+    for family, (checks, _) in by_family.items():
+        witnesses[family] = checks.witnesses()
+        for w in witnesses[family]:
+            w.fingerprint = fingerprint(family, seed, trial, support)
+    return witnesses
 
 
 @dataclass
@@ -171,13 +178,21 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def absorb(self, witnesses: list[InequalityWitness]):
-        for w in witnesses:
-            self.checks += 1
-            if w.rhs > 0:
-                self.max_ratio = max(self.max_ratio, w.ratio)
-            if not w.holds:
-                self.violations.append(w.to_json())
+    def absorb(self, checks: Checks, trial: np.ndarray, seed: int, support: int):
+        """Merge a chunk of this family's checks, check i from trial
+        trial[i], in order: the count and the largest lhs/rhs over rhs > 0
+        come from numpy, and only a violation becomes an
+        ``InequalityWitness``, with its trial's fingerprint."""
+        self.checks += len(checks.lhs)
+        positive = checks.rhs > 0
+        with np.errstate(over="ignore"):
+            ratios = checks.lhs[positive] / checks.rhs[positive]
+        self.max_ratio = float(np.fmax.reduce(ratios, initial=self.max_ratio))
+        failed = np.flatnonzero(~checks.holds)
+        violated = Checks(*(a[failed] for a in checks))
+        for w, t in zip(violated.witnesses(), trial[failed].tolist()):
+            w.fingerprint = fingerprint(self.family, seed, t, support)
+            self.violations.append(w.to_json())
 
     def to_json(self) -> dict:
         return {
@@ -199,8 +214,8 @@ def run_suite(families, trials: int, seed: int, support: int) -> dict[str, Suite
     _check_trials(families, seed, 0, support)
     reports = {family: SuiteReport(family, trials) for family in families}
     for by_family in _run_trials(families, seed, range(trials), support):
-        for family, witnesses in by_family.items():
-            reports[family].absorb(witnesses)
+        for family, (checks, trial) in by_family.items():
+            reports[family].absorb(checks, trial, seed, support)
     return reports
 
 

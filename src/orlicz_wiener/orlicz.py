@@ -381,11 +381,13 @@ class _Batch:
     ``np.add.reduceat`` sums a segment as its first entry plus numpy's
     pairwise sum of the rest, so from a row's leading zero it returns the
     bits of ``np.sum`` on that row alone, whatever the row's length: one
-    call sums every row of one Orlicz function.
+    call sums every row of the batch.
 
     ``order[j]`` is the position, in the problems given, of sorted row j,
-    ``starts[j]`` the position of its leading zero, and ``refs[j]`` its
-    largest weighted entry.
+    ``starts[j]`` the position of its leading zero, ``sizes[j]`` its length
+    with that zero, and ``refs[j]`` its largest weighted entry.  ``spans``
+    holds, per Orlicz function, the function and its flat span a:b, and
+    ``x`` the arguments and then the values of Phi during a step.
     """
 
     def __init__(self, problems):
@@ -394,8 +396,8 @@ class _Batch:
         self.order = sorted(range(len(problems)), key=lambda i: (
             problems[i][1].family, problems[i][1].p))
         rows = [problems[i] for i in self.order]
-        sizes = np.array([c.size + 1 for c, *_ in rows])
-        self.starts = np.cumsum(sizes) - sizes
+        self.sizes = np.array([c.size + 1 for c, *_ in rows])
+        self.starts = np.cumsum(self.sizes) - self.sizes
         values = _weight_values(rows)
         coeffs = _end_to_end(c for c, *_ in rows)
         self.scaled = _end_to_end(phi_n[:c.size] for (c, *_), (phi_n, _) in zip(rows, values))
@@ -407,27 +409,34 @@ class _Batch:
             raise DomainError("weighted coefficients and weights must be finite")
         # Exact: every entry is >= 0, so a leading zero never wins.
         self.refs = np.maximum.reduceat(self.scaled, self.starts).tolist()
-        # Per Orlicz function: the function, its rows lo:hi, its flat span
-        # a:b, its rows' starts within the span and their sizes.
+        # Allocated once: a default verify chunk that allocated the arguments
+        # and the values of Phi afresh at every step page-faulted both in
+        # again each time, and its steps took twice as long.
+        self.x = np.empty_like(self.scaled)
+        ends = (self.starts + self.sizes).tolist()
         self.spans = []
         for orlicz, group in itertools.groupby(range(len(rows)), key=lambda j: rows[j][1]):
             group = list(group)
-            lo, hi = group[0], group[-1] + 1
-            a, b = self.starts[lo], self.starts[hi - 1] + sizes[hi - 1]
-            self.spans.append((orlicz, lo, hi, a, b, self.starts[lo:hi] - a, sizes[lo:hi]))
+            self.spans.append((orlicz, int(self.starts[group[0]]), ends[group[-1]]))
 
     def modulars(self, lam: np.ndarray) -> np.ndarray:
-        """The modular of each row j at the scale lam[j].  Phi is evaluated
-        once per Orlicz function, on its whole span, and one
-        ``np.add.reduceat`` sums every row of the span."""
-        m = np.empty(len(lam))
+        """The modular of each row j at the scale lam[j], in one pass over
+        the flat arrays: one division by the rows' scales, Phi once per
+        Orlicz function on its span, one product with w and one
+        ``np.add.reduceat`` over every row."""
+        x = self.x
+        # A batch of one, such as a long serial solve, keeps a scalar scale.
+        scale = lam[0] if len(lam) == 1 else np.repeat(lam, self.sizes)
         with np.errstate(over="ignore"):
-            for orlicz, lo, hi, a, b, starts, sizes in self.spans:
-                # A span of one row, such as a long serial solve, needs no repeat.
-                scale = lam[lo] if hi - lo == 1 else np.repeat(lam[lo:hi], sizes)
-                v = orlicz._at(self.scaled[a:b] / scale) * self.w[a:b]
-                m[lo:hi] = np.add.reduceat(v, starts)
-        return m
+            np.divide(self.scaled, scale, out=x)
+            if len(self.spans) == 1:
+                x = self.spans[0][0]._at(x)
+            else:
+                # Each span's values of Phi overwrite its arguments.
+                for orlicz, a, b in self.spans:
+                    x[a:b] = orlicz._at(x[a:b])
+            x *= self.w
+            return np.add.reduceat(x, self.starts)
 
 
 def _brackets(problems, tol: float) -> list:

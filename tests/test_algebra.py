@@ -293,6 +293,17 @@ class TestVerifyWeightShift:
         assert got.violations == ref.violations
         assert got.max_ratio == ref.max_ratio
 
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 4, 5, 8, 9, 17])
+    def test_matches_reference_scan_at_small_k_max(self, klass, k_max):
+        # not monotone, and from k_max = 8 on the shift bound fails
+        nu = WeightSequence("table", klass, table=(4.0, 2.0, 4.0, 3.0, 4.0, 0.5, 4.0, 0.1),
+                            table_delta2=8.0)
+        got, ref = verify_weight_shift(nu, k_max), weight_shift_loop(nu, k_max)
+        assert got.ok == (k_max < 8)
+        assert got.to_json() == ref.to_json()
+        assert got.violations == ref.violations
+
     def test_linear_weight(self):
         # nu_n = n realized as a table; doubling constant 2
         nu = WeightSequence("table", NEGATIVE_SIDE,
@@ -424,3 +435,96 @@ class TestSharedTrial:
         for family in FAMILIES:
             assert chunked[family].to_json() == whole[family].to_json()
             assert chunked[family].checks > 0
+
+
+def suite_oracle(families, trials, seed, support) -> dict:
+    """``run_suite`` written out one witness at a time: each trial's draw,
+    its norms from the serial ``wnf_norm``, its ``verify_*`` witnesses, each
+    absorbed on its own in trial order."""
+    out = {family: {"checks": 0, "max_ratio": 0.0, "violations": []} for family in families}
+    for t in range(trials):
+        sp, f, g = harness._draw_trial(seed, t, support)
+        ns = norms(f, g, sp)
+        neg, nonneg = verify_one_sided(*ns, sp)
+        by_family = {"theorem": [verify_theorem(*ns, sp)], "one_sided_negative": [neg],
+                     "one_sided_nonnegative": [nonneg],
+                     "coefficient_bound": verify_coefficient_bound(f, g)}
+        for family in families:
+            rep = out[family]
+            for w in by_family[family]:
+                w.fingerprint = harness.fingerprint(family, seed, t, support)
+                rep["checks"] += 1
+                if w.rhs > 0:
+                    rep["max_ratio"] = max(rep["max_ratio"], w.ratio)
+                if not w.holds:
+                    rep["violations"].append(w.to_json())
+    return out
+
+
+# Each mutant makes at least the named families fail on most trials.
+_SUITE_MUTANTS = {
+    "none": ((), {}),
+    "algebra_constant": (("theorem",),
+                         {(algebra.AlgebraSpace, "algebra_constant"): lambda self: 1e-3}),
+    "one_sided_constants": (("one_sided_negative", "one_sided_nonnegative"),
+                            {(algebra.AlgebraSpace, "neg_constant"): lambda self: 1e-3,
+                             (algebra.AlgebraSpace, "pos_constant"): lambda self: 1e-3}),
+    "coeff_slack": (("coefficient_bound",), {(algebra, "COEFF_SLACK"): -0.5}),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_SUITE_MUTANTS))
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_suite_arrays_match_per_witness_oracle(monkeypatch, seed, mutant):
+    """The chunked array path of ``run_suite`` gives the per-witness
+    oracle's counts, largest ratio and full violation list, in order and
+    with fingerprints, over chunks of 7 trials (the last one partial)."""
+    failing, patches = _SUITE_MUTANTS[mutant]
+    for (owner, name), value in patches.items():
+        monkeypatch.setattr(owner, name, value)
+    support, trials = 6, 30
+    monkeypatch.setattr(harness, "CHUNK_TERMS", 7 * 6 * (2 * support + 1))
+    got = run_suite(FAMILIES, trials, seed, support)
+    want = suite_oracle(FAMILIES, trials, seed, support)
+    for family in FAMILIES:
+        rep = got[family]
+        assert (rep.checks, rep.max_ratio, rep.violations) == (
+            want[family]["checks"], want[family]["max_ratio"], want[family]["violations"])
+        assert rep.ok == (family not in failing)
+
+
+class TestSpikesCatchOneSidedConstants:
+    """f = g = a unit spike at -1000 (at +1000): the one-sided product bound
+    on that side holds with ratio * C about 7.98 and C = 20, so a constant
+    of 1 or of C_scale alone (4) fails it."""
+
+    CASES = [
+        ("pow:p=1;pow:p=1;pow:alpha=2;pow:alpha=2;const:1;const:1", -1000, 0, "neg_constant",
+         "neg_scale"),
+        ("pow:p=1;pow:p=1;const:1;const:1;pow:alpha=2;pow:alpha=2", 1000, 1, "pos_constant",
+         "pos_scale"),
+    ]
+
+    @staticmethod
+    def check(spec, k, side):
+        sp = AlgebraSpace.from_spec(spec)
+        f = LaurentPolynomial.from_dict({k: 1})
+        return verify_one_sided(*norms(f, f, sp), sp)[side]
+
+    @pytest.mark.parametrize("spec,k,side,constant,scale", CASES)
+    def test_true_constant_holds(self, spec, k, side, constant, scale):
+        w = self.check(spec, k, side)
+        assert w.holds and w.constant == 20.0
+        assert 7.9 < w.ratio * w.constant < 8.1
+
+    @pytest.mark.parametrize("spec,k,side,constant,scale", CASES)
+    def test_constant_one_fails(self, monkeypatch, spec, k, side, constant, scale):
+        monkeypatch.setattr(AlgebraSpace, constant, lambda self: 1.0)
+        assert not self.check(spec, k, side).holds
+
+    @pytest.mark.parametrize("spec,k,side,constant,scale", CASES)
+    def test_constant_c_scale_fails(self, monkeypatch, spec, k, side, constant, scale):
+        monkeypatch.setattr(AlgebraSpace, constant,
+                            lambda self: getattr(self, scale).delta2_constant())
+        w = self.check(spec, k, side)
+        assert w.constant == 4.0 and not w.holds

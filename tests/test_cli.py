@@ -5,7 +5,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +196,18 @@ class TestFactorize:
         assert code == 3
         assert json.loads(out)["error"] == "vanishing-symbol"
 
+    @pytest.mark.parametrize("scale", [1e10, 1e-13])
+    def test_scaled_symbol_factorizes(self, capsys, scale):
+        """Both gates are relative to max|b|: 2 + t scaled far up or down
+        factorizes like 2 + t, with the scale in G."""
+        b = json.dumps({"coeffs": [{"k": 0, "re": 2 * scale, "im": 0.0},
+                                   {"k": 1, "re": scale, "im": 0.0}]})
+        code, out, _ = run(capsys, "--cmd", "factorize", "--input", b)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["scalar"]["re"] == pytest.approx(2 * scale, rel=1e-10)
+        assert doc["residual"] <= 1e-10 * 3 * scale
+
     def test_grid_above_cap_refused_before_sampling(self, capsys, monkeypatch):
         from orlicz_wiener import factorization
 
@@ -345,6 +361,25 @@ class TestRefusals:
         assert code == 0
         assert out.startswith("usage: orlicz-wiener") and "--cmd" in out
         assert err == ""
+
+
+def test_closed_stdout_exits_141_silently():
+    """A reader of stdout that went away before the first write is not an
+    internal error: exit 141, as a shell reports SIGPIPE, and no stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orlicz_wiener.cli", "--cmd", "verify",
+             "--trials", "2", "--support", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
 
 
 class TestUnexpectedException:

@@ -61,6 +61,12 @@ class TestWindingNumber:
         with pytest.raises(VanishingSymbolError):
             winding_number(sample(LaurentPolynomial.from_dict({0: 1, 1: -1}), 16))
 
+    def test_vanishing_is_relative_and_zero_vanishes(self):
+        tiny = LaurentPolynomial.from_dict({0: 2e-13, 1: 1e-13})
+        assert winding_number(sample(tiny, 16)).kappa == 0
+        with pytest.raises(VanishingSymbolError):
+            winding_number(sample(LaurentPolynomial.zero(), 16))
+
     def test_under_resolved(self):
         with pytest.raises(UnderResolvedError):
             winding_number(sample(LaurentPolynomial.from_dict({4: 1}), 8))
