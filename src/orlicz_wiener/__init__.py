@@ -22,10 +22,9 @@ from .orlicz import (
     modular,
     validate_weight,
 )
-from .fourier import GridSamples, LaurentPolynomial, fourier_coefficients, sample
+from .fourier import LaurentPolynomial, fourier_coefficients, sample
 from .algebra import (
     AlgebraSpace,
-    InequalityWitness,
     NormReport,
     horbach_norm,
     random_element,
@@ -34,7 +33,6 @@ from .algebra import (
     verify_theorem,
     verify_weight_shift,
     wnf_norm,
-    wnf_norms,
 )
 from .factorization import (
     FactorizationResult,
@@ -54,9 +52,9 @@ __all__ = [
     "NEGATIVE_SIDE", "NONNEGATIVE_SIDE",
     "OrliczFunction", "WeightSequence", "modular", "luxemburg_norm",
     "luxemburg_norms", "validate_weight",
-    "LaurentPolynomial", "GridSamples", "sample", "fourier_coefficients",
-    "AlgebraSpace", "NormReport", "InequalityWitness",
-    "wnf_norm", "wnf_norms", "verify_theorem", "verify_one_sided",
+    "LaurentPolynomial", "sample", "fourier_coefficients",
+    "AlgebraSpace", "NormReport",
+    "wnf_norm", "verify_theorem", "verify_one_sided",
     "verify_coefficient_bound", "verify_weight_shift", "horbach_norm",
     "random_element",
     "WindingDiagnostics", "FactorizationResult",

@@ -20,7 +20,6 @@ from .orlicz import (
     _end_to_end,
     luxemburg_norm,
     luxemburg_norms,
-    validate_weight,
 )
 
 INEQ_SLACK = 1e-9  # relative slack on norm inequalities (solver tolerance)
@@ -110,34 +109,6 @@ class NormReport:
         }
 
 
-@dataclass
-class InequalityWitness:
-    """A single checked instance of an inequality lhs <= constant-scaled rhs."""
-
-    lhs: float
-    rhs: float
-    constant: float
-    holds: bool
-    fingerprint: str = ""
-
-    @property
-    def ratio(self) -> float:
-        """lhs/rhs, or 0 when both sides vanish."""
-        if self.rhs == 0:
-            return 0.0 if self.lhs == 0 else float("inf")
-        return self.lhs / self.rhs
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "holds": self.holds,
-            "ratio": self.ratio if math.isfinite(self.ratio) else None,
-            "fingerprint": self.fingerprint,
-        }
-
-
 class Checks(NamedTuple):
     """Many checked instances of one inequality lhs <= constant-scaled rhs,
     as arrays of one length; for a single instance, as scalars."""
@@ -147,10 +118,18 @@ class Checks(NamedTuple):
     constant: np.ndarray
     holds: np.ndarray
 
-    def witnesses(self) -> list[InequalityWitness]:
-        """One ``InequalityWitness`` per instance, with Python scalars."""
+    def to_json(self, fingerprints) -> list[dict]:
+        """One row per instance, with the given fingerprint each.  The
+        ratio is lhs/rhs, 0 when both sides vanish and null when it is not
+        finite."""
+        rows = []
         columns = (np.atleast_1d(a).tolist() for a in self)
-        return [InequalityWitness(*row) for row in zip(*columns)]
+        for (lhs, rhs, constant, holds), fp in zip(zip(*columns), fingerprints):
+            ratio = lhs / rhs if rhs != 0 else 0.0 if lhs == 0 else math.inf
+            rows.append({"lhs": lhs, "rhs": rhs, "constant": constant, "holds": holds,
+                         "ratio": ratio if math.isfinite(ratio) else None,
+                         "fingerprint": fp})
+        return rows
 
 
 def _one_sided_problems(f: LaurentPolynomial, sp: AlgebraSpace) -> list:
@@ -195,30 +174,22 @@ def wnf_norm_arrays(pairs, tol: float = DEFAULT_NORM_TOL) -> NormReport:
     return report
 
 
-def wnf_norms(pairs, tol: float = DEFAULT_NORM_TOL) -> list[NormReport]:
-    """``wnf_norm`` of each (f, sp) pair, bit for bit (see
-    ``wnf_norm_arrays``)."""
-    r = wnf_norm_arrays(pairs, tol)
-    return [NormReport(*x) for x in zip(r.wiener.tolist(), r.negative.tolist(),
-                                         r.nonnegative.tolist())]
-
-
 def _norm_checks(lhs, rhs, c) -> Checks:
     return Checks(lhs, rhs, c, lhs <= rhs * (1 + INEQ_SLACK))
 
 
-def theorem_checks(nf: NormReport, ng: NormReport, nfg: NormReport, c) -> Checks:
+def verify_theorem(nf: NormReport, ng: NormReport, nfg: NormReport, c) -> Checks:
     """|fg| <= c |f| |g| in the combined norm, for norm reports of f, g and
     fg and constants c that are all scalars or all arrays over trials."""
     with np.errstate(over="ignore"):
         return _norm_checks(nfg.total, c * nf.total * ng.total, c)
 
 
-def one_sided_checks(nf: NormReport, ng: NormReport, nfg: NormReport,
+def verify_one_sided(nf: NormReport, ng: NormReport, nfg: NormReport,
                      c_neg, c_pos) -> tuple[Checks, Checks]:
     """The one-sided product bounds on the negative and on the nonnegative
     coefficient side, with constants c_neg and c_pos (see
-    ``theorem_checks``)."""
+    ``verify_theorem``)."""
     with np.errstate(over="ignore"):
         return (
             _norm_checks(nfg.negative,
@@ -229,22 +200,6 @@ def one_sided_checks(nf: NormReport, ng: NormReport, nfg: NormReport,
         )
 
 
-def verify_theorem(nf: NormReport, ng: NormReport, nfg: NormReport,
-                   sp: AlgebraSpace) -> InequalityWitness:
-    """Check |fg| <= C |f| |g| in the combined norm, given the norm reports
-    of f, g and fg."""
-    [w] = theorem_checks(nf, ng, nfg, sp.algebra_constant()).witnesses()
-    return w
-
-
-def verify_one_sided(nf: NormReport, ng: NormReport, nfg: NormReport,
-                     sp: AlgebraSpace) -> tuple[InequalityWitness, InequalityWitness]:
-    """Check the one-sided product bounds on the negative and on the
-    nonnegative coefficient side, given the norm reports of f, g and fg."""
-    neg, nonneg = one_sided_checks(nf, ng, nfg, sp.neg_constant(), sp.pos_constant())
-    return neg.witnesses()[0], nonneg.witnesses()[0]
-
-
 def _sides(f: LaurentPolynomial):
     """(|f_{-j}|, |f_j|) for j = 0..n_max, with the j = 0 entry of the
     negative side set to 0."""
@@ -252,7 +207,7 @@ def _sides(f: LaurentPolynomial):
     return np.concatenate(([0.0], mags[:f.n_max][::-1])), mags[f.n_max:]
 
 
-def coefficient_checks(f: LaurentPolynomial, g: LaurentPolynomial) -> Checks:
+def verify_coefficient_bound(f: LaurentPolynomial, g: LaurentPolynomial) -> Checks:
     """The coefficient-level convolution majorant of |(fg)_{-k}| for
     k = 1..deg, then of |(fg)_k| for k = 0..deg, where deg = f.n_max + g.n_max.
 
@@ -284,13 +239,6 @@ def coefficient_checks(f: LaurentPolynomial, g: LaurentPolynomial) -> Checks:
     rhs_pos[:2 * mid:2] += a_pos[:mid] * b_pos[:mid]
     rhs = np.concatenate([rhs_neg[1:], rhs_pos])
     return Checks(lhs, rhs, np.ones(len(lhs)), lhs <= rhs + COEFF_SLACK * (1 + rhs))
-
-
-def verify_coefficient_bound(f: LaurentPolynomial,
-                             g: LaurentPolynomial) -> list[InequalityWitness]:
-    """Check the coefficient-level convolution majorant at every index of
-    fg, in the order of ``coefficient_checks``."""
-    return coefficient_checks(f, g).witnesses()
 
 
 @dataclass
@@ -367,9 +315,7 @@ def random_element(support: int, seed, scale: float = 1.0) -> LaurentPolynomial:
 
 
 __all__ = [
-    "AlgebraSpace", "NormReport", "InequalityWitness", "ShiftReport",
-    "Checks", "DEFAULT_SPACE_SPEC", "wnf_norm", "wnf_norms", "wnf_norm_arrays",
-    "theorem_checks", "one_sided_checks", "coefficient_checks", "verify_theorem",
-    "verify_one_sided", "verify_coefficient_bound", "verify_weight_shift", "horbach_norm",
-    "random_element", "validate_weight",
+    "AlgebraSpace", "NormReport", "ShiftReport", "Checks", "DEFAULT_SPACE_SPEC",
+    "wnf_norm", "wnf_norm_arrays", "verify_theorem", "verify_one_sided",
+    "verify_coefficient_bound", "verify_weight_shift", "horbach_norm", "random_element",
 ]

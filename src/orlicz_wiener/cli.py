@@ -24,8 +24,16 @@ from .errors import (
 )
 from .algebra import DEFAULT_SPACE_SPEC, AlgebraSpace, wnf_norm
 from .fourier import MAX_DEGREE, LaurentPolynomial
-from .harness import FAMILIES, NORM_FAMILIES, replay, run_suite, run_weight_shift_suite
-from .orlicz import validate_weight
+from .harness import (
+    FAMILIES,
+    NORM_FAMILIES,
+    fingerprint,
+    parse_fingerprint,
+    replay,
+    run_suite,
+    run_weight_shift_suite,
+)
+from .orlicz import DEFAULT_NORM_TOL, validate_weight
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -120,7 +128,7 @@ def _flatten(doc, prefix=""):
 def _cmd_norm(args) -> int:
     f = _load_coefficients(args.input)
     sp = AlgebraSpace.from_spec(args.space)
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else DEFAULT_NORM_TOL
     report = wnf_norm(f, sp, tol)
     _emit(report.to_json(), args.format)
     return EXIT_OK
@@ -144,11 +152,11 @@ def _cmd_weights(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.replay is not None:
-        witnesses = replay(args.replay)
-        doc = {"replay": args.replay, "witnesses": [w.to_json() for w in witnesses]}
+        fp = fingerprint(*parse_fingerprint(args.replay))  # in canonical form
+        checks = replay(fp)
+        doc = {"replay": args.replay, "witnesses": checks.to_json([fp] * len(checks.lhs))}
         _emit(doc, args.format)
-        ok = all(w.holds for w in witnesses)
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return EXIT_OK if checks.holds.all() else EXIT_VIOLATION
     if args.trials < 1:
         raise SpecError("trials must be >= 1")
     if args.support < 1:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     IndexObstructionError,
     NoLogarithmError,
     SpecError,
@@ -16,8 +17,8 @@ from .errors import (
     UnderResolvedError,
     VanishingSymbolError,
 )
-from .algebra import AlgebraSpace, NormReport, wnf_norms
-from .fourier import GridSamples, LaurentPolynomial, fourier_coefficients, sample
+from .algebra import AlgebraSpace, NormReport, wnf_norm_arrays
+from .fourier import LaurentPolynomial, fourier_coefficients, sample
 
 # Both gates are relative to max|b| on the grid, so that a symbol and its
 # multiples by any nonzero scalar get the same answer.
@@ -80,19 +81,19 @@ def _arg_steps(values: np.ndarray) -> np.ndarray:
     return np.angle(rolled / values)
 
 
-def winding_number(s: GridSamples) -> WindingDiagnostics:
-    """Unwrap the argument around the grid and count full turns.  The
-    symbol counts as vanishing where its modulus is 0 or below VANISH_TOL
-    times its largest modulus on the grid."""
-    if s.size < 8:
+def winding_number(values: np.ndarray) -> WindingDiagnostics:
+    """Unwrap the argument of the symbol's values on a uniform grid and
+    count full turns.  The symbol counts as vanishing where its modulus is
+    0 or below VANISH_TOL times its largest modulus on the grid."""
+    if len(values) < 8:
         raise SpecError("winding computation needs a grid of at least 8 points")
-    mags = np.abs(s.values)
+    mags = np.abs(values)
     min_mod = float(np.min(mags))
     if min_mod == 0 or min_mod < VANISH_TOL * np.max(mags):
         raise VanishingSymbolError(
             f"symbol modulus {min_mod:.3e} below {VANISH_TOL:.0e} of its maximum on the grid"
         )
-    steps = _arg_steps(s.values)
+    steps = _arg_steps(values)
     worst = float(np.max(np.abs(steps)))
     if worst >= STEP_TOL:
         raise UnderResolvedError(
@@ -103,21 +104,21 @@ def winding_number(s: GridSamples) -> WindingDiagnostics:
     return WindingDiagnostics(min_mod, turns, kappa, abs(turns - kappa))
 
 
-def log_symbol(s: GridSamples) -> GridSamples:
-    """Continuous logarithm on the grid: ln|v| + i * unwrapped argument,
-    with the argument at theta = 0 in (-pi, pi]."""
-    diag = winding_number(s)
+def log_symbol(values: np.ndarray) -> np.ndarray:
+    """Continuous logarithm of the values on the grid: ln|v| + i * unwrapped
+    argument, with the argument at theta = 0 in (-pi, pi]."""
+    diag = winding_number(values)
     if diag.kappa != 0:
         raise NoLogarithmError(diag.kappa)
-    return _continuous_log(s)
+    return _continuous_log(values)
 
 
-def _continuous_log(s: GridSamples) -> GridSamples:
+def _continuous_log(values: np.ndarray) -> np.ndarray:
     """log_symbol without the winding check, for callers that made it."""
-    steps = _arg_steps(s.values)
-    arg0 = float(np.angle(s.values[0]))  # principal branch at theta = 0
+    steps = _arg_steps(values)
+    arg0 = float(np.angle(values[0]))  # principal branch at theta = 0
     args = arg0 + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    return GridSamples(np.log(np.abs(s.values)) + 1j * args)
+    return np.log(np.abs(values)) + 1j * args
 
 
 def _one_sided_eval(lp: LaurentPolynomial, n_grid: int, side: int) -> np.ndarray:
@@ -126,14 +127,17 @@ def _one_sided_eval(lp: LaurentPolynomial, n_grid: int, side: int) -> np.ndarray
     half of the coefficients and k = 0 are masked out."""
     k = np.arange(-lp.n_max, lp.n_max + 1)
     c = np.where(side * k > 0, lp.coeffs, 0)
-    return sample(LaurentPolynomial(c, lp.n_max), n_grid).values
+    return sample(LaurentPolynomial(c, lp.n_max), n_grid)
 
 
 def _resolve_winding(b: LaurentPolynomial, n_grid: int):
     """Sample and compute the winding number, doubling the grid on
-    under-resolution up to MAX_GRID."""
+    under-resolution up to MAX_GRID.  A symbol that overflows on the grid
+    is refused."""
     while True:
         s = sample(b, n_grid)
+        if not np.isfinite(s).all():
+            raise DomainError("symbol is not finite on the grid")
         try:
             return s, winding_number(s)
         except UnderResolvedError:
@@ -170,14 +174,14 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     scalar = cmath.exp(lc.coeff(0))
     n = s.size
     parts = [_one_sided_eval(lc, n, side) for side in (+1, -1)]
-    plus, minus = (fourier_coefficients(GridSamples(np.exp(p)), truncation) for p in parts)
-    recon = scalar * sample(plus, n).values * sample(minus, n).values
-    residual = float(np.max(np.abs(s.values - recon)))
-    gate = tol * float(np.max(np.abs(s.values)))
+    plus, minus = (fourier_coefficients(np.exp(p), truncation) for p in parts)
+    recon = scalar * sample(plus, n) * sample(minus, n)
+    residual = float(np.max(np.abs(s - recon)))
+    gate = tol * float(np.max(np.abs(s)))
     if residual > gate:
         raise TruncationError(residual, gate)
     plus_inverse, minus_inverse = (
-        fourier_coefficients(GridSamples(np.exp(-p)), truncation) for p in parts)
+        fourier_coefficients(np.exp(-p), truncation) for p in parts)
     return FactorizationResult(
         kappa=0,
         scalar=scalar,
@@ -185,7 +189,7 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
         plus=plus,
         residual=residual,
         truncation=truncation,
-        grid_size=s.size,
+        grid_size=n,
         log_coeffs=lc,
         plus_inverse=plus_inverse,
         minus_inverse=minus_inverse,
@@ -197,4 +201,6 @@ def membership(res: FactorizationResult, sp: AlgebraSpace) -> dict[str, NormRepo
     ``factorize`` built, from one batched solve."""
     parts = {"plus": res.plus, "plus_inverse": res.plus_inverse,
              "minus": res.minus, "minus_inverse": res.minus_inverse}
-    return dict(zip(parts, wnf_norms([(f, sp) for f in parts.values()])))
+    r = wnf_norm_arrays((f, sp) for f in parts.values())
+    return {name: NormReport(float(r.wiener[i]), float(r.negative[i]), float(r.nonnegative[i]))
+            for i, name in enumerate(parts)}

@@ -128,63 +128,32 @@ class LaurentPolynomial:
         nonneg = self.coeffs[self.n_max:].copy()
         return neg, nonneg
 
-    @classmethod
-    def merge(cls, neg, nonneg) -> "LaurentPolynomial":
-        """Inverse of split."""
-        neg = np.asarray(neg, dtype=complex)
-        nonneg = np.asarray(nonneg, dtype=complex)
-        n = max(len(neg), len(nonneg) - 1, 0)
-        c = np.zeros(2 * n + 1, dtype=complex)
-        if len(neg):
-            c[n - len(neg): n] = neg[::-1]
-        c[n: n + len(nonneg)] = nonneg
-        return cls(c, n)
 
-    def scaled(self, s: complex) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.coeffs * s, self.n_max)
-
-
-@dataclass
-class GridSamples:
-    """Values of a function at theta_j = 2 pi j / N on a power-of-two grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).ravel()
-        n = len(v)
-        if n < 2 or n & (n - 1):
-            raise SpecError(f"grid size must be a power of two >= 2, got {n}")
-        self.values = v
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return 2 * np.pi * np.arange(self.size) / self.size
-
-
-def sample(f: LaurentPolynomial, n_grid: int) -> GridSamples:
-    """Evaluate f on the uniform n_grid-point grid by one inverse FFT.
+def sample(f: LaurentPolynomial, n_grid: int) -> np.ndarray:
+    """Values of f at theta_j = 2 pi j / n_grid, j = 0..n_grid-1, by one
+    inverse FFT.
 
     Each f_k goes to bin k mod n_grid; indices equal mod n_grid take the
-    same value on the grid, so folding them is exact for any n_grid.
+    same value on the grid, so folding them is exact for any n_grid.  A
+    value beyond the double range comes out as inf or nan, without a
+    warning.
     """
     if n_grid < 2 or n_grid & (n_grid - 1):
         raise SpecError(f"grid size must be a power of two >= 2, got {n_grid}")
     bins = np.zeros(n_grid, dtype=complex)
     np.add.at(bins, np.arange(-f.n_max, f.n_max + 1) % n_grid, f.coeffs)
-    return GridSamples(np.fft.ifft(bins) * n_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.ifft(bins) * n_grid
 
 
-def fourier_coefficients(s: GridSamples, band: int) -> LaurentPolynomial:
+def fourier_coefficients(values: np.ndarray, band: int) -> LaurentPolynomial:
     """Discrete Fourier coefficients f_k = (1/N) sum_j v_j e^{-ik theta_j}
-    for |k| <= band; exact on band-limited input when N > 2 band."""
+    of the values v_j at theta_j = 2 pi j / N, for |k| <= band; exact on
+    band-limited input when N > 2 band."""
+    n = len(values)
     if band < 0:
         raise SpecError("band must be nonnegative")
-    if band > s.size // 2 - 1:
-        raise SpecError(f"band {band} too large for grid of size {s.size}")
-    spec = np.fft.fft(s.values) / s.size
-    return LaurentPolynomial(spec[np.arange(-band, band + 1) % s.size], band)
+    if band > n // 2 - 1:
+        raise SpecError(f"band {band} too large for grid of size {n}")
+    spec = np.fft.fft(values) / n
+    return LaurentPolynomial(spec[np.arange(-band, band + 1) % n], band)

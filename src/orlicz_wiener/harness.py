@@ -18,12 +18,11 @@ from .errors import SpecError
 from .algebra import (
     AlgebraSpace,
     Checks,
-    InequalityWitness,
     NormReport,
-    coefficient_checks,
-    one_sided_checks,
     random_element,
-    theorem_checks,
+    verify_coefficient_bound,
+    verify_one_sided,
+    verify_theorem,
     verify_weight_shift,
     wnf_norm_arrays,
 )
@@ -128,14 +127,14 @@ def _chunk_checks(families, drawn) -> dict[str, tuple[Checks, np.ndarray]]:
         nf, ng, nfg = (NormReport(r.wiener[i::3], r.negative[i::3], r.nonnegative[i::3])
                        for i in range(3))
         spaces = [sp for _, sp, _, _ in drawn]
-        neg, nonneg = one_sided_checks(nf, ng, nfg,
+        neg, nonneg = verify_one_sided(nf, ng, nfg,
                                        np.array([sp.neg_constant() for sp in spaces]),
                                        np.array([sp.pos_constant() for sp in spaces]))
-        theorem = theorem_checks(nf, ng, nfg, np.array([sp.algebra_constant() for sp in spaces]))
+        theorem = verify_theorem(nf, ng, nfg, np.array([sp.algebra_constant() for sp in spaces]))
         checks.update(theorem=(theorem, trial), one_sided_negative=(neg, trial),
                       one_sided_nonnegative=(nonneg, trial))
     if "coefficient_bound" in families:
-        per_trial = [coefficient_checks(f, g) for _, _, f, g in drawn]
+        per_trial = [verify_coefficient_bound(f, g) for _, _, f, g in drawn]
         checks["coefficient_bound"] = (Checks(*map(np.concatenate, zip(*per_trial))),
                                        np.repeat(trial, [len(c.lhs) for c in per_trial]))
     return {family: checks[family] for family in families}
@@ -150,18 +149,12 @@ def _run_trials(families, seed: int, trials: range, support: int):
                                        for t in range(lo, min(lo + chunk, trials.stop))])
 
 
-def run_trial(families, seed: int, trial: int,
-              support: int) -> dict[str, list[InequalityWitness]]:
+def run_trial(families, seed: int, trial: int, support: int) -> dict[str, Checks]:
     """Run one trial of each of the given inequality families on a single
     draw of (space, f, g); deterministic in (seed, trial, support)."""
     _check_trials(families, seed, trial, support)
     by_family = next(_run_trials(families, seed, range(trial, trial + 1), support))
-    witnesses = {}
-    for family, (checks, _) in by_family.items():
-        witnesses[family] = checks.witnesses()
-        for w in witnesses[family]:
-            w.fingerprint = fingerprint(family, seed, trial, support)
-    return witnesses
+    return {family: checks for family, (checks, _) in by_family.items()}
 
 
 @dataclass
@@ -181,8 +174,8 @@ class SuiteReport:
     def absorb(self, checks: Checks, trial: np.ndarray, seed: int, support: int):
         """Merge a chunk of this family's checks, check i from trial
         trial[i], in order: the count and the largest lhs/rhs over rhs > 0
-        come from numpy, and only a violation becomes an
-        ``InequalityWitness``, with its trial's fingerprint."""
+        come from numpy, and only a violation becomes a JSON row, with its
+        trial's fingerprint."""
         self.checks += len(checks.lhs)
         positive = checks.rhs > 0
         with np.errstate(over="ignore"):
@@ -190,9 +183,8 @@ class SuiteReport:
         self.max_ratio = float(np.fmax.reduce(ratios, initial=self.max_ratio))
         failed = np.flatnonzero(~checks.holds)
         violated = Checks(*(a[failed] for a in checks))
-        for w, t in zip(violated.witnesses(), trial[failed].tolist()):
-            w.fingerprint = fingerprint(self.family, seed, t, support)
-            self.violations.append(w.to_json())
+        self.violations += violated.to_json(
+            [fingerprint(self.family, seed, t, support) for t in trial[failed].tolist()])
 
     def to_json(self) -> dict:
         return {
@@ -223,15 +215,13 @@ def run_weight_shift_suite(k_max: int = 10_000) -> dict:
     """Shift-bound scan over every builtin weight family on both sides."""
     reports = {}
     for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE):
-        for alpha in WEIGHT_EXPONENTS:
-            nu = WeightSequence("pow", klass, alpha)
-            reports[f"{klass}:{nu.spec()}"] = verify_weight_shift(nu, k_max).to_json()
-        for nu in (WeightSequence("log", klass), WeightSequence("const", klass, 1.0)):
+        weights = [WeightSequence("pow", klass, alpha) for alpha in WEIGHT_EXPONENTS]
+        for nu in weights + [WeightSequence("log", klass), WeightSequence("const", klass, 1.0)]:
             reports[f"{klass}:{nu.spec()}"] = verify_weight_shift(nu, k_max).to_json()
     return reports
 
 
-def replay(fp: str) -> list[InequalityWitness]:
+def replay(fp: str) -> Checks:
     """Re-run the single trial identified by a fingerprint."""
     family, seed, trial, support = parse_fingerprint(fp)
     return run_trial((family,), seed, trial, support)[family]

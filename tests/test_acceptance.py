@@ -19,12 +19,7 @@ from orlicz_wiener.algebra import (
 )
 from orlicz_wiener.errors import IndexObstructionError
 from orlicz_wiener.factorization import factorize, membership
-from orlicz_wiener.fourier import (
-    GridSamples,
-    LaurentPolynomial,
-    fourier_coefficients,
-    sample,
-)
+from orlicz_wiener.fourier import LaurentPolynomial, fourier_coefficients
 from orlicz_wiener.harness import (
     WEIGHT_EXPONENTS,
     draw_space,
@@ -73,9 +68,10 @@ def test_criterion_3_coefficient_bound():
     for _ in range(500):
         f = random_element(int(rng.integers(0, 33)), int(rng.integers(0, 2**31)))
         g = random_element(int(rng.integers(0, 33)), int(rng.integers(0, 2**31)))
-        for w in verify_coefficient_bound(f, g):
-            ok = ok and w.holds
-            max_ratio = max(max_ratio, w.ratio)
+        c = verify_coefficient_bound(f, g)
+        for w in c.to_json([""] * len(c.lhs)):
+            ok = ok and w["holds"]
+            max_ratio = max(max_ratio, np.inf if w["ratio"] is None else w["ratio"])
             checks += 1
     # ratio can sit at 1 + O(eps) when the bound is attained exactly
     ok = ok and max_ratio <= 1.0 + 1e-12
@@ -152,8 +148,8 @@ def test_criterion_7_factorization():
             rng.uniform(-0.3, 0.3, 2 * n + 1) + 1j * rng.uniform(-0.3, 0.3, 2 * n + 1),
             n)
         # wide band so the symbol is exp(q) to below the 1e-10 tolerances
-        vals = np.exp(q.evaluate(GridSamples(np.zeros(2048, dtype=complex)).thetas))
-        symbol = fourier_coefficients(GridSamples(vals), 320)
+        vals = np.exp(q.evaluate(2 * np.pi * np.arange(2048) / 2048))
+        symbol = fourier_coefficients(vals, 320)
         res = factorize(symbol, 2048, 128, 1e-8)
         if res.residual > 1e-8:
             problems.append(f"trial {i}: residual {res.residual:.2e}")
@@ -193,7 +189,7 @@ def test_criterion_8_numerical_hygiene():
         f = random_element(int(rng.integers(0, 17)), int(rng.integers(0, 2**31)))
         s = rng.uniform(0.1, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         base = wnf_norm(f, sp).total
-        scaled = wnf_norm(f.scaled(s), sp).total
+        scaled = wnf_norm(LaurentPolynomial(f.coeffs * s, f.n_max), sp).total
         if base > 0:
             worst_h = max(worst_h, abs(scaled - abs(s) * base) / (abs(s) * base))
     if worst_h > 1e-9:

@@ -1,6 +1,8 @@
 """Tests for the combined norm, the algebra constant, and the inequality
 verifiers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ from orlicz_wiener.orlicz import (
 def norms(f, g, sp):
     """The norm reports of f, g and fg."""
     return wnf_norm(f, sp), wnf_norm(g, sp), wnf_norm(f.multiply(g), sp)
+
+
+def theorem(f, g, sp):
+    """The theorem's check of the pair (f, g) in sp."""
+    return verify_theorem(*norms(f, g, sp), sp.algebra_constant())
+
+
+def one_sided(f, g, sp):
+    """The negative and the nonnegative one-sided checks of (f, g) in sp."""
+    return verify_one_sided(*norms(f, g, sp), sp.neg_constant(), sp.pos_constant())
+
+
+def rows(checks):
+    """The JSON row of each check, in order, with empty fingerprints."""
+    return checks.to_json([""] * np.size(checks.lhs))
 
 
 def make_space(neg_orlicz="pow:p=1", pos_orlicz="pow:p=1", neg_scale="const:1",
@@ -107,12 +124,12 @@ class TestWnfNorm:
 class TestVerifyTheorem:
     def test_zero_pair(self):
         zero = LaurentPolynomial.zero()
-        w = verify_theorem(*norms(zero, zero, make_space()), make_space())
+        w = theorem(zero, zero, make_space())
         assert w.holds and w.lhs == 0 and w.rhs == 0
 
     def test_constant_pair(self):
         f = LaurentPolynomial.from_dict({0: 1})
-        w = verify_theorem(*norms(f, f, make_space()), make_space())
+        w = theorem(f, f, make_space())
         assert w.lhs == pytest.approx(2, rel=1e-9)
         assert w.rhs == pytest.approx(36, rel=1e-9)
         assert w.holds
@@ -123,18 +140,18 @@ class TestVerifyTheorem:
             sp = draw_space(rng)
             f = random_element(int(rng.integers(0, 16)), int(rng.integers(0, 2**31)))
             g = random_element(int(rng.integers(0, 16)), int(rng.integers(0, 2**31)))
-            assert verify_theorem(*norms(f, g, sp), sp).holds
+            assert theorem(f, g, sp).holds
 
 
 class TestVerifyOneSided:
     def test_zero_pair(self):
         zero = LaurentPolynomial.zero()
-        ws = verify_one_sided(*norms(zero, zero, make_space()), make_space())
+        ws = one_sided(zero, zero, make_space())
         assert len(ws) == 2 and all(w.holds for w in ws)
 
     def test_single_negative_modes(self):
         f = LaurentPolynomial.from_dict({-1: 1})
-        w = verify_one_sided(*norms(f, f, make_space()), make_space())[0]
+        w = one_sided(f, f, make_space())[0]
         assert w.lhs == pytest.approx(1, rel=1e-9)
         assert w.rhs == pytest.approx(4, rel=1e-9)
         assert w.holds
@@ -196,25 +213,25 @@ class TestVerifyCoefficientBound:
             f = random_element(int(rng.integers(0, 9)), int(rng.integers(0, 2**31)))
             g = random_element(int(rng.integers(0, 12)), int(rng.integers(0, 2**31)))
             fg = f.multiply(g)
-            ws = verify_coefficient_bound(f, g)
+            ws = rows(verify_coefficient_bound(f, g))
             assert len(ws) == 2 * fg.n_max + 1
             for target, w in zip(coefficient_targets(f, g), ws):
-                assert w.lhs == pytest.approx(abs(fg.coeff(target)),
+                assert w["lhs"] == pytest.approx(abs(fg.coeff(target)),
                                               rel=1e-12, abs=1e-15)
 
     def test_pair_of_negative_modes(self):
         f = LaurentPolynomial.from_dict({-1: 1})
-        ws = dict(zip(coefficient_targets(f, f), verify_coefficient_bound(f, f)))
+        ws = dict(zip(coefficient_targets(f, f), rows(verify_coefficient_bound(f, f))))
         w = ws[-2]
-        assert w.lhs == pytest.approx(1)
-        assert w.rhs == pytest.approx(2)
-        assert w.holds
+        assert w["lhs"] == pytest.approx(1)
+        assert w["rhs"] == pytest.approx(2)
+        assert w["holds"]
 
     def test_zero_factor(self):
         g = LaurentPolynomial.from_dict({-1: 1, 0: 2, 3: 1j})
-        ws = verify_coefficient_bound(LaurentPolynomial.zero(), g)
+        ws = rows(verify_coefficient_bound(LaurentPolynomial.zero(), g))
         assert len(ws) == 7
-        assert all(w.lhs == 0 and w.holds for w in ws)
+        assert all(w["lhs"] == 0 and w["holds"] for w in ws)
 
     @pytest.mark.parametrize("f,g", [
         (LaurentPolynomial.zero(), LaurentPolynomial.zero()),
@@ -231,13 +248,13 @@ class TestVerifyCoefficientBound:
             "unequal-9-1", "equal-5", "sparse"])
     def test_matches_brute_force_oracle(self, f, g):
         targets = coefficient_targets(f, g)
-        ws = verify_coefficient_bound(f, g)
+        ws = rows(verify_coefficient_bound(f, g))
         assert len(ws) == len(targets)
         for target, w in zip(targets, ws):
             lhs, rhs = majorant_oracle(f, g, target)
-            assert w.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-15), target
-            assert w.rhs == pytest.approx(rhs, rel=1e-12, abs=0), target
-            assert w.constant == 1.0 and w.holds
+            assert w["lhs"] == pytest.approx(lhs, rel=1e-12, abs=1e-15), target
+            assert w["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0), target
+            assert w["constant"] == 1.0 and w["holds"]
 
     def test_random_pairs_all_k(self):
         rng = np.random.default_rng(41)
@@ -245,11 +262,12 @@ class TestVerifyCoefficientBound:
         for _ in range(30):
             f = random_element(int(rng.integers(0, 9)), int(rng.integers(0, 2**31)))
             g = random_element(int(rng.integers(0, 9)), int(rng.integers(0, 2**31)))
-            for target, w in zip(coefficient_targets(f, g), verify_coefficient_bound(f, g)):
-                assert w.holds
-                assert w.rhs == pytest.approx(majorant_oracle(f, g, target)[1],
-                                              rel=1e-12, abs=0)
-                ratios.append(w.ratio)
+            for target, w in zip(coefficient_targets(f, g),
+                                 rows(verify_coefficient_bound(f, g))):
+                assert w["holds"]
+                assert w["rhs"] == pytest.approx(majorant_oracle(f, g, target)[1],
+                                                 rel=1e-12, abs=0)
+                ratios.append(w["ratio"])
         assert max(ratios) <= 1 + 1e-12
 
 
@@ -378,7 +396,7 @@ class TestHarnessReplay:
     def test_replay_matches_original(self):
         first = run_trial(("theorem",), 7, 3, 16)["theorem"]
         again = replay("theorem:seed=7:trial=3:support=16")
-        assert [w.to_json() for w in first] == [w.to_json() for w in again]
+        assert rows(first) == rows(again)
 
     def test_bad_fingerprint_rejected(self):
         with pytest.raises(SpecError):
@@ -408,8 +426,8 @@ class TestSharedTrial:
         assert list(shared) == list(FAMILIES)
         for family in FAMILIES:
             alone = run_trial((family,), 7, 3, 16)[family]
-            assert [w.to_json() for w in shared[family]] == [w.to_json() for w in alone]
-            assert {w.fingerprint for w in alone} == {f"{family}:seed=7:trial=3:support=16"}
+            assert rows(shared[family]) == rows(alone)
+            assert rows(replay(f"{family}:seed=7:trial=3:support=16")) == rows(alone)
 
     @pytest.mark.parametrize("families,reports", [
         (NORM_FAMILIES, 3), (("theorem",), 3), (("one_sided_nonnegative",), 3),
@@ -438,26 +456,30 @@ class TestSharedTrial:
 
 
 def suite_oracle(families, trials, seed, support) -> dict:
-    """``run_suite`` written out one witness at a time: each trial's draw,
-    its norms from the serial ``wnf_norm``, its ``verify_*`` witnesses, each
-    absorbed on its own in trial order."""
+    """``run_suite`` written out one check at a time: each trial's draw, its
+    norms from the serial ``wnf_norm``, its ``verify_*`` checks, each
+    absorbed on its own in trial order, with its ratio and its violation
+    row written here."""
     out = {family: {"checks": 0, "max_ratio": 0.0, "violations": []} for family in families}
     for t in range(trials):
         sp, f, g = harness._draw_trial(seed, t, support)
-        ns = norms(f, g, sp)
-        neg, nonneg = verify_one_sided(*ns, sp)
-        by_family = {"theorem": [verify_theorem(*ns, sp)], "one_sided_negative": [neg],
-                     "one_sided_nonnegative": [nonneg],
+        neg, nonneg = one_sided(f, g, sp)
+        by_family = {"theorem": theorem(f, g, sp), "one_sided_negative": neg,
+                     "one_sided_nonnegative": nonneg,
                      "coefficient_bound": verify_coefficient_bound(f, g)}
         for family in families:
             rep = out[family]
-            for w in by_family[family]:
-                w.fingerprint = harness.fingerprint(family, seed, t, support)
+            for lhs, rhs, constant, holds in zip(
+                    *(np.atleast_1d(a).tolist() for a in by_family[family])):
                 rep["checks"] += 1
-                if w.rhs > 0:
-                    rep["max_ratio"] = max(rep["max_ratio"], w.ratio)
-                if not w.holds:
-                    rep["violations"].append(w.to_json())
+                if rhs > 0:
+                    rep["max_ratio"] = max(rep["max_ratio"], lhs / rhs)
+                if not holds:
+                    ratio = lhs / rhs if rhs else 0.0 if lhs == 0 else math.inf
+                    rep["violations"].append({
+                        "lhs": lhs, "rhs": rhs, "constant": constant, "holds": holds,
+                        "ratio": ratio if math.isfinite(ratio) else None,
+                        "fingerprint": harness.fingerprint(family, seed, t, support)})
     return out
 
 
@@ -509,13 +531,13 @@ class TestSpikesCatchOneSidedConstants:
     def check(spec, k, side):
         sp = AlgebraSpace.from_spec(spec)
         f = LaurentPolynomial.from_dict({k: 1})
-        return verify_one_sided(*norms(f, f, sp), sp)[side]
+        return one_sided(f, f, sp)[side]
 
     @pytest.mark.parametrize("spec,k,side,constant,scale", CASES)
     def test_true_constant_holds(self, spec, k, side, constant, scale):
         w = self.check(spec, k, side)
         assert w.holds and w.constant == 20.0
-        assert 7.9 < w.ratio * w.constant < 8.1
+        assert 7.9 < w.lhs / w.rhs * w.constant < 8.1
 
     @pytest.mark.parametrize("spec,k,side,constant,scale", CASES)
     def test_constant_one_fails(self, monkeypatch, spec, k, side, constant, scale):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orlicz_wiener import cli
-from orlicz_wiener.algebra import InequalityWitness
+from orlicz_wiener.algebra import Checks
 from orlicz_wiener.cli import main
 from orlicz_wiener.fourier import MAX_DEGREE, LaurentPolynomial
 from orlicz_wiener.errors import DomainError, SpecError
@@ -296,6 +296,21 @@ class TestHugeAndNonFinite:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("coeffs", [
+        [{"k": 0, "re": 1e308, "im": 0}, {"k": 1, "re": 1e308, "im": 0}],
+        [{"k": -1, "re": 1e308, "im": 1e308}, {"k": 0, "re": 1e308, "im": 1e308}],
+    ])
+    def test_symbol_overflowing_on_the_grid_refused(self, capsys, coeffs):
+        """Finite coefficients whose sum overflows: a refusal, not a
+        vanishing symbol, and no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--cmd", "factorize", "--input",
+                                 json.dumps({"coeffs": coeffs}))
+        assert code == 2
+        assert out == ""
+        assert err == "error: symbol is not finite on the grid\n"
+
     def test_emit_refuses_non_json_numbers(self, capsys):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -303,10 +318,10 @@ class TestHugeAndNonFinite:
         assert capsys.readouterr().out == ""
 
     def test_witness_with_zero_rhs_writes_null_ratio(self):
-        doc = InequalityWitness(1.0, 0.0, 1.0, False).to_json()
-        assert doc["ratio"] is None
+        [doc] = Checks(1.0, 0.0, 1.0, False).to_json(["fp"])
+        assert doc["ratio"] is None and doc["fingerprint"] == "fp"
         assert json.loads(json.dumps(doc, allow_nan=False))["ratio"] is None
-        assert InequalityWitness(0.0, 0.0, 1.0, True).to_json()["ratio"] == 0.0
+        assert Checks(0.0, 0.0, 1.0, True).to_json(["fp"])[0]["ratio"] == 0.0
 
 
 class TestRefusals:
