@@ -154,15 +154,15 @@ def wnf_norm(f: LaurentPolynomial, sp: AlgebraSpace,
     return _norm_report(f, luxemburg_norm(*neg, tol), luxemburg_norm(*nonneg, tol))
 
 
-def wnf_norm_arrays(pairs, tol: float = DEFAULT_NORM_TOL) -> NormReport:
-    """``wnf_norm`` of each (f, sp) pair, bit for bit, as one NormReport of
-    arrays over the pairs.  Every one-sided norm comes from one batched
-    solve, and every absolute sum from one ``np.add.reduceat`` over the
-    coefficient moduli laid end to end, each f led by one zero, which gives
-    each f the bits of ``np.sum`` (see ``orlicz._Batch``)."""
+def wnf_norm_arrays(pairs) -> NormReport:
+    """``wnf_norm`` of each (f, sp) pair at its default tol, bit for bit, as
+    one NormReport of arrays over the pairs.  Every one-sided norm comes from
+    one batched solve, every absolute sum from one ``np.add.reduceat`` over
+    the coefficient moduli laid end to end, each f led by one zero, which
+    gives each f the bits of ``np.sum`` (see ``orlicz._Batch``)."""
     pairs = list(pairs)
     lams = np.array(luxemburg_norms(
-        [p for f, sp in pairs for p in _one_sided_problems(f, sp)], tol))
+        [p for f, sp in pairs for p in _one_sided_problems(f, sp)]))
     sizes = np.array([f.coeffs.size + 1 for f, _ in pairs], dtype=int)
     mags = _end_to_end(np.abs(f.coeffs) for f, _ in pairs) if pairs else np.zeros(0)
     with np.errstate(over="ignore"):

@@ -121,13 +121,17 @@ def _continuous_log(values: np.ndarray) -> np.ndarray:
     return np.log(np.abs(values)) + 1j * args
 
 
+def _keep(lp: LaurentPolynomial, side: int, start: int) -> LaurentPolynomial:
+    """lp with f_k set to 0 wherever side * k < start."""
+    k = np.arange(-lp.n_max, lp.n_max + 1)
+    return LaurentPolynomial(np.where(side * k >= start, lp.coeffs, 0), lp.n_max)
+
+
 def _one_sided_eval(lp: LaurentPolynomial, n_grid: int, side: int) -> np.ndarray:
     """Values on the n_grid-point grid of only the strictly positive
     (side=+1) or strictly negative (side=-1) index part of lp: the other
     half of the coefficients and k = 0 are masked out."""
-    k = np.arange(-lp.n_max, lp.n_max + 1)
-    c = np.where(side * k > 0, lp.coeffs, 0)
-    return sample(LaurentPolynomial(c, lp.n_max), n_grid)
+    return sample(_keep(lp, side, 1), n_grid)
 
 
 def _resolve_winding(b: LaurentPolynomial, n_grid: int):
@@ -151,7 +155,8 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     """Sample, take the continuous logarithm, split its coefficients into
     analytic and anti-analytic parts, evaluate each part once on the grid,
     and exponentiate it pointwise: exp(+part) gives the factor and, once
-    the residual gate has passed, exp(-part) its inverse.
+    the residual gate has passed, exp(-part) its inverse.  Each keeps only
+    its own side of its truncated DFT: k >= 0 for plus, k <= 0 for minus.
 
     Raises IndexObstructionError when the winding number is nonzero and
     TruncationError when the reconstruction residual exceeds tol times
@@ -173,15 +178,16 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     lc = fourier_coefficients(logs, truncation)
     scalar = cmath.exp(lc.coeff(0))
     n = s.size
-    parts = [_one_sided_eval(lc, n, side) for side in (+1, -1)]
-    plus, minus = (fourier_coefficients(np.exp(p), truncation) for p in parts)
+    parts = [(_one_sided_eval(lc, n, side), side) for side in (+1, -1)]
+    plus, minus = (_keep(fourier_coefficients(np.exp(p), truncation), side, 0)
+                   for p, side in parts)
     recon = scalar * sample(plus, n) * sample(minus, n)
     residual = float(np.max(np.abs(s - recon)))
     gate = tol * float(np.max(np.abs(s)))
     if residual > gate:
         raise TruncationError(residual, gate)
     plus_inverse, minus_inverse = (
-        fourier_coefficients(np.exp(-p), truncation) for p in parts)
+        _keep(fourier_coefficients(np.exp(-p), truncation), side, 0) for p, side in parts)
     return FactorizationResult(
         kappa=0,
         scalar=scalar,

@@ -45,33 +45,33 @@ NORM_FAMILIES = ("theorem", "one_sided_negative", "one_sided_nonnegative")
 FAMILIES = NORM_FAMILIES + ("coefficient_bound",)
 
 
-def _draw_orlicz(rng: np.random.Generator) -> OrliczFunction:
-    fam = ("pow", "expm1", "powlog")[rng.integers(3)]
-    if fam == "expm1":
-        return OrliczFunction("expm1")
-    return OrliczFunction(fam, ORLICZ_EXPONENTS[rng.integers(len(ORLICZ_EXPONENTS))])
+# Every Orlicz function and weight a trial can draw, built once: a group per
+# family, a member per exponent.  Trials share these objects, so a batched
+# solve tells weights apart by identity (see ``orlicz._weight_values``).
+ORLICZ_GROUPS = (
+    tuple(OrliczFunction("pow", p) for p in ORLICZ_EXPONENTS),
+    (OrliczFunction("expm1"),),
+    tuple(OrliczFunction("powlog", p) for p in ORLICZ_EXPONENTS),
+)
+WEIGHT_GROUPS = {
+    klass: (tuple(WeightSequence("pow", klass, alpha) for alpha in WEIGHT_EXPONENTS),
+            (WeightSequence("log", klass),),
+            (WeightSequence("const", klass, 1.0),))
+    for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE)
+}
 
 
-def _draw_weight(rng: np.random.Generator, klass: str) -> WeightSequence:
-    fam = ("pow", "log", "const")[rng.integers(3)]
-    if fam == "pow":
-        alpha = WEIGHT_EXPONENTS[rng.integers(len(WEIGHT_EXPONENTS))]
-        return WeightSequence("pow", klass, alpha)
-    if fam == "log":
-        return WeightSequence("log", klass)
-    return WeightSequence("const", klass, 1.0)
+def _pick(rng: np.random.Generator, groups):
+    """A group, then a member of it when it has more than one."""
+    group = groups[rng.integers(len(groups))]
+    return group[rng.integers(len(group))] if len(group) > 1 else group[0]
 
 
 def draw_space(rng: np.random.Generator) -> AlgebraSpace:
     """A random six-tuple over the builtin family cross product."""
-    return AlgebraSpace(
-        _draw_orlicz(rng),
-        _draw_orlicz(rng),
-        _draw_weight(rng, NEGATIVE_SIDE),
-        _draw_weight(rng, NEGATIVE_SIDE),
-        _draw_weight(rng, NONNEGATIVE_SIDE),
-        _draw_weight(rng, NONNEGATIVE_SIDE),
-    )
+    neg, pos = WEIGHT_GROUPS[NEGATIVE_SIDE], WEIGHT_GROUPS[NONNEGATIVE_SIDE]
+    return AlgebraSpace(_pick(rng, ORLICZ_GROUPS), _pick(rng, ORLICZ_GROUPS),
+                        _pick(rng, neg), _pick(rng, neg), _pick(rng, pos), _pick(rng, pos))
 
 
 def fingerprint(family: str, seed: int, trial: int, support: int) -> str:
@@ -212,13 +212,9 @@ def run_suite(families, trials: int, seed: int, support: int) -> dict[str, Suite
 
 
 def run_weight_shift_suite(k_max: int = 10_000) -> dict:
-    """Shift-bound scan over every builtin weight family on both sides."""
-    reports = {}
-    for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE):
-        weights = [WeightSequence("pow", klass, alpha) for alpha in WEIGHT_EXPONENTS]
-        for nu in weights + [WeightSequence("log", klass), WeightSequence("const", klass, 1.0)]:
-            reports[f"{klass}:{nu.spec()}"] = verify_weight_shift(nu, k_max).to_json()
-    return reports
+    """Shift-bound scan over every builtin weight on both sides."""
+    return {f"{klass}:{nu.spec()}": verify_weight_shift(nu, k_max).to_json()
+            for klass, groups in WEIGHT_GROUPS.items() for group in groups for nu in group}
 
 
 def replay(fp: str) -> Checks:

@@ -344,28 +344,18 @@ def _weight_values(rows) -> list:
     """Per (c, orlicz, phi, w) row, the arrays (phi_n, w_n) of its weights
     from the class start on, at least as long as c.
 
-    Each distinct weight sequence is evaluated once, over the longest row
-    that uses it, and its rows share that array: no weight is evaluated at
-    an index that no row reaches, so no batch refuses an overflow that the
-    serial solves of its rows would not.  Weights are told apart by value,
-    since every trial builds its own; the dataclass hash and equality run
-    in Python, so each weight object is looked up by value only once, and
-    by identity after that.  A cell is [weight, reach, values]."""
-    by_value, by_id, cells = {}, {}, []
+    Each weight object is evaluated once, over the longest row that uses
+    it, and its rows share that array: no weight is evaluated at an index
+    that no row reaches, so no batch refuses an overflow that the serial
+    solves of its rows would not.  Weights are told apart by identity; the
+    suites draw theirs from one table of prebuilt weights."""
+    reach = {}  # id(nu) -> (nu, the length of its longest row)
     for c, _, phi, w in rows:
-        pair = []
         for nu in (phi, w):
-            cell = by_id.get(id(nu))
-            if cell is None:
-                cell = by_id[id(nu)] = by_value.setdefault(nu, [nu, 0])
-            cell[1] = max(cell[1], c.size)
-            pair.append(cell)
-        cells.append(pair)
+            reach[id(nu)] = nu, max(reach.get(id(nu), (nu, 0))[1], c.size)
     with np.errstate(over="ignore"):
-        for cell in by_value.values():
-            nu, n = cell
-            cell.append(nu(np.arange(nu.start, nu.start + n)))
-    return [(phi_cell[2], w_cell[2]) for phi_cell, w_cell in cells]
+        values = {key: nu(np.arange(nu.start, nu.start + n)) for key, (nu, n) in reach.items()}
+    return [(values[id(phi)], values[id(w)]) for _, _, phi, w in rows]
 
 
 def _end_to_end(arrays) -> np.ndarray:

@@ -441,6 +441,28 @@ class TestSharedTrial:
         assert sum(batches) == 2 * reports
         assert len(batches) == (1 if reports else 0)
 
+    def test_trials_share_the_builtin_weights(self, monkeypatch):
+        # Every draw takes its Orlicz functions and weights from one
+        # prebuilt table, 6 weights per side: the one chunk of 25 trials at
+        # support 64 evaluates each weight it uses once, and equal draws are
+        # one object.
+        calls = []
+        real = WeightSequence.__call__
+
+        def counting(nu, n):
+            calls.append(nu)
+            return real(nu, n)
+
+        monkeypatch.setattr(WeightSequence, "__call__", counting)
+        run_suite(NORM_FAMILIES, 25, 7, 64)
+        assert 0 < len(calls) <= 12
+        assert len({id(nu) for nu in calls}) == len(calls)
+        rng = np.random.default_rng(7)
+        drawn = [x for sp in (draw_space(rng) for _ in range(50))
+                 for x in (sp.neg_orlicz, sp.pos_orlicz, sp.neg_scale, sp.neg_sum,
+                           sp.pos_scale, sp.pos_sum)]
+        assert len({id(x) for x in drawn}) == len(set(drawn))
+
     # Support 8: each trial's six sides are padded to at most 17 terms.
     @pytest.mark.parametrize("budget,chunks", [(1, 6), (2 * 6 * 17, 3), (harness.CHUNK_TERMS, 1)])
     def test_chunk_budget_does_not_change_reports(self, monkeypatch, budget, chunks):

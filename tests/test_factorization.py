@@ -277,6 +277,18 @@ class TestMembership:
                 for k in range(1, f_inverse.n_max + 1):
                     assert abs(f_inverse.coeff(-side * k)) <= 1e-12
 
+    def test_factors_are_one_sided(self):
+        # The DFT leaves rounding of about 1e-17 on a factor's off side;
+        # the factors keep only their own side, so the off-side norms are 0.
+        b = LaurentPolynomial.from_dict({-1: 0.1j, 0: 2, 1: 0.3})
+        res = factorize(b, 64, 8)
+        for name, side in (("plus", +1), ("plus_inverse", +1),
+                           ("minus", -1), ("minus_inverse", -1)):
+            f = getattr(res, name)
+            assert all(f.coeff(-side * k) == 0 for k in range(1, f.n_max + 1)), name
+        norms = membership(res, SPACE)
+        assert norms["plus"].negative == norms["plus_inverse"].negative == 0.0
+
     def test_norms_are_those_of_the_stored_factors(self):
         res = factorize(LaurentPolynomial.from_dict({-2: 0.5j, 0: 2, 1: 1}))
         norms = membership(res, SPACE)

@@ -112,8 +112,6 @@ def test_rotation_leaves_membership_unchanged(space_seed, seed, theta):
     got, want = membership(factorize(rotated), sp), membership(factorize(b), sp)
     assert list(got) == list(want)
     for name, rep in want.items():
-        # The off side of a computed factor is FFT rounding, about 1e-16 and
-        # not 0, so each piece is compared at the scale of the whole norm.
         for piece in PIECES:
             x, y = getattr(got[name], piece), getattr(rep, piece)
-            assert abs(x - y) <= INEQ_SLACK * rep.total, (name, piece, x, y)
+            assert abs(x - y) <= INEQ_SLACK * y, (name, piece, x, y)

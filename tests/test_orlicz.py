@@ -539,7 +539,9 @@ class TestBatchedEdgeCases:
         assert luxemburg_norms([]) == []
 
     def test_each_distinct_weight_evaluated_once(self, monkeypatch):
-        # Equal weights built apart, as every trial builds them, count once.
+        # Weights are told apart by identity: rows that share a weight object
+        # share one evaluation, and an equal weight built apart is evaluated
+        # on its own.
         calls = []
         real = WeightSequence.__call__
 
@@ -549,16 +551,18 @@ class TestBatchedEdgeCases:
 
         monkeypatch.setattr(WeightSequence, "__call__", counting)
         rng = np.random.default_rng(37)
+        shared = {klass: [WeightSequence("pow", klass, float(a)) for a in range(4)]
+                  for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE)}
         problems = []
         for i in range(60):
             klass = (NEGATIVE_SIDE, NONNEGATIVE_SIDE)[i // 4 % 2]
             c = rng.uniform(-1, 1, int(rng.integers(1, 30))) + 0j
             problems.append((c, OrliczFunction("pow", 1 + i % 3),
-                             WeightSequence("pow", klass, float(i % 4)),
-                             WeightSequence("log", klass)))
+                             shared[klass][i % 4], WeightSequence("log", klass)))
         luxemburg_norms(problems)
-        distinct = {nu for _, _, phi, w in problems for nu in (phi, w)}
-        assert len(calls) == len(distinct) == 10
+        objects = {id(nu) for _, _, phi, w in problems for nu in (phi, w)}
+        assert len(objects) == 8 + 60
+        assert sorted(map(id, calls)) == sorted(objects)
 
     def test_weight_overflowing_only_past_a_short_row(self):
         # (n + 1)^500 is finite up to n = 3 and overflows from n = 4 on.
