@@ -4,7 +4,8 @@ non-vanishing symbols with zero winding number."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class WindingDiagnostics:
     turns: float  # total argument change / 2 pi
     kappa: int
     defect: float  # |turns - kappa|
+    # argument increments along the grid path, shared with the logarithm
+    steps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -84,7 +87,9 @@ def _arg_steps(values: np.ndarray) -> np.ndarray:
 def winding_number(values: np.ndarray) -> WindingDiagnostics:
     """Unwrap the argument of the symbol's values on a uniform grid and
     count full turns.  The symbol counts as vanishing where its modulus is
-    0 or below VANISH_TOL times its largest modulus on the grid."""
+    0 or below VANISH_TOL times its largest modulus on the grid; a symbol
+    that does not vanish but has a subnormal modulus on the grid is
+    refused, since its values have lost precision."""
     if len(values) < 8:
         raise SpecError("winding computation needs a grid of at least 8 points")
     mags = np.abs(values)
@@ -93,6 +98,8 @@ def winding_number(values: np.ndarray) -> WindingDiagnostics:
         raise VanishingSymbolError(
             f"symbol modulus {min_mod:.3e} below {VANISH_TOL:.0e} of its maximum on the grid"
         )
+    if min_mod < np.finfo(float).tiny:
+        raise DomainError(f"symbol modulus {min_mod:.3e} is subnormal on the grid")
     steps = _arg_steps(values)
     worst = float(np.max(np.abs(steps)))
     if worst >= STEP_TOL:
@@ -101,7 +108,7 @@ def winding_number(values: np.ndarray) -> WindingDiagnostics:
         )
     turns = float(np.sum(steps) / (2 * np.pi))
     kappa = int(round(turns))
-    return WindingDiagnostics(min_mod, turns, kappa, abs(turns - kappa))
+    return WindingDiagnostics(min_mod, turns, kappa, abs(turns - kappa), steps)
 
 
 def log_symbol(values: np.ndarray) -> np.ndarray:
@@ -110,28 +117,25 @@ def log_symbol(values: np.ndarray) -> np.ndarray:
     diag = winding_number(values)
     if diag.kappa != 0:
         raise NoLogarithmError(diag.kappa)
-    return _continuous_log(values)
+    logs, scale = _continuous_log(values, diag.steps)
+    return logs + scale * math.log(2)
 
 
-def _continuous_log(values: np.ndarray) -> np.ndarray:
-    """log_symbol without the winding check, for callers that made it."""
-    steps = _arg_steps(values)
+def _continuous_log(values: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, int]:
+    """ln(|v| / 2**e) + i * the argument unwrapped from its increments
+    ``steps``, and e, the binary exponent of max|v|.  Dividing by 2**e is
+    exact and gives ln the rounding of a symbol of size 1 at any scale."""
+    mags = np.abs(values)
+    scale = int(np.frexp(np.max(mags))[1])
     arg0 = float(np.angle(values[0]))  # principal branch at theta = 0
     args = arg0 + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    return np.log(np.abs(values)) + 1j * args
+    return np.log(np.ldexp(mags, -scale)) + 1j * args, scale
 
 
 def _keep(lp: LaurentPolynomial, side: int, start: int) -> LaurentPolynomial:
     """lp with f_k set to 0 wherever side * k < start."""
     k = np.arange(-lp.n_max, lp.n_max + 1)
     return LaurentPolynomial(np.where(side * k >= start, lp.coeffs, 0), lp.n_max)
-
-
-def _one_sided_eval(lp: LaurentPolynomial, n_grid: int, side: int) -> np.ndarray:
-    """Values on the n_grid-point grid of only the strictly positive
-    (side=+1) or strictly negative (side=-1) index part of lp: the other
-    half of the coefficients and k = 0 are masked out."""
-    return sample(_keep(lp, side, 1), n_grid)
 
 
 def _resolve_winding(b: LaurentPolynomial, n_grid: int):
@@ -153,15 +157,29 @@ def _resolve_winding(b: LaurentPolynomial, n_grid: int):
 def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
               tol: float = DEFAULT_RESIDUAL_TOL) -> FactorizationResult:
     """Sample, take the continuous logarithm, split its coefficients into
-    analytic and anti-analytic parts, evaluate each part once on the grid,
-    and exponentiate it pointwise: exp(+part) gives the factor and, once
-    the residual gate has passed, exp(-part) its inverse.  Each keeps only
-    its own side of its truncated DFT: k >= 0 for plus, k <= 0 for minus.
+    the parts p_+ (k >= 1) and p_- (k <= -1), evaluate each once on the
+    grid and exponentiate it pointwise; G is exp of the k = 0 coefficient.
+    One truncated DFT of exp(p_+) + exp(p_-) gives both factors (plus keeps
+    k >= 0, minus k <= 0) and, once the residual gate has passed, one DFT
+    of 1/exp(p_+) + 1/exp(p_-) both inverses.  That makes 4 grid samples
+    and 3 DFTs when the grid needs no doubling.
 
-    Raises IndexObstructionError when the winding number is nonzero and
-    TruncationError when the reconstruction residual exceeds tol times
-    max|b| on the grid; tol must be positive and finite.  The residual
-    reported stays absolute.
+    Sharing a DFT is safe: at bins 1 <= |k| <= truncation it adds the other
+    factor's coefficients at |k| >= N - truncation >= 3N/4, while each
+    factor's own DFT already carries its alias at |k| >= N + 1, and the
+    residual is computed from the final plus and minus, so the gate
+    certifies them.  The k = 0 coefficient of all four factors is set to 1,
+    its exact value since p_+ and p_- have no constant term, which also
+    keeps the two k = 0 contributions to a shared DFT apart.  The log is
+    taken of b over the binary scale of max|b| on the grid, which goes back
+    into G exactly: factorize(2**k b) gives the same factors, and G and the
+    residual exactly 2**k times.
+
+    Raises IndexObstructionError when the winding number is nonzero,
+    DomainError when the symbol is not finite or has a subnormal modulus on
+    the grid, and TruncationError when the reconstruction residual exceeds
+    tol times max|b| on the grid; tol must be positive and finite.  The
+    residual reported stays absolute.
     """
     if not 0 < tol < np.inf:
         raise SpecError(f"residual tolerance must be positive and finite, got {tol}")
@@ -174,31 +192,35 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     s, diag = _resolve_winding(b, n_grid)
     if diag.kappa != 0:
         raise IndexObstructionError(diag.kappa)
-    logs = _continuous_log(s)
+    logs, scale = _continuous_log(s, diag.steps)
     lc = fourier_coefficients(logs, truncation)
-    scalar = cmath.exp(lc.coeff(0))
+    g = cmath.exp(lc.coeff(0))
+    scalar = complex(math.ldexp(g.real, scale), math.ldexp(g.imag, scale))
+    lc.coeffs[lc.n_max] += scale * math.log(2)  # the log of b itself
     n = s.size
-    parts = [(_one_sided_eval(lc, n, side), side) for side in (+1, -1)]
-    plus, minus = (_keep(fourier_coefficients(np.exp(p), truncation), side, 0)
-                   for p, side in parts)
-    recon = scalar * sample(plus, n) * sample(minus, n)
-    residual = float(np.max(np.abs(s - recon)))
+    exp_plus, exp_minus = (np.exp(sample(_keep(lc, side, 1), n)) for side in (+1, -1))
+    factors = fourier_coefficients(exp_plus + exp_minus, truncation)
+    m = factors.n_max
+    factors.coeffs[m] = 1
+    # plus * minus from its two halves: k = -m..0 times k = 0..m
+    product = LaurentPolynomial(np.convolve(factors.coeffs[:m + 1], factors.coeffs[m:]), m)
+    residual = float(np.max(np.abs(s - scalar * sample(product, n))))
     gate = tol * float(np.max(np.abs(s)))
     if residual > gate:
         raise TruncationError(residual, gate)
-    plus_inverse, minus_inverse = (
-        _keep(fourier_coefficients(np.exp(-p), truncation), side, 0) for p, side in parts)
+    inverses = fourier_coefficients(1 / exp_plus + 1 / exp_minus, truncation)
+    inverses.coeffs[inverses.n_max] = 1
     return FactorizationResult(
         kappa=0,
         scalar=scalar,
-        minus=minus,
-        plus=plus,
+        minus=_keep(factors, -1, 0),
+        plus=_keep(factors, +1, 0),
         residual=residual,
         truncation=truncation,
         grid_size=n,
         log_coeffs=lc,
-        plus_inverse=plus_inverse,
-        minus_inverse=minus_inverse,
+        plus_inverse=_keep(inverses, +1, 0),
+        minus_inverse=_keep(inverses, -1, 0),
     )
 
 

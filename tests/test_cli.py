@@ -208,6 +208,36 @@ class TestFactorize:
         assert doc["scalar"]["re"] == pytest.approx(2 * scale, rel=1e-10)
         assert doc["residual"] <= 1e-10 * 3 * scale
 
+    @pytest.mark.parametrize("coeffs", [
+        [{"k": 0, "re": 1e-310, "im": 0.0}],
+        [{"k": 0, "re": 2e-309, "im": 0.0}, {"k": 1, "re": 1e-309, "im": 0.0}],
+    ])
+    def test_subnormal_symbol_refused(self, capsys, coeffs):
+        """A symbol that does not vanish but is subnormal on the grid: one
+        refusal line and no numpy warning, not an internal error or a wrong
+        winding number."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--cmd", "factorize", "--input",
+                                 json.dumps({"coeffs": coeffs}))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "subnormal" in err
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scale_keeps_the_rounding_of_scale_one(self, capsys, scale):
+        """The log of |b| is taken at the binary scale of max|b|: the
+        minus factor of scale * (2 + t) is 1, and its negative-side norm
+        is rounding of a symbol of size 1, not of ln(scale)."""
+        b = json.dumps({"coeffs": [{"k": 0, "re": 2 * scale, "im": 0.0},
+                                   {"k": 1, "re": scale, "im": 0.0}]})
+        code, out, _ = run(capsys, "--cmd", "factorize", "--input", b)
+        assert code == 0
+        doc = json.loads(out)
+        for name in ("minus", "minus_inverse"):
+            assert doc["membership"][name]["negative"] <= 1e-14
+
     def test_grid_above_cap_refused_before_sampling(self, capsys, monkeypatch):
         from orlicz_wiener import factorization
 

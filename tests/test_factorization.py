@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orlicz_wiener.errors import (
+    DomainError,
     IndexObstructionError,
     NoLogarithmError,
     SpecError,
@@ -19,7 +20,7 @@ from orlicz_wiener.factorization import (
     membership,
     winding_number,
 )
-from orlicz_wiener.fourier import LaurentPolynomial, sample
+from orlicz_wiener.fourier import LaurentPolynomial, fourier_coefficients, sample
 
 SPACE = AlgebraSpace.from_spec("pow:p=1;pow:p=1;const:1;const:1;const:1;const:1")
 
@@ -67,6 +68,15 @@ class TestWindingNumber:
         with pytest.raises(VanishingSymbolError):
             winding_number(sample(LaurentPolynomial.zero(), 16))
 
+    def test_subnormal_modulus_refused(self):
+        # a symbol that does not vanish but is subnormal on the grid has
+        # lost precision: refused, with no numpy warning
+        for b in ({0: 1e-310}, {0: 2e-309, 1: 1e-309}):
+            with pytest.raises(DomainError, match="subnormal"):
+                winding_number(sample(LaurentPolynomial.from_dict(b), 16))
+        with pytest.raises(VanishingSymbolError):
+            winding_number(sample(LaurentPolynomial.from_dict({0: 1e-310, 1: 1e-310}), 16))
+
     def test_under_resolved(self):
         with pytest.raises(UnderResolvedError):
             winding_number(sample(LaurentPolynomial.from_dict({4: 1}), 8))
@@ -110,22 +120,66 @@ class TestFactorize:
         factorize(LaurentPolynomial.from_dict({0: 2, 1: 1, -2: 0.5j}))
         assert calls == [256]
 
-    def test_sample_calls_per_factorize_and_membership(self, monkeypatch):
-        # one grid sample of b, one per one-sided log part, one per factor
-        # in the residual; the inverse factors reuse the one-sided log
-        # parts, and membership only solves
-        calls = []
+    def test_argument_increments_computed_once(self, monkeypatch):
+        # winding_number's increments are reused by the continuous log
+        calls, arg_steps = [], factorization._arg_steps
 
-        def counting(lp, n_grid):
-            calls.append(n_grid)
+        def counting(values):
+            calls.append(values.size)
+            return arg_steps(values)
+
+        monkeypatch.setattr(factorization, "_arg_steps", counting)
+        factorize(LaurentPolynomial.from_dict({0: 2, 1: 1, -2: 0.5j}))
+        assert calls == [256]
+
+    def test_sample_calls_per_factorize_and_membership(self, monkeypatch):
+        # samples: b, the two one-sided log parts, plus * minus for the
+        # residual; DFTs: the log, both factors, both inverses; membership
+        # only solves
+        samples, dfts = [], []
+
+        def counting_sample(lp, n_grid):
+            samples.append(n_grid)
             return sample(lp, n_grid)
 
-        monkeypatch.setattr(factorization, "sample", counting)
+        def counting_dft(values, band):
+            dfts.append(values.size)
+            return fourier_coefficients(values, band)
+
+        monkeypatch.setattr(factorization, "sample", counting_sample)
+        monkeypatch.setattr(factorization, "fourier_coefficients", counting_dft)
         res = factorize(LaurentPolynomial.from_dict({0: 2, 1: 1, -2: 0.5j}))
-        assert calls == [256] * 5
-        calls.clear()
+        assert samples == [256] * 4
+        assert dfts == [256] * 3
+        samples.clear()
+        dfts.clear()
         membership(res, SPACE)
-        assert calls == []
+        assert samples == [] and dfts == []
+
+    def test_unit_constants_are_exact(self):
+        for b in ({0: 2, 1: 1}, {-2: 0.5j, 0: 2, 1: 1}, {0: 3.5}, {-1: 0.3, 0: -1.5j}):
+            res = factorize(LaurentPolynomial.from_dict(b))
+            for name in ("plus", "minus", "plus_inverse", "minus_inverse"):
+                assert getattr(res, name).coeff(0) == 1.0, (b, name)
+
+    def test_closed_form_factors_at_the_smallest_grid(self):
+        # b = G (1 - a t)(1 - c / t) at N = 4T: b+ = 1 - a t, b- = 1 - c / t,
+        # and the inverses are the geometric series sum a^k t^k and
+        # sum c^k t^-k; |a|, |c| < 0.37 put the log's tail beyond T and the
+        # other factor's alias at |k| >= 3T below 1e-15
+        g, a, c = -0.8 + 1.1j, 0.3 + 0.2j, -0.1 - 0.25j
+        t = 32
+        b = LaurentPolynomial.from_dict({-1: -g * c, 0: g * (1 + a * c), 1: -g * a})
+        res = factorize(b, 4 * t, t)
+        assert abs(res.scalar - g) <= 1e-13
+        k = np.arange(t + 1)
+        for f, want, side in ((res.plus, {0: 1, 1: -a}, +1),
+                              (res.minus, {0: 1, -1: -c}, -1),
+                              (res.plus_inverse, dict(zip(k, a ** k)), +1),
+                              (res.minus_inverse, dict(zip(-k, c ** k)), -1)):
+            got = np.array([f.coeff(side * j) for j in k])
+            exact = np.array([want.get(side * j, 0) for j in k])
+            assert np.max(np.abs(got - exact)) <= 1e-13
 
     def test_two_plus_t(self):
         b = LaurentPolynomial.from_dict({0: 2, 1: 1})
@@ -238,14 +292,13 @@ class TestOneSidedEval:
             dense = np.zeros(n_grid, dtype=complex)
             for k in range(1, n_max + 1):
                 dense += lp.coeff(side * k) * np.exp(1j * side * k * th)
-            got = factorization._one_sided_eval(lp, n_grid, side)
+            got = sample(factorization._keep(lp, side, 1), n_grid)
             assert np.max(np.abs(got - dense)) <= 1e-12 * max(lp.wiener_norm(), 1)
             assert np.array_equal(lp.coeffs, before)  # not masked in place
 
 
 def _exp_poly(q, n_grid, band):
     """Symbol exp(q) as a truncated series, via pointwise exponentiation."""
-    from orlicz_wiener.fourier import fourier_coefficients
     s = sample(q, n_grid)
     return fourier_coefficients(np.exp(s), band)
 

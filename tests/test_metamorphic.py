@@ -2,7 +2,9 @@
 program, so that they need no oracle (Chen, Cheung & Yiu, HKUST-CS98-01,
 1998; Segura et al., IEEE TSE 42(9), 2016).
 
-- factorize(s b) gives s G and the same b_+ and b_- for s = 10^k e^{i theta};
+- factorize(s b) gives s G and the same b_+ and b_- for s = 10^k e^{i theta},
+  and for s = 2^k the very same bits, with G and the residual exactly 2^k
+  times theirs;
 - wnf_norm(s f) = |s| wnf_norm(f);
 - the norms do not change when coefficients are conjugated or each one's
   phase is rotated;
@@ -13,7 +15,10 @@ Norms are compared at the inequality suites' relative slack INEQ_SLACK, the
 factors' coefficients at the factorization tests' 1e-10.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orlicz_wiener.algebra import INEQ_SLACK, random_element, wnf_norm
@@ -71,6 +76,22 @@ def test_scaled_symbol_scales_only_the_scalar(seed, s):
         got, want = getattr(scaled, name), getattr(res, name)
         assert got.n_max == want.n_max
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= FACTOR_TOL, name
+
+
+@pytest.mark.parametrize("k", [-900, -40, 40, 900])
+def test_power_of_two_scale_is_exact(k):
+    # the log is taken of b over the binary scale of max|b|, so a power of
+    # two moves into G without a rounding anywhere
+    b = LaurentPolynomial.from_dict({-2: 0.2 - 0.1j, -1: 0.3j, 0: 1.7 + 0.4j, 1: -0.5, 3: 0.1})
+    res = factorize(b)
+    scaled = factorize(LaurentPolynomial(np.ldexp(b.coeffs.real, k)
+                                         + 1j * np.ldexp(b.coeffs.imag, k), b.n_max))
+    for name in ("plus", "minus", "plus_inverse", "minus_inverse"):
+        got, want = getattr(scaled, name), getattr(res, name)
+        assert got.n_max == want.n_max and np.array_equal(got.coeffs, want.coeffs), name
+    assert scaled.scalar == complex(math.ldexp(res.scalar.real, k),
+                                    math.ldexp(res.scalar.imag, k))
+    assert scaled.residual == math.ldexp(res.residual, k)
 
 
 @_settings
