@@ -5,7 +5,6 @@ from .errors import (
     DomainError,
     IndexObstructionError,
     InvalidWeightError,
-    NoLogarithmError,
     OrliczWienerError,
     SpecError,
     TruncationError,
@@ -47,8 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OrliczWienerError", "DomainError", "SpecError", "InvalidWeightError",
-    "VanishingSymbolError", "UnderResolvedError", "NoLogarithmError",
-    "IndexObstructionError", "TruncationError",
+    "VanishingSymbolError", "UnderResolvedError", "IndexObstructionError",
+    "TruncationError",
     "NEGATIVE_SIDE", "NONNEGATIVE_SIDE",
     "OrliczFunction", "WeightSequence", "modular", "luxemburg_norm",
     "luxemburg_norms", "validate_weight",

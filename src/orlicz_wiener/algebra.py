@@ -139,10 +139,9 @@ def _one_sided_problems(f: LaurentPolynomial, sp: AlgebraSpace) -> list:
             (nonneg, sp.pos_orlicz, sp.pos_scale, sp.pos_sum)]
 
 
-def _norm_report(f: LaurentPolynomial, negative: float, nonnegative: float) -> NormReport:
-    with np.errstate(over="ignore"):
-        report = NormReport(f.wiener_norm(), negative, nonnegative)
-    if not math.isfinite(report.total):
+def _finite(report: NormReport) -> NormReport:
+    """The report, refused with DomainError where a total is not finite."""
+    if not np.isfinite(report.total).all():
         raise DomainError("the combined norm is not finite in double precision")
     return report
 
@@ -151,7 +150,9 @@ def wnf_norm(f: LaurentPolynomial, sp: AlgebraSpace,
              tol: float = DEFAULT_NORM_TOL) -> NormReport:
     """Absolute-sum norm plus the two one-sided Luxemburg norms."""
     neg, nonneg = _one_sided_problems(f, sp)
-    return _norm_report(f, luxemburg_norm(*neg, tol), luxemburg_norm(*nonneg, tol))
+    negative, nonnegative = luxemburg_norm(*neg, tol), luxemburg_norm(*nonneg, tol)
+    with np.errstate(over="ignore"):
+        return _finite(NormReport(f.wiener_norm(), negative, nonnegative))
 
 
 def wnf_norm_arrays(pairs) -> NormReport:
@@ -166,12 +167,8 @@ def wnf_norm_arrays(pairs) -> NormReport:
     sizes = np.array([f.coeffs.size + 1 for f, _ in pairs], dtype=int)
     mags = _end_to_end(np.abs(f.coeffs) for f, _ in pairs) if pairs else np.zeros(0)
     with np.errstate(over="ignore"):
-        report = NormReport(np.add.reduceat(mags, np.cumsum(sizes) - sizes),
-                            lams[0::2], lams[1::2])
-        finite = np.isfinite(report.total).all()
-    if not finite:
-        raise DomainError("the combined norm is not finite in double precision")
-    return report
+        return _finite(NormReport(np.add.reduceat(mags, np.cumsum(sizes) - sizes),
+                                  lams[0::2], lams[1::2]))
 
 
 def _norm_checks(lhs, rhs, c) -> Checks:
@@ -301,16 +298,16 @@ def horbach_norm(f: LaurentPolynomial, p: float, r: float,
     return float(neg_term + pos_term)
 
 
-def random_element(support: int, seed, scale: float = 1.0) -> LaurentPolynomial:
+def random_element(support: int, seed) -> LaurentPolynomial:
     """Deterministic pseudo-random coefficients: real and imaginary parts
-    uniform in [-scale, scale] for every index in [-support, support].
+    uniform in [-1, 1] for every index in [-support, support].
     ``seed`` may also be a ``numpy.random.Generator``, which is drawn from."""
     if support < 0:
         raise DomainError("support must be nonnegative")
     rng = np.random.default_rng(seed)
     n = 2 * support + 1
-    re = rng.uniform(-scale, scale, n)
-    im = rng.uniform(-scale, scale, n)
+    re = rng.uniform(-1, 1, n)
+    im = rng.uniform(-1, 1, n)
     return LaurentPolynomial(re + 1j * im, support)
 
 

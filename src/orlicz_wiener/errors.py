@@ -26,19 +26,13 @@ class UnderResolvedError(OrliczWienerError):
     """The grid is too coarse to track the argument of the symbol."""
 
 
-class NoLogarithmError(OrliczWienerError):
-    """The symbol has nonzero winding number, so no continuous logarithm."""
-
-    def __init__(self, kappa: int):
-        super().__init__(f"symbol has winding number {kappa}, no continuous logarithm")
-        self.kappa = kappa
-
-
 class IndexObstructionError(OrliczWienerError):
-    """Factorization rejected because the winding number is nonzero."""
+    """The symbol has a nonzero winding number, so it has no continuous
+    logarithm and no Wiener-Hopf factorization."""
 
     def __init__(self, kappa: int):
-        super().__init__(f"factorization obstructed: winding number {kappa} != 0")
+        super().__init__(
+            f"winding number {kappa} != 0: no continuous logarithm, so no factorization")
         self.kappa = kappa
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from .errors import (
     DomainError,
     IndexObstructionError,
-    NoLogarithmError,
     SpecError,
     TruncationError,
     UnderResolvedError,
@@ -78,10 +77,14 @@ class FactorizationResult:
         }
 
 
-def _arg_steps(values: np.ndarray) -> np.ndarray:
-    """Principal argument increments along the closed grid path."""
-    rolled = np.roll(values, -1)
-    return np.angle(rolled / values)
+def _arg_steps(values: np.ndarray, top: float) -> np.ndarray:
+    """Principal argument increments along the closed grid path, taken of
+    the values over the power of two of ``top``, their largest modulus.
+    That division is exact, and below about 4.5e307 it leaves every
+    increment's bits as they are; above, it keeps numpy's complex
+    division, which forms 1/|v|, clear of subnormal intermediates."""
+    v = values * math.ldexp(1.0, -int(np.frexp(top)[1]))
+    return np.angle(np.roll(v, -1) / v)
 
 
 def winding_number(values: np.ndarray) -> WindingDiagnostics:
@@ -93,14 +96,14 @@ def winding_number(values: np.ndarray) -> WindingDiagnostics:
     if len(values) < 8:
         raise SpecError("winding computation needs a grid of at least 8 points")
     mags = np.abs(values)
-    min_mod = float(np.min(mags))
-    if min_mod == 0 or min_mod < VANISH_TOL * np.max(mags):
+    min_mod, top = float(np.min(mags)), float(np.max(mags))
+    if min_mod == 0 or min_mod < VANISH_TOL * top:
         raise VanishingSymbolError(
             f"symbol modulus {min_mod:.3e} below {VANISH_TOL:.0e} of its maximum on the grid"
         )
     if min_mod < np.finfo(float).tiny:
         raise DomainError(f"symbol modulus {min_mod:.3e} is subnormal on the grid")
-    steps = _arg_steps(values)
+    steps = _arg_steps(values, top)
     worst = float(np.max(np.abs(steps)))
     if worst >= STEP_TOL:
         raise UnderResolvedError(
@@ -114,21 +117,22 @@ def winding_number(values: np.ndarray) -> WindingDiagnostics:
 def log_symbol(values: np.ndarray) -> np.ndarray:
     """Continuous logarithm of the values on the grid: ln|v| + i * unwrapped
     argument, with the argument at theta = 0 in (-pi, pi]."""
-    diag = winding_number(values)
-    if diag.kappa != 0:
-        raise NoLogarithmError(diag.kappa)
-    logs, scale = _continuous_log(values, diag.steps)
+    logs, scale = _continuous_log(values, winding_number(values))
     return logs + scale * math.log(2)
 
 
-def _continuous_log(values: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, int]:
-    """ln(|v| / 2**e) + i * the argument unwrapped from its increments
-    ``steps``, and e, the binary exponent of max|v|.  Dividing by 2**e is
-    exact and gives ln the rounding of a symbol of size 1 at any scale."""
+def _continuous_log(values: np.ndarray,
+                    diag: WindingDiagnostics) -> tuple[np.ndarray, int]:
+    """ln(|v| / 2**e) + i * the argument unwrapped from the increments in
+    ``diag``, and e, the binary exponent of max|v|.  Dividing by 2**e is
+    exact and gives ln the rounding of a symbol of size 1 at any scale.
+    Raises IndexObstructionError when the winding number is nonzero."""
+    if diag.kappa != 0:
+        raise IndexObstructionError(diag.kappa)
     mags = np.abs(values)
     scale = int(np.frexp(np.max(mags))[1])
     arg0 = float(np.angle(values[0]))  # principal branch at theta = 0
-    args = arg0 + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+    args = arg0 + np.concatenate(([0.0], np.cumsum(diag.steps[:-1])))
     return np.log(np.ldexp(mags, -scale)) + 1j * args, scale
 
 
@@ -190,9 +194,7 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     if n_grid > MAX_GRID:
         raise SpecError(f"grid size {n_grid} exceeds the largest grid {MAX_GRID}")
     s, diag = _resolve_winding(b, n_grid)
-    if diag.kappa != 0:
-        raise IndexObstructionError(diag.kappa)
-    logs, scale = _continuous_log(s, diag.steps)
+    logs, scale = _continuous_log(s, diag)
     lc = fourier_coefficients(logs, truncation)
     g = cmath.exp(lc.coeff(0))
     scalar = complex(math.ldexp(g.real, scale), math.ldexp(g.imag, scale))

@@ -91,10 +91,6 @@ def parse_fingerprint(fp: str):
     return family, seed, trial, support
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
-
-
 def _check_trials(families, seed: int, trial: int, support: int):
     unknown = [fam for fam in families if fam not in FAMILIES]
     if unknown:
@@ -108,7 +104,7 @@ def _check_trials(families, seed: int, trial: int, support: int):
 
 def _draw_trial(seed: int, trial: int, support: int):
     """The draw (space, f, g) of one trial; pure in (seed, trial, support)."""
-    rng = _trial_rng(seed, trial)
+    rng = np.random.default_rng([seed, trial])
     sp = draw_space(rng)
     sup_f = int(rng.integers(0, support + 1))
     sup_g = int(rng.integers(0, support + 1))

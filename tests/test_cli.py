@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, serialization."""
 
+import cmath
 import contextlib
 import csv
 import io
@@ -237,6 +238,22 @@ class TestFactorize:
         doc = json.loads(out)
         for name in ("minus", "minus_inverse"):
             assert doc["membership"][name]["negative"] <= 1e-14
+
+    def test_doubled_grid_passes_or_fails_the_residual_gate(self, capsys):
+        """1 + c/t with |c| = 0.998 doubles the grid from 16 to 2048, and
+        its residual of 8.2e-6 passes --tol 1e-3 and fails --tol 1e-8."""
+        c = 0.998 * cmath.exp(3.85j)
+        b = json.dumps({"coeffs": [{"k": -1, "re": c.real, "im": c.imag},
+                                   {"k": 0, "re": 1.0, "im": 0.0}]})
+        argv = ("--cmd", "factorize", "--input", b, "--grid", "16", "--trunc", "4")
+        code, out, _ = run(capsys, *argv, "--tol", "1e-3")
+        assert code == 0
+        assert json.loads(out)["grid_size"] == 2048
+        code, out, _ = run(capsys, *argv, "--tol", "1e-8")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["error"] == "truncation-insufficient"
+        assert doc["residual"] == pytest.approx(8.2e-6, rel=0.01)
 
     def test_grid_above_cap_refused_before_sampling(self, capsys, monkeypatch):
         from orlicz_wiener import factorization

@@ -1,14 +1,16 @@
 """Tests for winding numbers, the continuous logarithm, and the
 factorization pipeline."""
 
+import cmath
+
 import numpy as np
 import pytest
 
 from orlicz_wiener.errors import (
     DomainError,
     IndexObstructionError,
-    NoLogarithmError,
     SpecError,
+    TruncationError,
     UnderResolvedError,
     VanishingSymbolError,
 )
@@ -103,7 +105,7 @@ class TestLogSymbol:
         assert np.allclose(out, oracle.evaluate(2 * np.pi * np.arange(64) / 64), atol=1e-13)
 
     def test_nonzero_winding_rejected(self):
-        with pytest.raises(NoLogarithmError) as exc:
+        with pytest.raises(IndexObstructionError) as exc:
             log_symbol(sample(LaurentPolynomial.from_dict({1: 1}), 16))
         assert exc.value.kappa == 1
 
@@ -124,9 +126,9 @@ class TestFactorize:
         # winding_number's increments are reused by the continuous log
         calls, arg_steps = [], factorization._arg_steps
 
-        def counting(values):
+        def counting(values, top):
             calls.append(values.size)
-            return arg_steps(values)
+            return arg_steps(values, top)
 
         monkeypatch.setattr(factorization, "_arg_steps", counting)
         factorize(LaurentPolynomial.from_dict({0: 2, 1: 1, -2: 0.5j}))
@@ -180,6 +182,24 @@ class TestFactorize:
             got = np.array([f.coeff(side * j) for j in k])
             exact = np.array([want.get(side * j, 0) for j in k])
             assert np.max(np.abs(got - exact)) <= 1e-13
+
+    def test_grid_doubles_until_the_argument_is_resolved(self):
+        # 1 + c/t with |c| = 0.998 comes within 0.002 of 0, where its
+        # argument turns by nearly pi: 16 points under-resolve it and the
+        # grid doubles to 2048.  The log's alias at |k| >= 2048 leaves a
+        # residual of 8.2e-6, inside a relative tol of 1e-3 but not 1e-8.
+        c = 0.998 * cmath.exp(3.85j)
+        b = LaurentPolynomial.from_dict({-1: c, 0: 1})
+        res = factorize(b, 16, 4, 1e-3)
+        assert res.grid_size == 2048
+        assert res.residual == pytest.approx(8.2e-6, rel=0.01)
+        for f, want, side in ((res.minus, {0: 1, -1: c}, -1), (res.plus, {0: 1}, +1)):
+            got = np.array([f.coeff(side * j) for j in range(5)])
+            exact = np.array([want.get(side * j, 0) for j in range(5)])
+            assert np.max(np.abs(got - exact)) <= 1e-5
+        with pytest.raises(TruncationError) as exc:
+            factorize(b, 16, 4, 1e-8)
+        assert exc.value.residual == res.residual
 
     def test_two_plus_t(self):
         b = LaurentPolynomial.from_dict({0: 2, 1: 1})

@@ -78,11 +78,19 @@ def test_scaled_symbol_scales_only_the_scalar(seed, s):
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= FACTOR_TOL, name
 
 
-@pytest.mark.parametrize("k", [-900, -40, 40, 900])
-def test_power_of_two_scale_is_exact(k):
-    # the log is taken of b over the binary scale of max|b|, so a power of
-    # two moves into G without a rounding anywhere
-    b = LaurentPolynomial.from_dict({-2: 0.2 - 0.1j, -1: 0.3j, 0: 1.7 + 0.4j, 1: -0.5, 3: 0.1})
+_MIXED = LaurentPolynomial.from_dict({-2: 0.2 - 0.1j, -1: 0.3j, 0: 1.7 + 0.4j, 1: -0.5, 3: 0.1})
+# max|b| = 1.37: at 2^1022 and 2^1023 it lies above 4.5e307, where numpy's
+# complex division forms subnormal intermediates unless the values are
+# first brought to size 1
+_NEAR_TOP = LaurentPolynomial.from_dict({-1: 0.2j, 0: 1, 1: 0.3 + 0.1j})
+
+
+@pytest.mark.parametrize("b, k", [pytest.param(_MIXED, k, id=str(k)) for k in (-900, -40, 40, 900)]
+                         + [pytest.param(_NEAR_TOP, k, id=f"near-top-{k}") for k in (1022, 1023)])
+def test_power_of_two_scale_is_exact(b, k):
+    # the log and the argument increments are taken of b over the binary
+    # scale of max|b|, so a power of two moves into G without a rounding
+    # anywhere
     res = factorize(b)
     scaled = factorize(LaurentPolynomial(np.ldexp(b.coeffs.real, k)
                                          + 1j * np.ldexp(b.coeffs.imag, k), b.n_max))

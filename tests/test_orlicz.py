@@ -469,9 +469,9 @@ def test_reduceat_from_a_leading_zero_is_the_row_sum():
 def _batches(draw):
     """A mixed batch of solves over every Orlicz family and weight family,
     on both index classes, with empty and all-zero sides and repeated
-    lengths, and one tolerance for the whole batch.  Weights come from a
-    small pool per class, so one weight serves rows of different lengths
-    and the rows take prefixes of one evaluation."""
+    lengths.  Weights come from a small pool per class, so one weight
+    serves rows of different lengths and the rows take prefixes of one
+    evaluation."""
     pool = {klass: draw(st.lists(_weights(klass), min_size=1, max_size=3))
             for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE)}
     problems = []
@@ -485,14 +485,13 @@ def _batches(draw):
         scale = 10.0 ** draw(st.floats(-6, 3))
         problems.append((np.array(mags) * scale, draw(_ORLICZ),
                          draw(st.sampled_from(pool[klass])), draw(st.sampled_from(pool[klass]))))
-    return problems, draw(st.sampled_from([1e-12, 1e-6, 1e-3]))
+    return problems
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_batches())
-def test_batched_solves_equal_the_serial_solves(batch):
-    problems, tol = batch
-    assert luxemburg_norms(problems, tol) == [luxemburg_norm(*p, tol) for p in problems]
+def test_batched_solves_equal_the_serial_solves(problems):
+    assert luxemburg_norms(problems) == [luxemburg_norm(*p) for p in problems]
 
 
 class TestBatchedEdgeCases:
@@ -576,3 +575,90 @@ class TestBatchedEdgeCases:
         assert str(batched.value) == str(serial.value)
         assert luxemburg_norms([short]) == [luxemburg_norm(*short)]
         assert luxemburg_norm(*short) > 0
+
+
+def _two_loop_bracket(ref: float):
+    """The bracketing of a Luxemburg solve as two mirrored loops, in the
+    protocol of ``orlicz._luxemburg_steps``: from ref it halves while the
+    modular is <= 1 or doubles while it is > 1, and returns the bracket
+    (lo, hi), or (0.0, 0.0) when the scale reaches 0."""
+    m = yield ref
+    if m <= 1:
+        hi = ref
+        while True:
+            lo = hi / 2
+            if lo == 0:
+                return 0.0, 0.0
+            if (yield lo) > 1:
+                return lo, hi
+            hi = lo
+    lo = ref
+    while True:
+        hi = lo * 2
+        if hi == math.inf:
+            raise DomainError("failed to bracket the Luxemburg norm")
+        if (yield hi) <= 1:
+            return lo, hi
+        lo = hi
+
+
+def _run_solve(solve, modular_at):
+    """Send a solve coroutine modular_at(lam) for each lam it yields: the
+    scales in order, and what it returns or the message it raises."""
+    lams = [next(solve)]
+    try:
+        while True:
+            lams.append(solve.send(modular_at(lams[-1])))
+    except StopIteration as done:
+        return lams, done.value
+    except DomainError as exc:
+        return lams, str(exc)
+
+
+class TestOneBracketingLoop:
+    """``_luxemburg_steps`` brackets with one loop that halves or doubles:
+    it yields the scales of the two-loop reference bit for bit, through the
+    public modular of pow:p=1 with constant weights, so the modular at lam
+    is sum |c| * w / lam and the bracketing starts at max |c|."""
+
+    FN = OrliczFunction("pow", 1)
+    TINY, HUGE = TestBatchedEdgeCases.TINY, TestBatchedEdgeCases.HUGE
+
+    def _both(self, c, w):
+        ref = float(np.max(np.abs(c)))
+        at = lambda lam: modular(c, self.FN, CONST1, w, lam)
+        return (_run_solve(_two_loop_bracket(ref), at),
+                _run_solve(orlicz._luxemburg_steps(ref, 1e-12), at))
+
+    @pytest.mark.parametrize("c, w, least", [
+        (np.array([1.0, -0.5j]), TINY, 990),  # about a thousand halvings
+        (np.array([1.0, -0.5j]), HUGE, 990),  # about a thousand doublings
+        (np.array([1.0]), WeightSequence("const", NEGATIVE_SIDE, 0.1), 5),
+        (np.array([0.5, 2.0]), CONST1, 2),
+        # the modular is exactly 1 at 0.25, and at 4: that end stays the
+        # upper end
+        (np.array([1.0]), WeightSequence("const", NEGATIVE_SIDE, 0.25), 4),
+        (np.array([1.0]), WeightSequence("const", NEGATIVE_SIDE, 4.0), 3),
+    ])
+    def test_same_scales_and_an_ordered_bracket(self, c, w, least):
+        (want, (lo, hi)), (got, (got_lo, got_hi)) = self._both(c, w)
+        assert len(want) >= least
+        assert got[:len(want)] == want
+        # regula falsi narrows the reference bracket, so it got (lo, hi) in
+        # that order
+        assert len(got) > len(want)
+        assert lo <= got_lo < got_hi <= hi
+        assert modular(c, self.FN, CONST1, w, got_hi) <= 1 < modular(c, self.FN, CONST1, w, got_lo)
+
+    def test_zero_exit(self):
+        # the modular stays <= 1 from 1e-300 down to the smallest double,
+        # 78 halvings on: norm 0
+        (want, outcome), (got, result) = self._both(np.array([1e-300]), self.TINY)
+        assert len(want) > 70
+        assert got == want and outcome == result == (0.0, 0.0)
+
+    def test_inf_refusal(self):
+        # the modular stays > 1 up to the largest double: no bracket
+        (want, outcome), (got, result) = self._both(np.array([1e300]), self.HUGE)
+        assert len(want) > 10
+        assert got == want and outcome == result == "failed to bracket the Luxemburg norm"
