@@ -4,7 +4,7 @@ constant, and brute-force checks of the inequalities behind it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -101,12 +101,7 @@ class NormReport:
         return self.wiener + self.negative + self.nonnegative
 
     def to_json(self) -> dict:
-        return {
-            "wiener": self.wiener,
-            "negative": self.negative,
-            "nonnegative": self.nonnegative,
-            "total": self.total,
-        }
+        return {**vars(self), "total": self.total}
 
 
 class Checks(NamedTuple):
@@ -245,15 +240,10 @@ class ShiftReport:
     ok: bool
     k_max: int
     max_ratio: float
-    violations: list = field(default_factory=list)
+    violations: list
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "k_max": self.k_max,
-            "max_ratio": self.max_ratio,
-            "violations": self.violations[:10],
-        }
+        return {**vars(self), "violations": self.violations[:10]}
 
 
 def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
@@ -283,21 +273,6 @@ def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
     return ShiftReport(not violations, k_max, max_ratio, violations)
 
 
-def horbach_norm(f: LaurentPolynomial, p: float, r: float,
-                 alpha: float, beta: float) -> float:
-    """The classical two-term weighted-power norm of the coefficient sides."""
-    if p < 1 or r < 1:
-        raise DomainError("exponents must be >= 1")
-    if alpha < 0 or beta < 0:
-        raise DomainError("weight exponents must be >= 0")
-    neg, nonneg = f.split()
-    kn = np.arange(1, len(neg) + 1)
-    kp = np.arange(0, len(nonneg))
-    neg_term = np.sum(np.abs(neg) ** p * (kn + 1.0) ** (alpha * p)) ** (1 / p)
-    pos_term = np.sum(np.abs(nonneg) ** r * (kp + 1.0) ** (beta * r)) ** (1 / r)
-    return float(neg_term + pos_term)
-
-
 def random_element(support: int, seed) -> LaurentPolynomial:
     """Deterministic pseudo-random coefficients: real and imaginary parts
     uniform in [-1, 1] for every index in [-support, support].
@@ -314,5 +289,5 @@ def random_element(support: int, seed) -> LaurentPolynomial:
 __all__ = [
     "AlgebraSpace", "NormReport", "ShiftReport", "Checks", "DEFAULT_SPACE_SPEC",
     "wnf_norm", "wnf_norm_arrays", "verify_theorem", "verify_one_sided",
-    "verify_coefficient_bound", "verify_weight_shift", "horbach_norm", "random_element",
+    "verify_coefficient_bound", "verify_weight_shift", "random_element",
 ]

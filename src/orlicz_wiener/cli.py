@@ -58,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "factorization for symbols with coefficients in "
                     "two-weighted Orlicz sequence spaces.",
     )
-    p.add_argument("--cmd", required=True,
-                   choices=["norm", "weights", "verify", "factorize", "selftest"])
+    p.add_argument("--cmd", required=True, choices=COMMANDS)
     p.add_argument("--input", default=None,
                    help="path to a coefficient JSON file, or inline JSON")
     p.add_argument("--space", default=DEFAULT_SPACE_SPEC,
@@ -220,21 +219,19 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+# The --cmd choices, each with its handler.
+COMMANDS = {"norm": _cmd_norm, "weights": _cmd_weights, "verify": _cmd_verify,
+            "factorize": _cmd_factorize, "selftest": _cmd_selftest}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "norm": _cmd_norm,
-        "weights": _cmd_weights,
-        "verify": _cmd_verify,
-        "factorize": _cmd_factorize,
-        "selftest": _cmd_selftest,
-    }
     try:
-        code = handlers[args.cmd](args)
+        code = COMMANDS[args.cmd](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -39,22 +39,14 @@ class WindingDiagnostics:
     # argument increments along the grid path, shared with the logarithm
     steps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def to_json(self) -> dict:
-        return {
-            "min_modulus": self.min_modulus,
-            "turns": self.turns,
-            "kappa": self.kappa,
-            "defect": self.defect,
-        }
-
 
 @dataclass
 class FactorizationResult:
-    """Winding index, scalar factor, truncated one-sided factors, the
-    pointwise reconstruction residual over the grid, the truncated
-    logarithm, and the truncated inverses of the factors."""
+    """Scalar factor, truncated one-sided factors, the pointwise
+    reconstruction residual over the grid, the truncated logarithm, and the
+    truncated inverses of the factors.  The winding index is 0, since
+    ``factorize`` refuses any other."""
 
-    kappa: int
     scalar: complex
     minus: LaurentPolynomial
     plus: LaurentPolynomial
@@ -67,7 +59,7 @@ class FactorizationResult:
 
     def to_json(self) -> dict:
         return {
-            "kappa": self.kappa,
+            "kappa": 0,
             "scalar": {"re": self.scalar.real, "im": self.scalar.imag},
             "minus": self.minus.to_json(),
             "plus": self.plus.to_json(),
@@ -213,7 +205,6 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     inverses = fourier_coefficients(1 / exp_plus + 1 / exp_minus, truncation)
     inverses.coeffs[inverses.n_max] = 1
     return FactorizationResult(
-        kappa=0,
         scalar=scalar,
         minus=_keep(factors, -1, 0),
         plus=_keep(factors, +1, 0),

@@ -12,7 +12,6 @@ import pytest
 
 from orlicz_wiener.algebra import (
     AlgebraSpace,
-    horbach_norm,
     random_element,
     verify_coefficient_bound,
     wnf_norm,
@@ -106,6 +105,42 @@ def test_criterion_5_luxemburg_power_oracle():
     ok = worst <= 1e-10
     report(5, "Luxemburg solver vs closed-form weighted l^p", ok,
            f"worst relative error {worst:.2e}")
+
+
+def horbach_norm(f: LaurentPolynomial, p: float, r: float,
+                 alpha: float, beta: float) -> float:
+    """The classical two-term weighted-power norm of the coefficient sides,
+    in closed form: the l^p norm of |f_{-k}| (k+1)^alpha over k >= 1 plus
+    the l^r norm of |f_k| (k+1)^beta over k >= 0."""
+    neg, nonneg = f.split()
+    kn = np.arange(1, len(neg) + 1)
+    kp = np.arange(0, len(nonneg))
+    neg_term = np.sum(np.abs(neg) ** p * (kn + 1.0) ** (alpha * p)) ** (1 / p)
+    pos_term = np.sum(np.abs(nonneg) ** r * (kp + 1.0) ** (beta * r)) ** (1 / r)
+    return float(neg_term + pos_term)
+
+
+class TestHorbachNorm:
+    def test_single_constant(self):
+        f = LaurentPolynomial.from_dict({0: 1})
+        assert horbach_norm(f, 2, 3, 1.0, 2.0) == pytest.approx(1.0)
+
+    def test_single_negative_mode(self):
+        f = LaurentPolynomial.from_dict({-1: 1})
+        assert horbach_norm(f, 2, 1, 1.0, 0.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("p,r,alpha,beta", [
+        (1.0, 2.0, 0.0, 1.0), (2.0, 2.0, 0.5, 0.5), (1.5, 3.0, 2.0, 0.0),
+    ])
+    def test_matches_luxemburg_route(self, p, r, alpha, beta):
+        sp = AlgebraSpace.from_spec(
+            f"pow:p={p};pow:p={r};pow:alpha={alpha};const:1;pow:alpha={beta};const:1")
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            f = random_element(int(rng.integers(0, 12)), int(rng.integers(0, 2**31)))
+            rep = wnf_norm(f, sp)
+            direct = horbach_norm(f, p, r, alpha, beta)
+            assert abs((rep.total - rep.wiener) - direct) <= 1e-10 * (1 + direct)
 
 
 def test_criterion_6_horbach_identity():

@@ -12,7 +12,6 @@ from orlicz_wiener.algebra import (
     DEFAULT_SPACE_SPEC,
     AlgebraSpace,
     ShiftReport,
-    horbach_norm,
     random_element,
     verify_coefficient_bound,
     verify_one_sided,
@@ -347,29 +346,6 @@ class TestVerifyWeightShift:
         for k in range(1, 51):
             for j in range(max(1, k - k // 2), 51):
                 assert nu(k) <= c * nu(j) * (1 + 1e-12)
-
-
-class TestHorbachNorm:
-    def test_single_constant(self):
-        f = LaurentPolynomial.from_dict({0: 1})
-        assert horbach_norm(f, 2, 3, 1.0, 2.0) == pytest.approx(1.0)
-
-    def test_single_negative_mode(self):
-        f = LaurentPolynomial.from_dict({-1: 1})
-        assert horbach_norm(f, 2, 1, 1.0, 0.0) == pytest.approx(2.0)
-
-    @pytest.mark.parametrize("p,r,alpha,beta", [
-        (1.0, 2.0, 0.0, 1.0), (2.0, 2.0, 0.5, 0.5), (1.5, 3.0, 2.0, 0.0),
-    ])
-    def test_matches_luxemburg_route(self, p, r, alpha, beta):
-        sp = AlgebraSpace.from_spec(
-            f"pow:p={p};pow:p={r};pow:alpha={alpha};const:1;pow:alpha={beta};const:1")
-        rng = np.random.default_rng(43)
-        for _ in range(20):
-            f = random_element(int(rng.integers(0, 12)), int(rng.integers(0, 2**31)))
-            rep = wnf_norm(f, sp)
-            direct = horbach_norm(f, p, r, alpha, beta)
-            assert abs((rep.total - rep.wiener) - direct) <= 1e-10 * (1 + direct)
 
 
 class TestRandomElement:

@@ -88,6 +88,43 @@ def test_csv_row_has_one_field_per_header_field(capsys, argv):
     assert any(json.loads(field) for field in row if field.startswith("["))
 
 
+_NORM_KEYS = ["wiener", "negative", "nonnegative", "total"]
+_SHIFT_WEIGHTS = [f"{klass}:{spec}" for klass in ("W-", "W+")
+                  for spec in ("pow:alpha=0", "pow:alpha=0.5", "pow:alpha=1", "pow:alpha=2",
+                               "log", "const:1")]
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (("--cmd", "norm", "--input", TWO_PLUS_T), _NORM_KEYS),
+    (("--cmd", "weights"),
+     [f"{side}.{key}" for side in ("negative_scale", "negative_sum",
+                                   "nonnegative_scale", "nonnegative_sum")
+      for key in ("ok", "positive", "nondecreasing", "doubling", "empirical_sup",
+                  "delta2_constant", "n_max")]),
+    (("--cmd", "verify", "--trials", "2", "--support", "2"),
+     [f"{family}.{key}" for family in ("theorem", "one_sided_negative",
+                                       "one_sided_nonnegative", "coefficient_bound")
+      for key in ("family", "trials", "checks", "ok", "max_ratio", "violations")]
+     + ["weight_shift.ok"]
+     + [f"weight_shift.families.{name}.{key}" for name in _SHIFT_WEIGHTS
+        for key in ("ok", "k_max", "max_ratio", "violations")]),
+    (("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "4", "--grid", "64"),
+     ["kappa", "scalar.re", "scalar.im", "minus.coeffs", "plus.coeffs", "residual",
+      "truncation", "grid_size"]
+     + [f"membership.{part}.{key}" for part in ("plus", "plus_inverse", "minus",
+                                                "minus_inverse") for key in _NORM_KEYS]),
+], ids=["norm", "weights", "verify", "factorize"])
+def test_csv_and_human_key_order(capsys, argv, keys):
+    # JSON output sorts its keys; the csv header and the human lines keep
+    # the order in which each report writes its fields.
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert next(csv.reader(io.StringIO(out))) == keys
+    code, out, _ = run(capsys, *argv, "--format", "human")
+    assert code == 0
+    assert [line.partition(": ")[0] for line in out.splitlines()] == keys
+
+
 class TestWeights:
     def test_default_space_ok(self, capsys):
         code, out, _ = run(capsys, "--cmd", "weights")
@@ -395,6 +432,11 @@ class TestRefusals:
         (["--cmd", "norm", "--input", '{"coeffs": [{"k": 0, "re": 1, "im": null}]}'], None),
         (["--cmd", "norm", "--input",
           '{"coeffs": [{"k": 0, "re": 1%s, "im": 0}]}' % ("0" * 399)], None),
+        (["--cmd", "norm", "--input",
+          '{"coeffs": [{"k": 0, "re": 1, "im": 0}, {"k": 3, "re": 1, "im": 0}]}',
+          "--space", "pow:p=1;pow:p=1;const:1;const:1;pow:alpha=2000;const:1"], None),
+        (["--cmd", "factorize", "--input", TWO_PLUS_T,
+          "--space", "pow:p=1;pow:p=1;pow:alpha=2000;const:1;const:1;const:1"], None),
         (["--cmd", "weights", "--support", "x"], None),
         (["--cmd", "weights", "--no-such-flag"], None),
         (["--cmd", "bogus"], None),
@@ -403,7 +445,8 @@ class TestRefusals:
             "values-string", "values-number", "delta2-string", "delta2-null",
             "values-bool", "ratio-overflow", "values-beyond-double",
             "values-beyond-int-digits", "coeffs-number", "coeffs-null", "re-string",
-            "re-bool", "im-null", "re-beyond-double", "support-not-int", "unknown-flag",
+            "re-bool", "im-null", "re-beyond-double", "norm-weight-inf-at-zero",
+            "factorize-weight-inf-at-zero", "support-not-int", "unknown-flag",
             "unknown-cmd", "missing-cmd"])
     def test_one_line_exit_2(self, capsys, tmp_path, argv, table):
         if table is not None:
@@ -454,7 +497,7 @@ class TestUnexpectedException:
         def raising(args):
             raise exc
 
-        monkeypatch.setattr(cli, "_cmd_norm", raising)
+        monkeypatch.setitem(cli.COMMANDS, "norm", raising)
         got, out, err = run(capsys, "--cmd", "norm", "--input", F0)
         assert got == code
         assert out == ""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -536,6 +537,16 @@ class TestBatchedEdgeCases:
 
     def test_empty_batch(self):
         assert luxemburg_norms([]) == []
+
+    def test_infinite_weight_at_a_zero_coefficient_is_refused(self):
+        # (n+1)^2000 is inf from n = 1 on, and inf times a zero coefficient
+        # is nan: a clean DomainError, with no warning on the way.
+        huge = WeightSequence("pow", NONNEGATIVE_SIDE, 2000)
+        const1 = WeightSequence("const", NONNEGATIVE_SIDE, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                luxemburg_norm(np.array([1.0, 0, 0, 1]), OrliczFunction("pow", 1), huge, const1)
 
     def test_each_distinct_weight_evaluated_once(self, monkeypatch):
         # Weights are told apart by identity: rows that share a weight object
