@@ -30,14 +30,17 @@ MAX_GRID = 1 << 16
 
 @dataclass
 class WindingDiagnostics:
-    """Result of tracking the argument of the symbol around the circle."""
+    """Result of tracking the argument of the symbol around the circle, with
+    the logarithm that tracking gives."""
 
     min_modulus: float
     turns: float  # total argument change / 2 pi
     kappa: int
     defect: float  # |turns - kappa|
-    # argument increments along the grid path, shared with the logarithm
-    steps: np.ndarray | None = field(default=None, repr=False, compare=False)
+    max_modulus: float
+    scale: int  # binary exponent of max_modulus
+    # ln(|v| / 2**scale) + i * the argument unwrapped along the grid path
+    log: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -69,22 +72,13 @@ class FactorizationResult:
         }
 
 
-def _arg_steps(values: np.ndarray, top: float) -> np.ndarray:
-    """Principal argument increments along the closed grid path, taken of
-    the values over the power of two of ``top``, their largest modulus.
-    That division is exact, and below about 4.5e307 it leaves every
-    increment's bits as they are; above, it keeps numpy's complex
-    division, which forms 1/|v|, clear of subnormal intermediates."""
-    v = values * math.ldexp(1.0, -int(np.frexp(top)[1]))
-    return np.angle(np.roll(v, -1) / v)
-
-
 def winding_number(values: np.ndarray) -> WindingDiagnostics:
     """Unwrap the argument of the symbol's values on a uniform grid and
-    count full turns.  The symbol counts as vanishing where its modulus is
-    0 or below VANISH_TOL times its largest modulus on the grid; a symbol
-    that does not vanish but has a subnormal modulus on the grid is
-    refused, since its values have lost precision."""
+    count full turns; the unwrapped argument, with the argument at theta = 0
+    in (-pi, pi], also gives the logarithm.  The symbol counts as vanishing
+    where its modulus is 0 or below VANISH_TOL times its largest modulus on
+    the grid; a symbol that does not vanish but has a subnormal modulus on
+    the grid is refused, since its values have lost precision."""
     if len(values) < 8:
         raise SpecError("winding computation needs a grid of at least 8 points")
     mags = np.abs(values)
@@ -95,37 +89,37 @@ def winding_number(values: np.ndarray) -> WindingDiagnostics:
         )
     if min_mod < np.finfo(float).tiny:
         raise DomainError(f"symbol modulus {min_mod:.3e} is subnormal on the grid")
-    steps = _arg_steps(values, top)
+    # Dividing by 2**scale is exact and gives the log the rounding of a
+    # symbol of size 1 at any scale; below about 4.5e307 it leaves every
+    # increment's bits as they are, and above it keeps numpy's complex
+    # division, which forms 1/|v|, clear of subnormal intermediates.
+    scale = int(np.frexp(top)[1])
+    v = values * math.ldexp(1.0, -scale)
+    steps = np.angle(np.roll(v, -1) / v)
     worst = float(np.max(np.abs(steps)))
     if worst >= STEP_TOL:
-        raise UnderResolvedError(
-            f"argument step {worst:.3f} rad exceeds {STEP_TOL:.3f}; refine the grid"
-        )
+        raise UnderResolvedError(f"argument step {worst:.3f} rad exceeds "
+                                 f"{STEP_TOL:.3f} on a grid of {len(values)} points")
     turns = float(np.sum(steps) / (2 * np.pi))
     kappa = int(round(turns))
-    return WindingDiagnostics(min_mod, turns, kappa, abs(turns - kappa), steps)
+    args = float(np.angle(values[0])) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+    log = np.log(np.ldexp(mags, -scale)) + 1j * args
+    return WindingDiagnostics(min_mod, turns, kappa, abs(turns - kappa), top, scale, log)
 
 
 def log_symbol(values: np.ndarray) -> np.ndarray:
     """Continuous logarithm of the values on the grid: ln|v| + i * unwrapped
     argument, with the argument at theta = 0 in (-pi, pi]."""
-    logs, scale = _continuous_log(values, winding_number(values))
-    return logs + scale * math.log(2)
+    diag = winding_number(values)
+    return _continuous_log(diag) + diag.scale * math.log(2)
 
 
-def _continuous_log(values: np.ndarray,
-                    diag: WindingDiagnostics) -> tuple[np.ndarray, int]:
-    """ln(|v| / 2**e) + i * the argument unwrapped from the increments in
-    ``diag``, and e, the binary exponent of max|v|.  Dividing by 2**e is
-    exact and gives ln the rounding of a symbol of size 1 at any scale.
-    Raises IndexObstructionError when the winding number is nonzero."""
+def _continuous_log(diag: WindingDiagnostics) -> np.ndarray:
+    """The logarithm in ``diag``; raises IndexObstructionError when the
+    winding number is nonzero."""
     if diag.kappa != 0:
         raise IndexObstructionError(diag.kappa)
-    mags = np.abs(values)
-    scale = int(np.frexp(np.max(mags))[1])
-    arg0 = float(np.angle(values[0]))  # principal branch at theta = 0
-    args = arg0 + np.concatenate(([0.0], np.cumsum(diag.steps[:-1])))
-    return np.log(np.ldexp(mags, -scale)) + 1j * args, scale
+    return diag.log
 
 
 def _keep(lp: LaurentPolynomial, side: int, start: int) -> LaurentPolynomial:
@@ -186,11 +180,10 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     if n_grid > MAX_GRID:
         raise SpecError(f"grid size {n_grid} exceeds the largest grid {MAX_GRID}")
     s, diag = _resolve_winding(b, n_grid)
-    logs, scale = _continuous_log(s, diag)
-    lc = fourier_coefficients(logs, truncation)
+    lc = fourier_coefficients(_continuous_log(diag), truncation)
     g = cmath.exp(lc.coeff(0))
-    scalar = complex(math.ldexp(g.real, scale), math.ldexp(g.imag, scale))
-    lc.coeffs[lc.n_max] += scale * math.log(2)  # the log of b itself
+    scalar = complex(math.ldexp(g.real, diag.scale), math.ldexp(g.imag, diag.scale))
+    lc.coeffs[lc.n_max] += diag.scale * math.log(2)  # the log of b itself
     n = s.size
     exp_plus, exp_minus = (np.exp(sample(_keep(lc, side, 1), n)) for side in (+1, -1))
     factors = fourier_coefficients(exp_plus + exp_minus, truncation)
@@ -199,7 +192,7 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     # plus * minus from its two halves: k = -m..0 times k = 0..m
     product = LaurentPolynomial(np.convolve(factors.coeffs[:m + 1], factors.coeffs[m:]), m)
     residual = float(np.max(np.abs(s - scalar * sample(product, n))))
-    gate = tol * float(np.max(np.abs(s)))
+    gate = tol * diag.max_modulus
     if residual > gate:
         raise TruncationError(residual, gate)
     inverses = fourier_coefficients(1 / exp_plus + 1 / exp_minus, truncation)

@@ -165,14 +165,13 @@ class WeightSequence:
             return 1.0
         if self.family == "log":
             return _LOG_DELTA2
-        n = np.arange(1, 2 * len(self.table) + 2)
-        with np.errstate(over="ignore"):
-            ratios = self(2 * n) / self(n)
-        if np.max(ratios) > self.table_delta2 * (1 + 1e-12):
+        # A table is constant past its last value, so every doubling ratio
+        # beyond this range is 1.
+        report = validate_weight(self, 2 * len(self.table) + 2)
+        if not report.doubling:
             raise InvalidWeightError(
                 f"supplied doubling constant {self.table_delta2} violated: "
-                f"observed ratio {np.max(ratios)}"
-            )
+                f"observed ratio {report.empirical_sup}")
         return self.table_delta2
 
     def spec(self) -> str:

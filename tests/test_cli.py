@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orlicz_wiener import cli
-from orlicz_wiener.algebra import Checks
+from orlicz_wiener.algebra import AlgebraSpace, Checks
 from orlicz_wiener.cli import main
 from orlicz_wiener.fourier import MAX_DEGREE, LaurentPolynomial
 from orlicz_wiener.errors import DomainError, SpecError
@@ -25,6 +25,11 @@ from orlicz_wiener.harness import MAX_SUPPORT
 F0 = json.dumps({"coeffs": [{"k": 0, "re": 1.0, "im": 0.0}]})
 TWO_PLUS_T = json.dumps({"coeffs": [{"k": 0, "re": 2.0, "im": 0.0},
                                     {"k": 1, "re": 1.0, "im": 0.0}]})
+# 1 + c/t with c = 0.999999999 e^{3.85i}: its argument is under-resolved
+# even at the largest grid
+NEAR_ZERO_AT_LARGEST_GRID = json.dumps(
+    {"coeffs": [{"k": 0, "re": 1.0, "im": 0.0},
+                {"k": -1, "re": -0.7593990583781088, "im": -0.6506251364145422}]})
 
 
 def run(capsys, *argv):
@@ -209,6 +214,40 @@ class TestVerify:
     def test_bad_replay_fingerprint(self, capsys):
         code, _, _ = run(capsys, "--cmd", "verify", "--replay", "bogus")
         assert code == 2
+
+
+class TestViolationExit:
+    """Exit 1 means an inequality is violated: with the algebra constant
+    shrunk to 1e-3 the product inequality fails, and each command that
+    checks it says so by its exit code."""
+
+    @pytest.fixture(autouse=True)
+    def _wrong_constant(self, monkeypatch):
+        monkeypatch.setattr(AlgebraSpace, "algebra_constant", lambda self: 1e-3)
+
+    def test_verify_reports_the_first_violation_on_stderr(self, capsys):
+        code, out, err = run(capsys, "--cmd", "verify", "--trials", "5",
+                             "--support", "8", "--seed", "7")
+        assert code == 1
+        doc = json.loads(out)
+        assert not doc["theorem"]["ok"]
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("violation: ")
+        assert json.loads(lines[0][len("violation: "):]) == doc["theorem"]["violations"][0]
+
+    def test_replay_of_a_violated_witness(self, capsys):
+        code, out, err = run(capsys, "--cmd", "verify", "--replay",
+                             "theorem:seed=7:trial=3:support=16")
+        assert code == 1
+        assert not json.loads(out)["witnesses"][0]["holds"]
+        assert err == ""
+
+    def test_selftest(self, capsys):
+        code, out, err = run(capsys, "--cmd", "selftest", "--trials", "10")
+        assert code == 1
+        doc = json.loads(out)
+        assert not doc["ok"] and not doc["theorem"]["ok"]
+        assert err == ""
 
 
 class TestFactorize:
@@ -437,6 +476,7 @@ class TestRefusals:
           "--space", "pow:p=1;pow:p=1;const:1;const:1;pow:alpha=2000;const:1"], None),
         (["--cmd", "factorize", "--input", TWO_PLUS_T,
           "--space", "pow:p=1;pow:p=1;pow:alpha=2000;const:1;const:1;const:1"], None),
+        (["--cmd", "factorize", "--input", NEAR_ZERO_AT_LARGEST_GRID], None),
         (["--cmd", "weights", "--support", "x"], None),
         (["--cmd", "weights", "--no-such-flag"], None),
         (["--cmd", "bogus"], None),
@@ -446,7 +486,8 @@ class TestRefusals:
             "values-bool", "ratio-overflow", "values-beyond-double",
             "values-beyond-int-digits", "coeffs-number", "coeffs-null", "re-string",
             "re-bool", "im-null", "re-beyond-double", "norm-weight-inf-at-zero",
-            "factorize-weight-inf-at-zero", "support-not-int", "unknown-flag",
+            "factorize-weight-inf-at-zero", "factorize-under-resolved-at-largest-grid",
+            "support-not-int", "unknown-flag",
             "unknown-cmd", "missing-cmd"])
     def test_one_line_exit_2(self, capsys, tmp_path, argv, table):
         if table is not None:
@@ -460,6 +501,9 @@ class TestRefusals:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+        # factorize refines the grid itself up to the largest one, so no
+        # refusal can advise a finer grid
+        assert "refine" not in err
 
     def test_help_is_not_a_refusal(self, capsys):
         code, out, err = run(capsys, "--help")

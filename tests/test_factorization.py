@@ -109,6 +109,16 @@ class TestLogSymbol:
             log_symbol(sample(LaurentPolynomial.from_dict({1: 1}), 16))
         assert exc.value.kappa == 1
 
+    @pytest.mark.parametrize("b", [{0: 2, 1: 1}, {0: -1, 1: 0.5j, -3: 0.25},
+                                   {0: 3e300, -2: 1e300j}, {0: 5e-300, 1: -1e-300}])
+    def test_winding_pass_yields_the_log_and_its_scale(self, b):
+        s = sample(LaurentPolynomial.from_dict(b), 64)
+        d = winding_number(s)
+        assert d.max_modulus == np.max(np.abs(s))
+        assert d.scale == np.frexp(d.max_modulus)[1]
+        out = log_symbol(s)
+        assert out.tobytes() == (d.log + d.scale * np.log(2)).tobytes()
+
 
 class TestFactorize:
     def test_winding_number_computed_once(self, monkeypatch):
@@ -119,18 +129,6 @@ class TestFactorize:
             return winding_number(s)
 
         monkeypatch.setattr(factorization, "winding_number", counting)
-        factorize(LaurentPolynomial.from_dict({0: 2, 1: 1, -2: 0.5j}))
-        assert calls == [256]
-
-    def test_argument_increments_computed_once(self, monkeypatch):
-        # winding_number's increments are reused by the continuous log
-        calls, arg_steps = [], factorization._arg_steps
-
-        def counting(values, top):
-            calls.append(values.size)
-            return arg_steps(values, top)
-
-        monkeypatch.setattr(factorization, "_arg_steps", counting)
         factorize(LaurentPolynomial.from_dict({0: 2, 1: 1, -2: 0.5j}))
         assert calls == [256]
 
@@ -200,6 +198,15 @@ class TestFactorize:
         with pytest.raises(TruncationError) as exc:
             factorize(b, 16, 4, 1e-8)
         assert exc.value.residual == res.residual
+
+    def test_under_resolved_at_the_largest_grid_names_it(self):
+        # with |c| = 0.999999999 the argument turns by nearly pi between two
+        # points of the largest grid, so the doubling stops there: the
+        # refusal names that grid, since no finer one is allowed
+        b = LaurentPolynomial.from_dict({-1: 0.999999999 * cmath.exp(3.85j), 0: 1})
+        with pytest.raises(UnderResolvedError, match="grid of 65536 points") as exc:
+            factorize(b)
+        assert "refine" not in str(exc.value)
 
     def test_two_plus_t(self):
         b = LaurentPolynomial.from_dict({0: 2, 1: 1})

@@ -174,6 +174,28 @@ class TestWeightSequence:
         with pytest.raises(InvalidWeightError):
             nu.delta2_constant()
 
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    @pytest.mark.parametrize("values,delta2", [
+        ((1.0, 2.0, 4.0, 8.0), 2.0), ((1.0, 2.0, 5.0, 8.0), 2.0), ((1.0, 3.0), 2.0),
+        ((2.0, 1.0, 7.0, 7.0, 7.0, 7.0, 20.0), 3.0), ((5.0, 4.0, 3.0), 1.0),
+    ])
+    def test_table_delta2_matches_a_long_scan(self, klass, values, delta2):
+        # a table is constant past its last value, so the short range
+        # delta2_constant scans decides as a scan to index 10^4 does
+        nu = WeightSequence("table", klass, table=values, table_delta2=delta2)
+        long = validate_weight(nu, 10**4)
+        if long.doubling:
+            assert nu.delta2_constant() == delta2
+        else:
+            with pytest.raises(InvalidWeightError,
+                               match=f"observed ratio {long.empirical_sup}$"):
+                nu.delta2_constant()
+
+    def test_table_delta2_overflowing_ratio_refused(self):
+        nu = WeightSequence("table", NEGATIVE_SIDE, table=(1e-300, 1e300), table_delta2=2.0)
+        with pytest.raises(DomainError, match="overflow"):
+            nu.delta2_constant()
+
     def test_index_class_start(self):
         assert WeightSequence("pow", NEGATIVE_SIDE, 1.0).start == 1
         assert WeightSequence("pow", NONNEGATIVE_SIDE, 1.0).start == 0
