@@ -237,13 +237,16 @@ def verify_coefficient_bound(f: LaurentPolynomial, g: LaurentPolynomial) -> Chec
 class ShiftReport:
     """Outcome of the shifted-index weight comparison scan."""
 
-    ok: bool
     k_max: int
     max_ratio: float
     violations: list
 
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
     def to_json(self) -> dict:
-        return {**vars(self), "violations": self.violations[:10]}
+        return {"ok": self.ok, **vars(self), "violations": self.violations[:10]}
 
 
 def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
@@ -270,7 +273,7 @@ def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
         max_ratio = float(np.max(vals / bound))
     violations = [{"k": int(n[i]), "value": float(vals[i]), "bound": float(bound[i])}
                   for i in np.nonzero(vals > bound * (1 + 1e-12))[0]]
-    return ShiftReport(not violations, k_max, max_ratio, violations)
+    return ShiftReport(k_max, max_ratio, violations)
 
 
 def random_element(support: int, seed) -> LaurentPolynomial:

@@ -138,15 +138,14 @@ def _cmd_weights(args) -> int:
     if args.support > MAX_DEGREE:
         raise SpecError(f"support must be <= {MAX_DEGREE}, got {args.support}")
     n_max = max(args.support, 2)
-    doc = {
-        "negative_scale": validate_weight(sp.neg_scale, n_max).to_json(),
-        "negative_sum": validate_weight(sp.neg_sum, n_max).to_json(),
-        "nonnegative_scale": validate_weight(sp.pos_scale, n_max).to_json(),
-        "nonnegative_sum": validate_weight(sp.pos_sum, n_max).to_json(),
+    reports = {
+        "negative_scale": validate_weight(sp.neg_scale, n_max),
+        "negative_sum": validate_weight(sp.neg_sum, n_max),
+        "nonnegative_scale": validate_weight(sp.pos_scale, n_max),
+        "nonnegative_sum": validate_weight(sp.pos_sum, n_max),
     }
-    _emit(doc, args.format)
-    ok = all(v["ok"] for v in doc.values())
-    return EXIT_OK if ok else EXIT_VIOLATION
+    _emit({name: rep.to_json() for name, rep in reports.items()}, args.format)
+    return EXIT_OK if all(rep.ok for rep in reports.values()) else EXIT_VIOLATION
 
 
 def _cmd_verify(args) -> int:
@@ -163,17 +162,18 @@ def _cmd_verify(args) -> int:
     reports = run_suite(NORM_FAMILIES, args.trials, args.seed, args.support)
     reports |= run_suite(("coefficient_bound",), max(1, args.trials // 2), args.seed,
                          min(args.support, 32))
-    doc = {family: rep.to_json() for family, rep in reports.items()}
-    ok = all(rep.ok for rep in reports.values())
     shift = run_weight_shift_suite()
-    doc["weight_shift"] = {"ok": all(r["ok"] for r in shift.values()), "families": shift}
-    ok = ok and doc["weight_shift"]["ok"]
+    doc = {family: rep.to_json() for family, rep in reports.items()}
+    doc["weight_shift"] = {"ok": all(rep.ok for rep in shift.values()),
+                           "families": {name: rep.to_json() for name, rep in shift.items()}}
     _emit(doc, args.format)
-    if not ok:
-        first = next(
-            (v["violations"][0] for v in doc.values()
-             if isinstance(v, dict) and v.get("violations")), None)
-        print(f"violation: {json.dumps(first)}", file=sys.stderr)
+    # Each failed report's first violation: the inequality families in
+    # order, then the weights of the shift scan, each row with its weight.
+    violated = [*(rep.violations[0] for rep in reports.values() if not rep.ok),
+                *({"weight": name, **rep.violations[0]} for name, rep in shift.items()
+                  if not rep.ok)]
+    if violated:
+        print(f"violation: {json.dumps(violated[0])}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -205,16 +205,11 @@ def _cmd_selftest(args) -> int:
     if args.support < 1:
         raise SpecError("support must be >= 1")
     reports = run_suite(FAMILIES, min(args.trials, 50), args.seed, min(args.support, 16))
+    shift_ok = all(rep.ok for rep in run_weight_shift_suite(1000).values())
+    res = factorization.factorize(LaurentPolynomial.from_dict({0: 2, 1: 1}))
+    ok = all(rep.ok for rep in reports.values()) and shift_ok and res.residual <= 1e-10
     doc = {family: rep.to_json() for family, rep in reports.items()}
-    ok = all(rep.ok for rep in reports.values())
-    shift = run_weight_shift_suite(1000)
-    doc["weight_shift_ok"] = all(r["ok"] for r in shift.values())
-    ok = ok and doc["weight_shift_ok"]
-    b = LaurentPolynomial.from_dict({0: 2, 1: 1})
-    res = factorization.factorize(b)
-    doc["factorization_residual"] = res.residual
-    ok = ok and res.residual <= 1e-10
-    doc["ok"] = ok
+    doc |= {"weight_shift_ok": shift_ok, "factorization_residual": res.residual, "ok": ok}
     _emit(doc, args.format)
     return EXIT_OK if ok else EXIT_VIOLATION
 

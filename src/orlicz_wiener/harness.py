@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraSpace,
     Checks,
     NormReport,
+    ShiftReport,
     random_element,
     verify_coefficient_bound,
     verify_one_sided,
@@ -205,9 +206,9 @@ def run_suite(families, trials: int, seed: int, support: int) -> dict[str, Suite
     return reports
 
 
-def run_weight_shift_suite(k_max: int = 10_000) -> dict:
-    """Shift-bound scan over every builtin weight on both sides."""
-    return {f"{klass}:{nu.spec()}": verify_weight_shift(nu, k_max).to_json()
+def run_weight_shift_suite(k_max: int = 10_000) -> dict[str, ShiftReport]:
+    """Shift-bound scan of every builtin weight on both sides, by ``<class>:<spec>``."""
+    return {f"{klass}:{nu.spec()}": verify_weight_shift(nu, k_max)
             for klass, groups in WEIGHT_GROUPS.items() for group in groups for nu in group}
 
 

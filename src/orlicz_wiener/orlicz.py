@@ -97,6 +97,13 @@ class OrliczFunction:
 _LOG_SCAN = np.arange(1, 64, dtype=float)
 _LOG_DELTA2 = float(np.max(np.log(np.e + 2 * _LOG_SCAN) / np.log(np.e + _LOG_SCAN)))
 
+# The smallest constant or table weight, 2^-1022.  Every Phi here has
+# Phi(x) >= x for x >= e - 1, so with every summand weight at least this,
+# the modular exceeds 1 wherever an argument |c_n| phi_n / lam overflows,
+# and the crossing lies where the arguments stay finite.  Below it, the
+# bracketing would close on that overflow instead of on the crossing.
+MIN_WEIGHT = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -120,15 +127,16 @@ class WeightSequence:
             raise SpecError(f"unknown weight class {self.klass!r}")
         if self.family == "pow" and not 0 <= self.param < math.inf:
             raise SpecError(f"power weight requires a finite alpha >= 0, got {self.param}")
-        if self.family == "const" and not 0 < self.param < math.inf:
-            raise SpecError(f"constant weight requires a finite c > 0, got {self.param}")
+        if self.family == "const" and not MIN_WEIGHT <= self.param < math.inf:
+            raise SpecError(
+                f"constant weight requires a finite c >= {MIN_WEIGHT!r}, got {self.param}")
         if self.family == "table":
             if len(self.table) == 0:
                 raise SpecError("table weight requires at least one value")
             if not all(math.isfinite(v) for v in self.table):
                 raise SpecError("table weight values must be finite")
-            if min(self.table) <= 0:
-                raise InvalidWeightError("table weight values must be positive")
+            if min(self.table) < MIN_WEIGHT:
+                raise InvalidWeightError(f"table weight values must be >= {MIN_WEIGHT!r}")
             if not 1 <= self.table_delta2 < math.inf:
                 raise SpecError("table weight requires a finite doubling constant >= 1")
 

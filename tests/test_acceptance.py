@@ -80,7 +80,7 @@ def test_criterion_3_coefficient_bound():
 
 def test_criterion_4_weight_shift_scan():
     reports = run_weight_shift_suite(10_000)
-    ok = all(r["ok"] for r in reports.values())
+    ok = all(r.ok for r in reports.values())
     report(4, "shifted-index weight bound to k=1e4", ok,
            f"{len(reports)} weight families")
 

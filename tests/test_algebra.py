@@ -283,7 +283,7 @@ def weight_shift_loop(nu, k_max):
         max_ratio = max(max_ratio, vals[i] / bound if bound > 0 else float("inf"))
         if vals[i] > bound * (1 + 1e-12):
             violations.append({"k": int(k), "value": float(vals[i]), "bound": float(bound)})
-    return ShiftReport(not violations, k_max, max_ratio, violations)
+    return ShiftReport(k_max, max_ratio, violations)
 
 
 def builtin_weights():

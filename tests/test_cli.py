@@ -15,12 +15,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz_wiener import cli
+from orlicz_wiener import cli, orlicz
 from orlicz_wiener.algebra import AlgebraSpace, Checks
 from orlicz_wiener.cli import main
 from orlicz_wiener.fourier import MAX_DEGREE, LaurentPolynomial
 from orlicz_wiener.errors import DomainError, SpecError
-from orlicz_wiener.harness import MAX_SUPPORT
+from orlicz_wiener.harness import FAMILIES, MAX_SUPPORT
 
 F0 = json.dumps({"coeffs": [{"k": 0, "re": 1.0, "im": 0.0}]})
 TWO_PLUS_T = json.dumps({"coeffs": [{"k": 0, "re": 2.0, "im": 0.0},
@@ -250,6 +250,22 @@ class TestViolationExit:
         assert err == ""
 
 
+def test_verify_names_a_weight_shift_violation(capsys, monkeypatch):
+    """With the log weight's doubling constant set to 1, only the shift scan
+    fails, and the stderr line is its first violation with its weight."""
+    monkeypatch.setattr(orlicz, "_LOG_DELTA2", 1.0)
+    code, out, err = run(capsys, "--cmd", "verify", "--trials", "5",
+                         "--support", "8", "--seed", "7")
+    assert code == 1
+    doc = json.loads(out)
+    assert all(doc[family]["ok"] for family in FAMILIES)
+    assert not doc["weight_shift"]["ok"]
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("violation: ")
+    assert json.loads(lines[0][len("violation: "):]) == {
+        "weight": "W-:log", **doc["weight_shift"]["families"]["W-:log"]["violations"][0]}
+
+
 class TestFactorize:
     def test_two_plus_t(self, capsys):
         code, out, _ = run(capsys, "--cmd", "factorize", "--input", TWO_PLUS_T)
@@ -477,6 +493,13 @@ class TestRefusals:
         (["--cmd", "factorize", "--input", TWO_PLUS_T,
           "--space", "pow:p=1;pow:p=1;pow:alpha=2000;const:1;const:1;const:1"], None),
         (["--cmd", "factorize", "--input", NEAR_ZERO_AT_LARGEST_GRID], None),
+        (["--cmd", "norm", "--input", '{"coeffs":[{"k":0,"re":1,"im":0}]}',
+          "--space", "pow:p=1;pow:p=1;const:1;const:1;const:1;const:1e-320"], None),
+        (["--cmd", "weights", "--space", "pow:p=1;pow:p=1;const:1;const:1e-320;const:1;const:1"],
+         None),
+        (["--cmd", "factorize", "--input", TWO_PLUS_T,
+          "--space", "pow:p=1;pow:p=1;const:1;const:1;const:1e-320;const:1"], None),
+        (["--cmd", "weights"], {"values": [1, 1e-320], "delta2": 2}),
         (["--cmd", "weights", "--support", "x"], None),
         (["--cmd", "weights", "--no-such-flag"], None),
         (["--cmd", "bogus"], None),
@@ -487,6 +510,8 @@ class TestRefusals:
             "values-beyond-int-digits", "coeffs-number", "coeffs-null", "re-string",
             "re-bool", "im-null", "re-beyond-double", "norm-weight-inf-at-zero",
             "factorize-weight-inf-at-zero", "factorize-under-resolved-at-largest-grid",
+            "norm-const-subnormal", "weights-const-subnormal", "factorize-const-subnormal",
+            "table-value-subnormal",
             "support-not-int", "unknown-flag",
             "unknown-cmd", "missing-cmd"])
     def test_one_line_exit_2(self, capsys, tmp_path, argv, table):

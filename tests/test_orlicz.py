@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from orlicz_wiener import harness, orlicz
 from orlicz_wiener.errors import DomainError, InvalidWeightError, SpecError
 from orlicz_wiener.orlicz import (
+    DEFAULT_NORM_TOL,
     NEGATIVE_SIDE,
     NONNEGATIVE_SIDE,
     OrliczFunction,
@@ -223,6 +224,27 @@ class TestWeightSequence:
         path.write_text(json.dumps({"values": values, "delta2": delta2}))
         with pytest.raises(SpecError):
             WeightSequence.from_spec(f"table:{path}", NEGATIVE_SIDE)
+
+    # 1e-320 is subnormal, and 2.225073858507201e-308 is the largest
+    # subnormal double, just below 2^-1022.
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    @pytest.mark.parametrize("value", [1e-320, 2.225073858507201e-308])
+    def test_weight_below_the_smallest_normal_double_refused(self, klass, value):
+        with pytest.raises(SpecError, match="constant weight requires"):
+            WeightSequence("const", klass, value)
+        with pytest.raises(InvalidWeightError, match="table weight values"):
+            WeightSequence("table", klass, table=(1.0, value), table_delta2=2.0)
+
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    def test_smallest_normal_weight_accepted(self, klass):
+        # The norm of one unit coefficient in pow:p=1 is its summand weight,
+        # so the crossing sits at lam = 2^-1022, where 1/lam is finite.
+        tiny = 2.2250738585072014e-308
+        assert tiny == np.finfo(float).tiny
+        WeightSequence("table", klass, table=(tiny,), table_delta2=1.0)
+        got = luxemburg_norm([1.0], OrliczFunction("pow", 1), WeightSequence("const", klass, 1.0),
+                             WeightSequence("const", klass, tiny))
+        assert abs(got - tiny) <= DEFAULT_NORM_TOL * tiny
 
 
 class TestModular:
