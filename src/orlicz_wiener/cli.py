@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import factorization
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     SpecError,
     TruncationError,
     VanishingSymbolError,
+    read_json,
 )
 from .algebra import DEFAULT_SPACE_SPEC, AlgebraSpace, wnf_norm
 from .fourier import MAX_DEGREE, LaurentPolynomial
@@ -84,18 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_coefficients(raw: str | None) -> LaurentPolynomial:
     if raw is None:
         raise SpecError("this command requires --input")
-    text = raw
-    if not raw.lstrip().startswith("{"):
-        try:
-            with open(raw) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SpecError(f"cannot read {raw!r}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"malformed coefficient JSON: {exc}") from exc
-    return LaurentPolynomial.from_json(doc)
+    source = raw if raw.lstrip().startswith("{") else Path(raw)
+    return LaurentPolynomial.from_json(read_json(source, "coefficient JSON"))
 
 
 def _emit(doc: dict, fmt: str):
@@ -112,49 +104,42 @@ def _emit(doc: dict, fmt: str):
 
 
 def _flatten(doc, prefix=""):
-    items = []
     for k, v in doc.items():
-        key = f"{prefix}{k}"
         if isinstance(v, dict):
-            items.extend(_flatten(v, key + "."))
+            yield from _flatten(v, f"{prefix}{k}.")
         elif isinstance(v, list):
-            items.append((key, json.dumps(v)))
+            yield f"{prefix}{k}", json.dumps(v)
         else:
-            items.append((key, v))
-    return items
+            yield f"{prefix}{k}", v
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> tuple[dict, int]:
     f = _load_coefficients(args.input)
     sp = AlgebraSpace.from_spec(args.space)
     tol = args.tol if args.tol is not None else DEFAULT_NORM_TOL
-    report = wnf_norm(f, sp, tol)
-    _emit(report.to_json(), args.format)
-    return EXIT_OK
+    return wnf_norm(f, sp, tol).to_json(), EXIT_OK
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args) -> tuple[dict, int]:
     sp = AlgebraSpace.from_spec(args.space)
-    if args.support > MAX_DEGREE:
-        raise SpecError(f"support must be <= {MAX_DEGREE}, got {args.support}")
-    n_max = max(args.support, 2)
+    if not 2 <= args.support <= MAX_DEGREE:
+        raise SpecError(f"support must be from 2 to {MAX_DEGREE}, got {args.support}")
     reports = {
-        "negative_scale": validate_weight(sp.neg_scale, n_max),
-        "negative_sum": validate_weight(sp.neg_sum, n_max),
-        "nonnegative_scale": validate_weight(sp.pos_scale, n_max),
-        "nonnegative_sum": validate_weight(sp.pos_sum, n_max),
+        "negative_scale": validate_weight(sp.neg_scale, args.support),
+        "negative_sum": validate_weight(sp.neg_sum, args.support),
+        "nonnegative_scale": validate_weight(sp.pos_scale, args.support),
+        "nonnegative_sum": validate_weight(sp.pos_sum, args.support),
     }
-    _emit({name: rep.to_json() for name, rep in reports.items()}, args.format)
-    return EXIT_OK if all(rep.ok for rep in reports.values()) else EXIT_VIOLATION
+    doc = {name: rep.to_json() for name, rep in reports.items()}
+    return doc, EXIT_OK if all(rep.ok for rep in reports.values()) else EXIT_VIOLATION
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     if args.replay is not None:
         fp = fingerprint(*parse_fingerprint(args.replay))  # in canonical form
         checks = replay(fp)
         doc = {"replay": args.replay, "witnesses": checks.to_json([fp] * len(checks.lhs))}
-        _emit(doc, args.format)
-        return EXIT_OK if checks.holds.all() else EXIT_VIOLATION
+        return doc, EXIT_OK if checks.holds.all() else EXIT_VIOLATION
     if args.trials < 1:
         raise SpecError("trials must be >= 1")
     if args.support < 1:
@@ -166,7 +151,6 @@ def _cmd_verify(args) -> int:
     doc = {family: rep.to_json() for family, rep in reports.items()}
     doc["weight_shift"] = {"ok": all(rep.ok for rep in shift.values()),
                            "families": {name: rep.to_json() for name, rep in shift.items()}}
-    _emit(doc, args.format)
     # Each failed report's first violation: the inequality families in
     # order, then the weights of the shift scan, each row with its weight.
     violated = [*(rep.violations[0] for rep in reports.values() if not rep.ok),
@@ -174,34 +158,28 @@ def _cmd_verify(args) -> int:
                   if not rep.ok)]
     if violated:
         print(f"violation: {json.dumps(violated[0])}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return doc, EXIT_VIOLATION if violated else EXIT_OK
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> tuple[dict, int]:
     f = _load_coefficients(args.input)
     sp = AlgebraSpace.from_spec(args.space)
     tol = args.tol if args.tol is not None else factorization.DEFAULT_RESIDUAL_TOL
     try:
         res = factorization.factorize(f, args.grid, args.trunc, tol)
     except IndexObstructionError as exc:
-        _emit({"error": "index-obstruction", "kappa": exc.kappa}, args.format)
-        return EXIT_OBSTRUCTION
+        return {"error": "index-obstruction", "kappa": exc.kappa}, EXIT_OBSTRUCTION
     except VanishingSymbolError as exc:
-        _emit({"error": "vanishing-symbol", "message": str(exc)}, args.format)
-        return EXIT_OBSTRUCTION
+        return {"error": "vanishing-symbol", "message": str(exc)}, EXIT_OBSTRUCTION
     except TruncationError as exc:
-        _emit({"error": "truncation-insufficient", "residual": exc.residual},
-              args.format)
-        return EXIT_OBSTRUCTION
+        return {"error": "truncation-insufficient", "residual": exc.residual}, EXIT_OBSTRUCTION
     doc = res.to_json()
     doc["membership"] = {k: v.to_json()
                          for k, v in factorization.membership(res, sp).items()}
-    _emit(doc, args.format)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple[dict, int]:
     if args.support < 1:
         raise SpecError("support must be >= 1")
     reports = run_suite(FAMILIES, min(args.trials, 50), args.seed, min(args.support, 16))
@@ -210,11 +188,11 @@ def _cmd_selftest(args) -> int:
     ok = all(rep.ok for rep in reports.values()) and shift_ok and res.residual <= 1e-10
     doc = {family: rep.to_json() for family, rep in reports.items()}
     doc |= {"weight_shift_ok": shift_ok, "factorization_residual": res.residual, "ok": ok}
-    _emit(doc, args.format)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return doc, EXIT_OK if ok else EXIT_VIOLATION
 
 
-# The --cmd choices, each with its handler.
+# The --cmd choices, each with its handler, which returns the report and the
+# exit code: main writes every report.
 COMMANDS = {"norm": _cmd_norm, "weights": _cmd_weights, "verify": _cmd_verify,
             "factorize": _cmd_factorize, "selftest": _cmd_selftest}
 
@@ -226,7 +204,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        code = COMMANDS[args.cmd](args)
+        doc, code = COMMANDS[args.cmd](args)
+        _emit(doc, args.format)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,5 +1,8 @@
-"""Exception hierarchy shared by the whole package, and the check on JSON
-numbers that every JSON parser in it uses."""
+"""Exception hierarchy shared by the whole package, the one reader of outside
+JSON, and the check on JSON numbers that every JSON parser in it uses."""
+
+import json
+from pathlib import Path
 
 
 class OrliczWienerError(Exception):
@@ -57,3 +60,24 @@ def json_real(v, what: str) -> float:
         return float(v)
     except OverflowError as exc:
         raise SpecError(f"{what} is beyond the double range") from exc
+
+
+def read_json(source: str | Path, what: str):
+    """The one reader of outside JSON: parse the text ``source``, or the
+    UTF-8 file a Path names.  Every failure, a repeated key in any object
+    and nesting too deep to parse among them, is one SpecError naming
+    ``what``."""
+    try:
+        text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SpecError(f"cannot read {what}: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SpecError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc

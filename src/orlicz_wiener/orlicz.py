@@ -9,13 +9,13 @@ arrays, so every modular is a finite sum.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InvalidWeightError, SpecError, json_real
+from .errors import DomainError, InvalidWeightError, SpecError, json_real, read_json
 
 NEGATIVE_SIDE = "W-"  # index set {1, 2, ...}
 NONNEGATIVE_SIDE = "W+"  # index set {0, 1, ...}
@@ -202,11 +202,7 @@ class WeightSequence:
             return cls("const", klass, _number(s, "const:", "weight"))
         if s.startswith("table:"):
             path = s[len("table:"):]
-            try:
-                with open(path) as fh:
-                    doc = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise SpecError(f"cannot read weight table {path!r}: {exc}") from exc
+            doc = read_json(Path(path), f"weight table {path!r}")
             if not isinstance(doc, dict) or set(doc) != {"values", "delta2"}:
                 raise SpecError("weight table JSON must have exactly keys 'values' and 'delta2'")
             if not isinstance(doc["values"], list):

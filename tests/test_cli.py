@@ -500,6 +500,16 @@ class TestRefusals:
         (["--cmd", "factorize", "--input", TWO_PLUS_T,
           "--space", "pow:p=1;pow:p=1;const:1;const:1;const:1e-320;const:1"], None),
         (["--cmd", "weights"], {"values": [1, 1e-320], "delta2": 2}),
+        (["--cmd", "weights"], "[" * 100000 + "]" * 100000),
+        (["--cmd", "weights"], '{"values": [1, 2], "delta2": 2, "delta2": 3}'),
+        (["--cmd", "norm", "--input", '{"coeffs": %s}' % ("[" * 3000 + "]" * 3000)], None),
+        (["--cmd", "norm", "--input", '{"coeffs": [{"k": 0, "re": 1, "im": 0}], "coeffs": []}'],
+         None),
+        (["--cmd", "norm", "--input", '{"coeffs": [{"k": 0, "re": 1, "re": 5, "im": 0}]}'],
+         None),
+        (["--cmd", "weights", "--support", "1"], None),
+        (["--cmd", "weights", "--support", "0"], None),
+        (["--cmd", "weights", "--support", "-3"], None),
         (["--cmd", "weights", "--support", "x"], None),
         (["--cmd", "weights", "--no-such-flag"], None),
         (["--cmd", "bogus"], None),
@@ -511,7 +521,9 @@ class TestRefusals:
             "re-bool", "im-null", "re-beyond-double", "norm-weight-inf-at-zero",
             "factorize-weight-inf-at-zero", "factorize-under-resolved-at-largest-grid",
             "norm-const-subnormal", "weights-const-subnormal", "factorize-const-subnormal",
-            "table-value-subnormal",
+            "table-value-subnormal", "table-nested-100000", "table-repeated-key",
+            "coeffs-nested-3000", "coeffs-repeated-key", "coefficient-repeated-key",
+            "weights-support-1", "weights-support-0", "weights-support-negative",
             "support-not-int", "unknown-flag",
             "unknown-cmd", "missing-cmd"])
     def test_one_line_exit_2(self, capsys, tmp_path, argv, table):
@@ -529,6 +541,18 @@ class TestRefusals:
         # factorize refines the grid itself up to the largest one, so no
         # refusal can advise a finer grid
         assert "refine" not in err
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"coeffs": []}',
+        b'{"coeffs": ' + b"[" * 3000 + b"]" * 3000 + b"}",
+    ], ids=["not-utf8", "nested-3000"])
+    def test_unreadable_coefficient_file_one_line_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "f.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "--cmd", "norm", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_help_is_not_a_refusal(self, capsys):
         code, out, err = run(capsys, "--help")
