@@ -80,14 +80,17 @@ def fingerprint(family: str, seed: int, trial: int, support: int) -> str:
 
 
 def parse_fingerprint(fp: str):
+    """(family, seed, trial, support) of a fingerprint in the one form that
+    ``fingerprint`` writes; any other string is refused."""
     try:
         family, s, t, sup = fp.split(":")
-        seed = int(s.removeprefix("seed="))
-        trial = int(t.removeprefix("trial="))
-        support = int(sup.removeprefix("support="))
+        fields = (family, int(s.removeprefix("seed=")), int(t.removeprefix("trial=")),
+                  int(sup.removeprefix("support=")))
     except (ValueError, AttributeError) as exc:
         raise SpecError(f"bad fingerprint {fp!r}") from exc
-    return family, seed, trial, support
+    if fingerprint(*fields) != fp:
+        raise SpecError(f"bad fingerprint {fp!r}")
+    return fields
 
 
 def _check_trials(families, seed: int, trial: int, support: int):

@@ -278,28 +278,71 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
         return float(np.sum(orlicz(np.abs(c) * phi(n) / lam) * w(n)))
 
 
+def _bracket(ref: float):
+    """The bracketing phase of a Luxemburg solve, in the protocol of
+    ``_luxemburg_steps``: returns the consecutive scales lo and hi = 2 lo
+    of the sequence ref * 2^k between which the modular crosses 1, with
+    their modulars, as (lo, m_lo, hi, m_hi); None when the modular stays
+    <= 1 down to the smallest double.
+
+    Convexity with Phi(0) = 0 gives Phi(x/s) <= Phi(x)/s for s >= 1, so
+    the modular m at ref changes side within ceil(log2 m) doublings or
+    floor(log2(1/m)) + 1 halvings, and bisection over that range finds
+    the first scale beyond, each probe an exact ref * 2^(+-k) among the
+    normal doubles.  Each halving or doubling moves the modular by a
+    factor of at least 2, far beyond rounding, so it changes side once
+    and the bracket is the one a halve-or-double scan from ref finds.
+    Where rounding or the ends of the normal range defeat the bound, that
+    scan goes on from the farthest probe.  The family indices, which
+    would narrow the range (``pow:p`` crosses within ceil(log2(m)/p)
+    doublings), are not used."""
+    m = yield ref
+    below = m <= 1
+    frac, e = math.frexp(m)  # m = frac * 2^e, frac in [0.5, 1) if m is finite
+    e_ref = math.frexp(ref)[1]
+    # far: the convexity bound, cut where ref * 2^(+-far) would leave the
+    # normal doubles (math.ldexp raises OverflowError past the top).
+    if below:
+        sign, far = -1, min(1 - e + (frac == 0.5), e_ref + 1021)
+    else:
+        sign, far = 1, 1024 - e_ref if m == math.inf else min(e - (frac == 0.5), 1024 - e_ref)
+    # (k, lam, m) is the farthest point on the side of ref, (far, nxt, m_nxt)
+    # the nearest known beyond it, if any.
+    k, lam, nxt, m_nxt = 0, ref, ref, m
+    if far > 0:
+        nxt = math.ldexp(ref, sign * far)
+        m_nxt = yield nxt
+    while (m_nxt <= 1) != below and far - k > 1:
+        mid = (k + far) // 2
+        probe = math.ldexp(ref, sign * mid)
+        m_probe = yield probe
+        if (m_probe <= 1) == below:
+            k, lam, m = mid, probe, m_probe
+        else:
+            far, nxt, m_nxt = mid, probe, m_probe
+    step, limit = (0.5, 0.0) if below else (2.0, math.inf)
+    while (m_nxt <= 1) == below:
+        lam, m = nxt, m_nxt
+        nxt = lam * step
+        if nxt == limit:
+            if below:
+                return None
+            raise DomainError("failed to bracket the Luxemburg norm")
+        m_nxt = yield nxt
+    return (nxt, m_nxt, lam, m) if below else (lam, m, nxt, m_nxt)
+
+
 def _luxemburg_steps(ref: float, tol: float):
     """One Luxemburg solve as a coroutine: yields each scale lam, receives
     the modular there, and returns the final bracket (lo, hi), with the
     modular <= 1 at hi and > 1 at lo; (0.0, 0.0) when the modular stays
     <= 1 down to the smallest double.  ``ref`` is the largest weighted
-    entry, where the bracketing starts: it halves or doubles the scale
-    toward the crossing until the modular changes side of 1."""
-    lam = ref
-    m = yield lam
-    below = m <= 1
-    step, limit = (0.5, 0.0) if below else (2.0, math.inf)
-    while True:
-        nxt = lam * step
-        if nxt == limit:
-            if below:
-                return 0.0, 0.0
-            raise DomainError("failed to bracket the Luxemburg norm")
-        m_nxt = yield nxt
-        if (m_nxt <= 1) != below:
-            break
-        lam, m = nxt, m_nxt
-    (lo, m_lo), (hi, m_hi) = ((nxt, m_nxt), (lam, m)) if below else ((lam, m), (nxt, m_nxt))
+    entry, where ``_bracket`` starts; regula falsi then narrows its
+    bracket."""
+    ends = yield from _bracket(ref)
+    if ends is None:
+        return 0.0, 0.0
+    lo, m_lo, hi, m_hi = ends
 
     # Abscissae are log(lam/ref), which keeps them small and precise.
     x_lo, y_lo = math.log(lo / ref), _log(m_lo)
@@ -465,10 +508,12 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
     That loop computes |c_n| phi_n and w_n once, lays them end to end
     behind one zero (see ``_Batch``) and evaluates the modular of each
     iterate on them, with the same bits as the public ``modular``.  The
-    solve exponentially brackets the threshold starting from the scale
-    of the largest weighted entry, halving or doubling until the scale
-    leaves the range of doubles if need be, then narrows the bracket by
-    regula falsi with the Anderson-Bjorck correction on
+    solve brackets the threshold between consecutive scales ref * 2^k,
+    from the scale ref of the largest weighted entry, by bisection over
+    the steps within which convexity puts the crossing, and by halving
+    or doubling on to the ends of the doubles where rounding or the
+    range defeats that bound (see ``_bracket``); it then narrows the
+    bracket by regula falsi with the Anderson-Bjorck correction on
     (log lam, log modular), a relation that is exactly linear for the
     ``pow`` family.  Each new point lies at least tol/4 of the upper end
     inside the bracket, so a point on the root also closes the far side;

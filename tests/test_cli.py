@@ -511,6 +511,11 @@ class TestRefusals:
         (["--cmd", "weights", "--support", "0"], None),
         (["--cmd", "weights", "--support", "-3"], None),
         (["--cmd", "weights", "--support", "x"], None),
+        (["--cmd", "verify", "--replay", "theorem:7:3:16"], None),
+        (["--cmd", "verify", "--replay", "theorem:seed=\u0667:trial=3:support=16"], None),
+        (["--cmd", "verify", "--replay", "theorem:seed=+7:trial=3:support=16"], None),
+        (["--cmd", "verify", "--replay", "theorem:seed=7_0:trial=3:support=16"], None),
+        (["--cmd", "verify", "--replay", "theorem:seed= 7:trial=3:support=16"], None),
         (["--cmd", "weights", "--no-such-flag"], None),
         (["--cmd", "bogus"], None),
         (["--support", "8"], None),
@@ -524,7 +529,8 @@ class TestRefusals:
             "table-value-subnormal", "table-nested-100000", "table-repeated-key",
             "coeffs-nested-3000", "coeffs-repeated-key", "coefficient-repeated-key",
             "weights-support-1", "weights-support-0", "weights-support-negative",
-            "support-not-int", "unknown-flag",
+            "support-not-int", "replay-unlabelled", "replay-arabic-indic-digit",
+            "replay-plus-sign", "replay-underscore", "replay-space", "unknown-flag",
             "unknown-cmd", "missing-cmd"])
     def test_one_line_exit_2(self, capsys, tmp_path, argv, table):
         if table is not None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 
 import mpmath
@@ -633,28 +634,38 @@ class TestBatchedEdgeCases:
 
 
 def _two_loop_bracket(ref: float):
-    """The bracketing of a Luxemburg solve as two mirrored loops, in the
-    protocol of ``orlicz._luxemburg_steps``: from ref it halves while the
+    """The bracketing of a Luxemburg solve as two mirrored linear loops, in
+    the protocol of ``orlicz._bracket``: from ref it halves while the
     modular is <= 1 or doubles while it is > 1, and returns the bracket
-    (lo, hi), or (0.0, 0.0) when the scale reaches 0."""
+    (lo, m_lo, hi, m_hi), or None when the scale reaches 0."""
     m = yield ref
     if m <= 1:
-        hi = ref
+        hi, m_hi = ref, m
         while True:
             lo = hi / 2
             if lo == 0:
-                return 0.0, 0.0
-            if (yield lo) > 1:
-                return lo, hi
-            hi = lo
-    lo = ref
+                return None
+            m_lo = yield lo
+            if m_lo > 1:
+                return lo, m_lo, hi, m_hi
+            hi, m_hi = lo, m_lo
+    lo, m_lo = ref, m
     while True:
         hi = lo * 2
         if hi == math.inf:
             raise DomainError("failed to bracket the Luxemburg norm")
-        if (yield hi) <= 1:
-            return lo, hi
-        lo = hi
+        m_hi = yield hi
+        if m_hi <= 1:
+            return lo, m_lo, hi, m_hi
+        lo, m_lo = hi, m_hi
+
+
+def _linear(run):
+    """run() with the solver's bracketing replaced by the linear reference,
+    so that a solve narrows the bracket of the halve-or-double scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orlicz, "_bracket", _two_loop_bracket)
+        return run()
 
 
 def _run_solve(solve, modular_at):
@@ -671,19 +682,24 @@ def _run_solve(solve, modular_at):
 
 
 class TestOneBracketingLoop:
-    """``_luxemburg_steps`` brackets with one loop that halves or doubles:
-    it yields the scales of the two-loop reference bit for bit, through the
-    public modular of pow:p=1 with constant weights, so the modular at lam
-    is sum |c| * w / lam and the bracketing starts at max |c|."""
+    """``_bracket`` bisects over the convexity bound, yet finds the bracket
+    of the linear two-loop reference, bit for bit, with the modular at each
+    end, so regula falsi narrows it through the same iterates.  Each case
+    goes through the public modular of pow:p=1 with constant weights, so
+    the modular at lam is sum |c| * w / lam and the bracketing starts at
+    max |c|."""
 
     FN = OrliczFunction("pow", 1)
     TINY, HUGE = TestBatchedEdgeCases.TINY, TestBatchedEdgeCases.HUGE
 
     def _both(self, c, w):
+        """(reference, bisecting) pairs of the bracketing alone and of the
+        whole solve, each as the scales yielded and the outcome."""
         ref = float(np.max(np.abs(c)))
         at = lambda lam: modular(c, self.FN, CONST1, w, lam)
-        return (_run_solve(_two_loop_bracket(ref), at),
-                _run_solve(orlicz._luxemburg_steps(ref, 1e-12), at))
+        solve = lambda: _run_solve(orlicz._luxemburg_steps(ref, 1e-12), at)
+        return ((_run_solve(_two_loop_bracket(ref), at), _run_solve(orlicz._bracket(ref), at)),
+                (_linear(solve), solve()))
 
     @pytest.mark.parametrize("c, w, least", [
         (np.array([1.0, -0.5j]), TINY, 990),  # about a thousand halvings
@@ -696,24 +712,103 @@ class TestOneBracketingLoop:
         (np.array([1.0]), WeightSequence("const", NEGATIVE_SIDE, 4.0), 3),
     ])
     def test_same_scales_and_an_ordered_bracket(self, c, w, least):
-        (want, (lo, hi)), (got, (got_lo, got_hi)) = self._both(c, w)
-        assert len(want) >= least
-        assert got[:len(want)] == want
-        # regula falsi narrows the reference bracket, so it got (lo, hi) in
-        # that order
-        assert len(got) > len(want)
+        ((want_probes, ends), (probes, got_ends)), ((want, want_out), (got, out)) = self._both(c, w)
+        assert len(want_probes) >= least
+        assert got_ends == ends
+        lo, _, hi, _ = ends
+        # the same narrowing iterates after either bracketing, and the same
+        # final bracket, ordered inside the first
+        assert got[len(probes):] == want[len(want_probes):]
+        assert len(got) > len(probes)
+        assert out == want_out
+        got_lo, got_hi = out
         assert lo <= got_lo < got_hi <= hi
         assert modular(c, self.FN, CONST1, w, got_hi) <= 1 < modular(c, self.FN, CONST1, w, got_lo)
+        # far stays among the normal doubles here, so bisection needs at
+        # most ceil(log2 far) + 1 probes after the one at ref
+        ref, m0 = probes[0], modular(c, self.FN, CONST1, w, probes[0])
+        sign, far = ((1, math.ceil(math.log2(m0))) if m0 > 1
+                     else (-1, math.floor(-math.log2(m0)) + 1))
+        assert sys.float_info.min <= math.ldexp(ref, sign * far) < math.inf
+        assert len(probes) <= math.ceil(math.log2(far)) + 2
 
     def test_zero_exit(self):
         # the modular stays <= 1 from 1e-300 down to the smallest double,
-        # 78 halvings on: norm 0
-        (want, outcome), (got, result) = self._both(np.array([1e-300]), self.TINY)
+        # 78 halvings on: norm 0.  The convexity bound lies far below the
+        # normal doubles, so the bisecting solve probes the smallest normal
+        # scale ref * 2^k, then halves on over the reference's own scales.
+        ((want_probes, ends), (probes, got_ends)), ((want, outcome), (got, result)) = \
+            self._both(np.array([1e-300]), self.TINY)
         assert len(want) > 70
-        assert got == want and outcome == result == (0.0, 0.0)
+        assert ends is got_ends is None and outcome == result == (0.0, 0.0)
+        assert len(got) < len(want) and got[1:] == want[len(want) - len(got) + 1:]
+        assert probes == got and want_probes == want
+
+    def test_crossing_below_the_normal_range(self):
+        # the modular crosses 1 near 1e-310, among the subnormal doubles:
+        # the bisecting solve finds the reference bracket there by halving
+        # on from the smallest normal scale it may probe
+        c, w = np.array([1e-300]), WeightSequence("const", NEGATIVE_SIDE, 1e-10)
+        ((want_probes, ends), (probes, got_ends)), ((want, want_out), (got, out)) = self._both(c, w)
+        assert got_ends == ends and 0 < ends[0] < sys.float_info.min
+        assert len(probes) < len(want_probes)
+        assert probes[1:] == want_probes[len(want_probes) - len(probes) + 1:]
+        assert got[len(probes):] == want[len(want_probes):] and out == want_out
 
     def test_inf_refusal(self):
-        # the modular stays > 1 up to the largest double: no bracket
-        (want, outcome), (got, result) = self._both(np.array([1e300]), self.HUGE)
+        # the modular stays > 1 up to the largest double: no bracket.  The
+        # bisecting solve probes the largest finite scale ref * 2^k once.
+        ((want_probes, _), (probes, _)), ((want, outcome), (got, result)) = \
+            self._both(np.array([1e300]), self.HUGE)
         assert len(want) > 10
-        assert got == want and outcome == result == "failed to bracket the Luxemburg norm"
+        assert outcome == result == "failed to bracket the Luxemburg norm"
+        assert got == probes == [want[0], want[-1]] and want_probes == want
+
+
+@st.composite
+def _far_batches(draw):
+    """Solves of each Orlicz family with coefficients at magnitudes from
+    1e-200 to 1e200, and summand weights from the builtin families or a
+    constant as far apart, so that the crossing can lie more than a
+    thousand halvings or doublings from the first scale, or beyond the
+    doubles."""
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        klass = draw(st.sampled_from([NEGATIVE_SIDE, NONNEGATIVE_SIDE]))
+        mags = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1)), min_size=1, max_size=12))
+        w = draw(st.one_of(_weights(klass), st.builds(
+            lambda e: WeightSequence("const", klass, 10.0 ** e), st.floats(-200, 200))))
+        problems.append((np.array(mags) * 10.0 ** draw(st.floats(-200, 200)),
+                         draw(_ORLICZ), draw(_weights(klass)), w))
+    return problems, draw(st.sampled_from([1e-12, 1e-6, 1e-3]))
+
+
+def _bracket_bits(problems, tol):
+    """Each end of each final bracket as its hex string, or the refusal."""
+    try:
+        return [(lo.hex(), hi.hex()) for lo, hi in orlicz._brackets(problems, tol)]
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_far_batches())
+def test_brackets_equal_the_linear_reference(case):
+    """Bisecting over the convexity bound changes the probes, never the
+    bits: every solve's final bracket is the one the halve-or-double scan
+    gives, alone and in one batch."""
+    problems, tol = case
+    for batch in [problems, *([p] for p in problems)]:
+        assert _bracket_bits(batch, tol) == _linear(lambda: _bracket_bits(batch, tol))
+
+
+def test_brackets_equal_the_linear_reference_at_the_ends_of_the_doubles():
+    """The same at the ends of the range, where the bisection is cut to the
+    normal doubles: subnormal and near-overflow coefficients, with the
+    smallest and the largest constant weights."""
+    problems = [(np.array([c, c / 3, -c / 7j]), fn, CONST1, WeightSequence("const", NEGATIVE_SIDE, w))
+                for c in (1e-320, 1e-310, sys.float_info.min, 1.0, sys.float_info.max)
+                for w in (sys.float_info.min, 1.0, sys.float_info.max)
+                for fn in (OrliczFunction("pow", 2.5), OrliczFunction("expm1"))]
+    for p in problems:
+        assert _bracket_bits([p], 1e-12) == _linear(lambda: _bracket_bits([p], 1e-12))
