@@ -73,6 +73,20 @@ class OrliczFunction:
             return np.expm1(x)
         return x**self.p * np.log1p(x)
 
+    @property
+    def _growth(self) -> tuple:
+        """(q, L, U) with L (y/x)^q <= Phi(y)/Phi(x) <= U (y/x)^q for
+        0 < y <= x <= 1.  Write Phi(x) = x^q g(x): for ``pow``, g = 1; for
+        ``powlog``, q = p + 1 and g(x) = log1p(x)/x falls from 1 to ln 2 on
+        (0, 1], so g(y)/g(x) lies in [1, 1/ln 2]; for ``expm1``, q = 1 and
+        g(x) = expm1(x)/x rises from 1 to e - 1, so g(y)/g(x) lies in
+        [1/(e - 1), 1].  The constants are rounded outward."""
+        if self.family == "pow":
+            return self.p, 1.0, 1.0
+        if self.family == "expm1":
+            return 1.0, 0.5819767, 1.0
+        return self.p + 1, 1.0, 1.4426951
+
     def spec(self) -> str:
         if self.family == "expm1":
             return "expm1"
@@ -278,7 +292,7 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
         return float(np.sum(orlicz(np.abs(c) * phi(n) / lam) * w(n)))
 
 
-def _bracket(ref: float):
+def _bracket(ref: float, growth: tuple):
     """The bracketing phase of a Luxemburg solve, in the protocol of
     ``_luxemburg_steps``: returns the consecutive scales lo and hi = 2 lo
     of the sequence ref * 2^k between which the modular crosses 1, with
@@ -287,15 +301,20 @@ def _bracket(ref: float):
 
     Convexity with Phi(0) = 0 gives Phi(x/s) <= Phi(x)/s for s >= 1, so
     the modular m at ref changes side within ceil(log2 m) doublings or
-    floor(log2(1/m)) + 1 halvings, and bisection over that range finds
-    the first scale beyond, each probe an exact ref * 2^(+-k) among the
-    normal doubles.  Each halving or doubling moves the modular by a
-    factor of at least 2, far beyond rounding, so it changes side once
-    and the bracket is the one a halve-or-double scan from ref finds.
-    Where rounding or the ends of the normal range defeat the bound, that
-    scan goes on from the farthest probe.  The family indices, which
-    would narrow the range (``pow:p`` crosses within ceil(log2(m)/p)
-    doublings), are not used."""
+    floor(log2(1/m)) + 1 halvings.  When it doubles, every argument
+    |c_n| phi_n / lam lies in [0, 1], so the family's ``growth`` (q, L, U)
+    puts m(ref * 2^k) between L m 2^(-kq) and U m 2^(-kq): the first
+    scale at or below 1 lies in the window from ceil(log2(m L)/q) to
+    ceil(log2(m U)/q), at most two indices wide.  The solve probes the
+    window's upper end, then the index before the window, then bisects
+    between them: at most 4 modulars with the one at ref.  When it halves,
+    it bisects over the convexity bound.  Each probe is an exact
+    ref * 2^(+-k) among the normal doubles.  Each halving or doubling
+    moves the modular by a factor of at least 2, far beyond rounding, so
+    it changes side once and the bracket is the one a halve-or-double
+    scan from ref finds.  Where rounding defeats either bound, or the ends
+    of the normal range cut it, that scan goes on from the farthest
+    probe: a wrong bound costs probes, never bits."""
     m = yield ref
     below = m <= 1
     frac, e = math.frexp(m)  # m = frac * 2^e, frac in [0.5, 1) if m is finite
@@ -306,6 +325,14 @@ def _bracket(ref: float):
         sign, far = -1, min(1 - e + (frac == 0.5), e_ref + 1021)
     else:
         sign, far = 1, 1024 - e_ref if m == math.inf else min(e - (frac == 0.5), 1024 - e_ref)
+    # Doubling, the family's window narrows the bound: the modular is > 1
+    # up to index near and <= 1 from index far on.
+    near = 0
+    if not below and m < math.inf:
+        q, low, high = growth
+        log_m = math.log2(m)
+        near = math.ceil((log_m + math.log2(low)) / q) - 1
+        far = min(math.ceil((log_m + math.log2(high)) / q), far)
     # (k, lam, m) is the farthest point on the side of ref, (far, nxt, m_nxt)
     # the nearest known beyond it, if any.
     k, lam, nxt, m_nxt = 0, ref, ref, m
@@ -313,7 +340,7 @@ def _bracket(ref: float):
         nxt = math.ldexp(ref, sign * far)
         m_nxt = yield nxt
     while (m_nxt <= 1) != below and far - k > 1:
-        mid = (k + far) // 2
+        mid = near if k < near < far else (k + far) // 2
         probe = math.ldexp(ref, sign * mid)
         m_probe = yield probe
         if (m_probe <= 1) == below:
@@ -332,14 +359,15 @@ def _bracket(ref: float):
     return (nxt, m_nxt, lam, m) if below else (lam, m, nxt, m_nxt)
 
 
-def _luxemburg_steps(ref: float, tol: float):
+def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     """One Luxemburg solve as a coroutine: yields each scale lam, receives
     the modular there, and returns the final bracket (lo, hi), with the
     modular <= 1 at hi and > 1 at lo; (0.0, 0.0) when the modular stays
     <= 1 down to the smallest double.  ``ref`` is the largest weighted
-    entry, where ``_bracket`` starts; regula falsi then narrows its
-    bracket."""
-    ends = yield from _bracket(ref)
+    entry, where ``_bracket`` starts, and ``growth`` the Orlicz function's
+    ``_growth``, from which it predicts its bracket; regula falsi then
+    narrows that bracket."""
+    ends = yield from _bracket(ref, growth)
     if ends is None:
         return 0.0, 0.0
     lo, m_lo, hi, m_hi = ends
@@ -479,7 +507,7 @@ def _brackets(problems, tol: float) -> list:
     live, lam = {}, np.ones(len(problems))  # sorted row -> its running solve
     for j, ref in enumerate(batch.refs):
         if ref > 0:
-            live[j] = _luxemburg_steps(ref, tol)
+            live[j] = _luxemburg_steps(ref, tol, problems[batch.order[j]][1]._growth)
             lam[j] = next(live[j])
     while live:
         m = batch.modulars(lam).tolist()
@@ -509,13 +537,14 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
     behind one zero (see ``_Batch``) and evaluates the modular of each
     iterate on them, with the same bits as the public ``modular``.  The
     solve brackets the threshold between consecutive scales ref * 2^k,
-    from the scale ref of the largest weighted entry, by bisection over
-    the steps within which convexity puts the crossing, and by halving
-    or doubling on to the ends of the doubles where rounding or the
-    range defeats that bound (see ``_bracket``); it then narrows the
-    bracket by regula falsi with the Anderson-Bjorck correction on
-    (log lam, log modular), a relation that is exactly linear for the
-    ``pow`` family.  Each new point lies at least tol/4 of the upper end
+    from the scale ref of the largest weighted entry: doubling, within the
+    window of at most two steps that the Orlicz family's growth puts the
+    crossing in; halving, by bisection over the steps within which
+    convexity puts it; and by halving or doubling on to the ends of the
+    doubles where rounding or the range defeats these bounds (see
+    ``_bracket``).  It then narrows the bracket by regula falsi with the
+    Anderson-Bjorck correction on (log lam, log modular), a relation that
+    is exactly linear for the ``pow`` family.  Each new point lies at least tol/4 of the upper end
     inside the bracket, so a point on the root also closes the far side;
     the geometric midpoint stands in when a log-modular is not finite.
     It stops at relative width tol and returns the upper end, where the

@@ -633,11 +633,12 @@ class TestBatchedEdgeCases:
         assert luxemburg_norm(*short) > 0
 
 
-def _two_loop_bracket(ref: float):
+def _two_loop_bracket(ref: float, *_):
     """The bracketing of a Luxemburg solve as two mirrored linear loops, in
     the protocol of ``orlicz._bracket``: from ref it halves while the
     modular is <= 1 or doubles while it is > 1, and returns the bracket
-    (lo, m_lo, hi, m_hi), or None when the scale reaches 0."""
+    (lo, m_lo, hi, m_hi), or None when the scale reaches 0.  It takes the
+    family's growth bounds and ignores them."""
     m = yield ref
     if m <= 1:
         hi, m_hi = ref, m
@@ -682,12 +683,12 @@ def _run_solve(solve, modular_at):
 
 
 class TestOneBracketingLoop:
-    """``_bracket`` bisects over the convexity bound, yet finds the bracket
-    of the linear two-loop reference, bit for bit, with the modular at each
-    end, so regula falsi narrows it through the same iterates.  Each case
-    goes through the public modular of pow:p=1 with constant weights, so
-    the modular at lam is sum |c| * w / lam and the bracketing starts at
-    max |c|."""
+    """``_bracket`` probes the family's window or bisects over the
+    convexity bound, yet finds the bracket of the linear two-loop
+    reference, bit for bit, with the modular at each end, so regula falsi
+    narrows it through the same iterates.  Each case goes through the
+    public modular of pow:p=1 with constant weights, so the modular at lam
+    is sum |c| * w / lam and the bracketing starts at max |c|."""
 
     FN = OrliczFunction("pow", 1)
     TINY, HUGE = TestBatchedEdgeCases.TINY, TestBatchedEdgeCases.HUGE
@@ -697,8 +698,10 @@ class TestOneBracketingLoop:
         whole solve, each as the scales yielded and the outcome."""
         ref = float(np.max(np.abs(c)))
         at = lambda lam: modular(c, self.FN, CONST1, w, lam)
-        solve = lambda: _run_solve(orlicz._luxemburg_steps(ref, 1e-12), at)
-        return ((_run_solve(_two_loop_bracket(ref), at), _run_solve(orlicz._bracket(ref), at)),
+        growth = self.FN._growth
+        solve = lambda: _run_solve(orlicz._luxemburg_steps(ref, 1e-12, growth), at)
+        return ((_run_solve(_two_loop_bracket(ref), at),
+                 _run_solve(orlicz._bracket(ref, growth), at)),
                 (_linear(solve), solve()))
 
     @pytest.mark.parametrize("c, w, least", [
@@ -724,13 +727,15 @@ class TestOneBracketingLoop:
         got_lo, got_hi = out
         assert lo <= got_lo < got_hi <= hi
         assert modular(c, self.FN, CONST1, w, got_hi) <= 1 < modular(c, self.FN, CONST1, w, got_lo)
-        # far stays among the normal doubles here, so bisection needs at
-        # most ceil(log2 far) + 1 probes after the one at ref
+        # far stays among the normal doubles here.  Doubling, the window of
+        # pow:p=1 is the one index ceil(log2 m0): its end and the index
+        # before it after the one at ref.  Halving, bisection needs at most
+        # ceil(log2 far) + 1 probes after the one at ref.
         ref, m0 = probes[0], modular(c, self.FN, CONST1, w, probes[0])
         sign, far = ((1, math.ceil(math.log2(m0))) if m0 > 1
                      else (-1, math.floor(-math.log2(m0)) + 1))
         assert sys.float_info.min <= math.ldexp(ref, sign * far) < math.inf
-        assert len(probes) <= math.ceil(math.log2(far)) + 2
+        assert len(probes) <= (3 if sign > 0 else math.ceil(math.log2(far)) + 2)
 
     def test_zero_exit(self):
         # the modular stays <= 1 from 1e-300 down to the smallest double,
@@ -791,24 +796,104 @@ def _bracket_bits(problems, tol):
         return str(exc)
 
 
+# Growth bounds that are wrong in either direction: a window too near, too
+# far, or upside down.
+_WRONG_GROWTH = [
+    lambda q, low, high: (4 * q, low, high),
+    lambda q, low, high: (q / 4, low, high),
+    lambda q, low, high: (q, high, low),
+]
+
+
+def _wrong(run, perturb):
+    """run() with every solve's growth bounds passed through perturb."""
+    real = orlicz._bracket
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orlicz, "_bracket", lambda ref, growth: real(ref, perturb(*growth)))
+        return run()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_far_batches())
 def test_brackets_equal_the_linear_reference(case):
-    """Bisecting over the convexity bound changes the probes, never the
-    bits: every solve's final bracket is the one the halve-or-double scan
-    gives, alone and in one batch."""
+    """Probing the family's window or bisecting over the convexity bound
+    changes the probes, never the bits: every solve's final bracket is the
+    one the halve-or-double scan gives, alone and in one batch, and stays
+    so when the growth bounds are wrong."""
     problems, tol = case
     for batch in [problems, *([p] for p in problems)]:
         assert _bracket_bits(batch, tol) == _linear(lambda: _bracket_bits(batch, tol))
+    want = _linear(lambda: _bracket_bits(problems, tol))
+    for perturb in _WRONG_GROWTH:
+        assert _wrong(lambda: _bracket_bits(problems, tol), perturb) == want
 
 
 def test_brackets_equal_the_linear_reference_at_the_ends_of_the_doubles():
-    """The same at the ends of the range, where the bisection is cut to the
-    normal doubles: subnormal and near-overflow coefficients, with the
-    smallest and the largest constant weights."""
+    """The same at the ends of the range, where the window and the bisection
+    are cut to the normal doubles: subnormal and near-overflow
+    coefficients, with the smallest and the largest constant weights."""
     problems = [(np.array([c, c / 3, -c / 7j]), fn, CONST1, WeightSequence("const", NEGATIVE_SIDE, w))
                 for c in (1e-320, 1e-310, sys.float_info.min, 1.0, sys.float_info.max)
                 for w in (sys.float_info.min, 1.0, sys.float_info.max)
-                for fn in (OrliczFunction("pow", 2.5), OrliczFunction("expm1"))]
+                for fn in (OrliczFunction("pow", 2.5), OrliczFunction("expm1"),
+                           OrliczFunction("powlog", 1.05))]
     for p in problems:
-        assert _bracket_bits([p], 1e-12) == _linear(lambda: _bracket_bits([p], 1e-12))
+        want = _linear(lambda: _bracket_bits([p], 1e-12))
+        assert _bracket_bits([p], 1e-12) == want
+        for perturb in _WRONG_GROWTH:
+            assert _wrong(lambda: _bracket_bits([p], 1e-12), perturb) == want
+
+
+_EVERY_FAMILY = [OrliczFunction(family, p) for family in ("pow", "powlog")
+                 for p in (1, 1.05, 2.95, 7)] + [OrliczFunction("expm1")]
+
+
+@pytest.mark.parametrize("fn", _EVERY_FAMILY, ids=OrliczFunction.spec)
+def test_growth_bounds_hold_against_a_50_digit_oracle(fn):
+    """L (y/x)^q <= Phi(y)/Phi(x) <= U (y/x)^q for 0 < y <= x <= 1, with
+    Phi written out in mpmath at 50 digits, on a grid that holds y = x,
+    x = 1 and y = 1e-300, where the bounds of ``powlog`` and ``expm1``
+    are approached.  The bounds hold for the exponent q of the family's
+    definition, and the solver's q is the double nearest it; the slack of
+    1e-40 covers mpmath's own rounding."""
+    q, low, high = fn._growth
+    grid = [1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0]
+    with mpmath.workdps(50):
+        def big_phi(x):
+            if fn.family == "expm1":
+                return mpmath.expm1(x)
+            return x ** fn.p * (mpmath.log1p(x) if fn.family == "powlog" else 1)
+
+        exact_q = {"pow": mpmath.mpf(fn.p), "powlog": mpmath.mpf(fn.p) + 1, "expm1": 1}[fn.family]
+        assert q == float(exact_q)
+        slack = mpmath.mpf("1e-40")
+        for x in map(mpmath.mpf, grid):
+            for y in (mpmath.mpf(y) for y in grid if y <= x):
+                bound = (y / x) ** exact_q
+                ratio = big_phi(y) / big_phi(x)
+                assert low * bound * (1 - slack) <= ratio <= high * bound * (1 + slack)
+
+
+@pytest.mark.parametrize("fn", _EVERY_FAMILY, ids=OrliczFunction.spec)
+def test_a_doubling_bracket_takes_at_most_four_modulars(fn):
+    """Where the modular m0 at ref exceeds 1, the family's window holds the
+    crossing within two indices, so ``_bracket`` evaluates the modular at
+    most 4 times, the one at ref included, wherever the window lies among
+    the normal doubles; bisecting over the convexity bound alone would take
+    2 + ceil(log2(log2 m0)) or so."""
+    cases = 0
+    for ref in (2.0 ** -1000, 1e-150, 1.0, 1e150):
+        c = ref * np.array([1.0, -0.5j, 0.25, 0.125j])
+        at_ref = modular(c, fn, CONST1, CONST1, ref)
+        for e in range(0, 301, 5):
+            w = WeightSequence("const", NEGATIVE_SIDE, 10.0 ** e * 1.1)
+            m0 = at_ref * w.param
+            if not 1 < m0 or math.frexp(ref)[1] + math.ceil(math.log2(m0)) >= 1024:
+                continue
+            at = lambda lam: modular(c, fn, CONST1, w, lam)
+            probes, ends = _run_solve(orlicz._bracket(ref, fn._growth), at)
+            assert len(probes) <= 4, (ref, e, probes)
+            lo, m_lo, hi, m_hi = ends
+            assert hi == 2 * lo and m_hi <= 1 < m_lo
+            cases += 1
+    assert cases > 100
