@@ -138,8 +138,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
         doc = {"replay": args.replay,
                "witnesses": checks.to_json([args.replay] * len(checks.lhs))}
         return doc, EXIT_OK if checks.holds.all() else EXIT_VIOLATION
-    if args.trials < 1:
-        raise SpecError("trials must be >= 1")
     if args.support < 1:
         raise SpecError("support must be >= 1")
     reports = run_suite(NORM_FAMILIES, args.trials, args.seed, args.support)

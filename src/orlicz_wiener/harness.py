@@ -48,7 +48,7 @@ FAMILIES = NORM_FAMILIES + ("coefficient_bound",)
 
 # Every Orlicz function and weight a trial can draw, built once: a group per
 # family, a member per exponent.  Trials share these objects, so a batched
-# solve tells weights apart by identity (see ``orlicz._weight_values``).
+# solve tells weights apart by identity (see ``orlicz._Batch``).
 ORLICZ_GROUPS = (
     tuple(OrliczFunction("pow", p) for p in ORLICZ_EXPONENTS),
     (OrliczFunction("expm1"),),

@@ -279,7 +279,9 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
             lam: float) -> float:
     """Sum of Phi(|c_n| phi_n / lam) w_n over the support of c.
 
-    The entry c[i] sits at index start+i of the weights' index class.
+    The entry c[i] sits at index start+i of the weights' index class.  The
+    sum may be inf; a nan one, from a nan coefficient or an infinite
+    weight that meets a zero, is refused.
     """
     if not lam > 0:
         raise DomainError("scale must be positive")
@@ -288,8 +290,11 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
         return 0.0
     _check_class(phi, w)
     n = np.arange(phi.start, phi.start + c.size)
-    with np.errstate(over="ignore"):
-        return float(np.sum(orlicz(np.abs(c) * phi(n) / lam) * w(n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(orlicz(np.abs(c) * phi(n) / lam) * w(n)))
+    if math.isnan(total):
+        raise DomainError("weighted coefficients and weights must be finite")
+    return total
 
 
 def _bracket(ref: float, growth: tuple):
@@ -299,40 +304,40 @@ def _bracket(ref: float, growth: tuple):
     their modulars, as (lo, m_lo, hi, m_hi); None when the modular stays
     <= 1 down to the smallest double.
 
-    Convexity with Phi(0) = 0 gives Phi(x/s) <= Phi(x)/s for s >= 1, so
-    the modular m at ref changes side within ceil(log2 m) doublings or
-    floor(log2(1/m)) + 1 halvings.  When it doubles, every argument
-    |c_n| phi_n / lam lies in [0, 1], so the family's ``growth`` (q, L, U)
-    puts m(ref * 2^k) between L m 2^(-kq) and U m 2^(-kq): the first
-    scale at or below 1 lies in the window from ceil(log2(m L)/q) to
-    ceil(log2(m U)/q), at most two indices wide.  The solve probes the
-    window's upper end, then the index before the window, then bisects
-    between them: at most 4 modulars with the one at ref.  When it halves,
-    it bisects over the convexity bound.  Each probe is an exact
-    ref * 2^(+-k) among the normal doubles.  Each halving or doubling
-    moves the modular by a factor of at least 2, far beyond rounding, so
-    it changes side once and the bracket is the one a halve-or-double
-    scan from ref finds.  Where rounding defeats either bound, or the ends
-    of the normal range cut it, that scan goes on from the farthest
-    probe: a wrong bound costs probes, never bits."""
+    One bound per direction.  Where the modular m at ref is > 1 it
+    doubles: every argument |c_n| phi_n / lam then lies in [0, 1], where
+    the family's ``growth`` (q, L, U) puts m(ref * 2^k) between
+    L m 2^(-kq) and U m 2^(-kq), so the crossing lies in the window from
+    ceil(log2(m L)/q) to ceil(log2(m U)/q), at most two indices wide and
+    never beyond convexity's ceil(log2 m), or anywhere if m = inf.  It
+    probes the window's top and the index before it, then bisects: at
+    most 4 modulars with the one at ref.  Where m <= 1 it halves:
+    convexity with Phi(0) = 0 gives Phi(x/s) <= Phi(x)/s for s >= 1, so
+    it bisects over the floor(log2(1/m)) + 1 halvings within which the
+    modular exceeds 1.  Each probe is an exact ref * 2^(+-k) among the
+    normal doubles.  Each halving or doubling moves the modular by a
+    factor of at least 2, far beyond rounding, so the bracket is the one a
+    halve-or-double scan from ref finds: where rounding or the end of the
+    doubles leaves the farthest probe short of the crossing, that scan
+    goes on from it, and where rounding puts the low probe past the
+    crossing, bisection goes on between ref and that probe."""
     m = yield ref
     below = m <= 1
-    frac, e = math.frexp(m)  # m = frac * 2^e, frac in [0.5, 1) if m is finite
     e_ref = math.frexp(ref)[1]
-    # far: the convexity bound, cut where ref * 2^(+-far) would leave the
-    # normal doubles (math.ldexp raises OverflowError past the top).
+    # far: the bound, cut where ref * 2^(+-far) would leave the normal
+    # doubles (math.ldexp raises OverflowError past the top).  Doubling,
+    # the modular is > 1 up to index near and <= 1 from index far on.
+    near = 0
     if below:
+        frac, e = math.frexp(m)  # m = frac * 2^e, frac in [0.5, 1) if m > 0
         sign, far = -1, min(1 - e + (frac == 0.5), e_ref + 1021)
     else:
-        sign, far = 1, 1024 - e_ref if m == math.inf else min(e - (frac == 0.5), 1024 - e_ref)
-    # Doubling, the family's window narrows the bound: the modular is > 1
-    # up to index near and <= 1 from index far on.
-    near = 0
-    if not below and m < math.inf:
-        q, low, high = growth
-        log_m = math.log2(m)
-        near = math.ceil((log_m + math.log2(low)) / q) - 1
-        far = min(math.ceil((log_m + math.log2(high)) / q), far)
+        sign, far = 1, 1024 - e_ref
+        if m < math.inf:
+            q, low, high = growth
+            log_m = math.log2(m)
+            near = math.ceil((log_m + math.log2(low)) / q) - 1
+            far = min(math.ceil((log_m + math.log2(high)) / q), far)
     # (k, lam, m) is the farthest point on the side of ref, (far, nxt, m_nxt)
     # the nearest known beyond it, if any.
     k, lam, nxt, m_nxt = 0, ref, ref, m
@@ -397,24 +402,6 @@ def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     return lo, hi
 
 
-def _weight_values(rows) -> list:
-    """Per (c, orlicz, phi, w) row, the arrays (phi_n, w_n) of its weights
-    from the class start on, at least as long as c.
-
-    Each weight object is evaluated once, over the longest row that uses
-    it, and its rows share that array: no weight is evaluated at an index
-    that no row reaches, so no batch refuses an overflow that the serial
-    solves of its rows would not.  Weights are told apart by identity; the
-    suites draw theirs from one table of prebuilt weights."""
-    reach = {}  # id(nu) -> (nu, the length of its longest row)
-    for c, _, phi, w in rows:
-        for nu in (phi, w):
-            reach[id(nu)] = nu, max(reach.get(id(nu), (nu, 0))[1], c.size)
-    with np.errstate(over="ignore"):
-        values = {key: nu(np.arange(nu.start, nu.start + n)) for key, (nu, n) in reach.items()}
-    return [(values[id(phi)], values[id(w)]) for _, _, phi, w in rows]
-
-
 def _end_to_end(arrays) -> np.ndarray:
     """The arrays laid end to end in one 1-D array, each led by one zero."""
     lead = np.zeros(1)
@@ -434,7 +421,8 @@ class _Batch:
     ``starts[j]`` the position of its leading zero, ``sizes[j]`` its length
     with that zero, and ``refs[j]`` its largest weighted entry.  ``spans``
     holds, per Orlicz function, the function and its flat span a:b, and
-    ``x`` the arguments and then the values of Phi during a step.
+    ``x`` the arguments and then the values of Phi during a step.  A batch
+    of one, such as a serial solve, is laid out and stepped as any other.
     """
 
     def __init__(self, problems):
@@ -445,14 +433,22 @@ class _Batch:
         rows = [problems[i] for i in self.order]
         self.sizes = np.array([c.size + 1 for c, *_ in rows])
         self.starts = np.cumsum(self.sizes) - self.sizes
-        values = _weight_values(rows)
-        coeffs = _end_to_end(c for c, *_ in rows)
-        self.scaled = _end_to_end(phi_n[:c.size] for (c, *_), (phi_n, _) in zip(rows, values))
-        self.w = _end_to_end(w_n[:c.size] for (c, *_), (_, w_n) in zip(rows, values))
+        # Each weight object is evaluated once, over the longest row that
+        # uses it, and its rows take prefixes: no weight is evaluated at an
+        # index that no row reaches, so no batch refuses an overflow that
+        # the serial solves of its rows would not.  Weights are told apart
+        # by identity; the suites draw theirs from one table of prebuilt
+        # weights.
+        reach = {}  # id(nu) -> (nu, the length of its longest row)
+        for c, _, phi, w in rows:
+            for nu in (phi, w):
+                reach[id(nu)] = nu, max(reach.get(id(nu), (nu, 0))[1], c.size)
         # An infinite weight times a zero coefficient is nan: refused below.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.scaled *= np.abs(coeffs)
-        del coeffs
+            values = {key: nu(np.arange(nu.start, nu.start + n)) for key, (nu, n) in reach.items()}
+            self.scaled = _end_to_end(np.abs(c) * values[id(phi)][:c.size]
+                                      for c, _, phi, _ in rows)
+        self.w = _end_to_end(values[id(w)][:c.size] for c, _, _, w in rows)
         if not (np.isfinite(self.scaled).all() and np.isfinite(self.w).all()):
             raise DomainError("weighted coefficients and weights must be finite")
         # Exact: every entry is >= 0, so a leading zero never wins.
@@ -469,20 +465,15 @@ class _Batch:
 
     def modulars(self, lam: np.ndarray) -> np.ndarray:
         """The modular of each row j at the scale lam[j], in one pass over
-        the flat arrays: one division by the rows' scales, Phi once per
-        Orlicz function on its span, one product with w and one
-        ``np.add.reduceat`` over every row."""
+        the flat arrays: one division by the rows' scales, each repeated
+        over its row, Phi once per Orlicz function into its span of ``x``,
+        one product with w and one ``np.add.reduceat`` over every row."""
         x = self.x
-        # A batch of one, such as a long serial solve, keeps a scalar scale.
-        scale = lam[0] if len(lam) == 1 else np.repeat(lam, self.sizes)
         with np.errstate(over="ignore"):
-            np.divide(self.scaled, scale, out=x)
-            if len(self.spans) == 1:
-                x = self.spans[0][0]._at(x)
-            else:
-                # Each span's values of Phi overwrite its arguments.
-                for orlicz, a, b in self.spans:
-                    x[a:b] = orlicz._at(x[a:b])
+            np.divide(self.scaled, np.repeat(lam, self.sizes), out=x)
+            # Each span's values of Phi overwrite its arguments.
+            for orlicz, a, b in self.spans:
+                x[a:b] = orlicz._at(x[a:b])
             x *= self.w
             return np.add.reduceat(x, self.starts)
 
@@ -537,14 +528,15 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
     behind one zero (see ``_Batch``) and evaluates the modular of each
     iterate on them, with the same bits as the public ``modular``.  The
     solve brackets the threshold between consecutive scales ref * 2^k,
-    from the scale ref of the largest weighted entry: doubling, within the
-    window of at most two steps that the Orlicz family's growth puts the
-    crossing in; halving, by bisection over the steps within which
-    convexity puts it; and by halving or doubling on to the ends of the
-    doubles where rounding or the range defeats these bounds (see
-    ``_bracket``).  It then narrows the bracket by regula falsi with the
-    Anderson-Bjorck correction on (log lam, log modular), a relation that
-    is exactly linear for the ``pow`` family.  Each new point lies at least tol/4 of the upper end
+    from the scale ref of the largest weighted entry, with one bound per
+    direction: doubling, within the window of at most two steps that the
+    Orlicz family's growth puts the crossing in; halving, by bisection
+    over the steps within which convexity puts it.  Where rounding or the
+    ends of the doubles defeat that bound, it halves or doubles on, or
+    bisects back toward ref (see ``_bracket``).  It then narrows the
+    bracket by regula falsi with the Anderson-Bjorck correction on
+    (log lam, log modular), a relation that is exactly linear for the
+    ``pow`` family.  Each new point lies at least tol/4 of the upper end
     inside the bracket, so a point on the root also closes the far side;
     the geometric midpoint stands in when a log-modular is not finite.
     It stops at relative width tol and returns the upper end, where the

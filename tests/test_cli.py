@@ -159,6 +159,12 @@ class TestVerify:
         code, _, _ = run(capsys, "--cmd", "verify", "--trials", "0")
         assert code == 2
 
+    def test_zero_trials_and_support_names_the_support(self, capsys):
+        # run_suite alone refuses a trial count below 1, after the CLI has
+        # checked the support.
+        code, out, err = run(capsys, "--cmd", "verify", "--trials", "0", "--support", "0")
+        assert (code, out, err) == (2, "", "error: support must be >= 1\n")
+
     @pytest.mark.parametrize("cmd,support", [("verify", "-5"), ("verify", "0"),
                                              ("selftest", "-5")])
     def test_support_below_one_usage_error(self, capsys, cmd, support):

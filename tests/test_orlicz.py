@@ -269,6 +269,31 @@ class TestModular:
         with pytest.raises(DomainError):
             modular(np.array([1.0]), OrliczFunction("pow", 1), CONST1, CONST1, math.nan)
 
+    def test_nan_coefficient_refused(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            modular(np.array([np.nan]), OrliczFunction("pow", 1), CONST1, CONST1, 1.0)
+
+    def test_infinite_weight_at_a_zero_coefficient_refused(self):
+        # (n+1)^2000 is inf from n = 1 on, and inf times a zero coefficient
+        # is nan: a clean DomainError, with no warning on the way.
+        huge = WeightSequence("pow", NEGATIVE_SIDE, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                modular(np.array([0.0, 1.0]), OrliczFunction("pow", 1), huge, CONST1, 1.0)
+
+    @pytest.mark.parametrize("c, fn, klass, alpha, lam", [
+        ([1.0], OrliczFunction("expm1"), NEGATIVE_SIDE, 0.0, 1e-3),  # Phi overflows
+        ([0.0, 1.0], OrliczFunction("pow", 1), NONNEGATIVE_SIDE, 2000.0, 1.0),  # phi_1 = inf
+        ([np.inf], OrliczFunction("powlog", 2), NEGATIVE_SIDE, 0.0, 1.0),
+    ], ids=["overflow", "infinite-weight", "infinite-coefficient"])
+    def test_infinite_sum_returned(self, c, fn, klass, alpha, lam):
+        phi = WeightSequence("pow", klass, alpha)
+        w = WeightSequence("const", klass, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert modular(np.array(c), fn, phi, w, lam) == math.inf
+
     def test_class_mismatch_rejected(self):
         w_pos = WeightSequence("const", NONNEGATIVE_SIDE, 1.0)
         with pytest.raises(SpecError):
@@ -509,6 +534,27 @@ def test_reduceat_from_a_leading_zero_is_the_row_sum():
     starts = np.cumsum([0] + [n + 1 for n in lengths[:-1]])
     got = np.add.reduceat(flat, starts)
     assert [float(x) for x in got] == [float(np.sum(row)) for row in rows]
+
+
+@pytest.mark.parametrize("length", [4097, 32769])
+def test_a_long_row_has_the_same_bits_alone_and_in_a_mixed_batch(length):
+    """A batch of one long row, as a serial solve makes, divides by its
+    repeated scale and writes Phi into its span as every batch does: each
+    row's modular has the same bits alone as beside short rows of every
+    other Orlicz function, and both are the public modular's."""
+    rng = np.random.default_rng(length)
+    c = rng.uniform(-1, 1, length) + 1j * rng.uniform(-1, 1, length)
+    phi, w = WeightSequence("pow", NONNEGATIVE_SIDE, 0.5), WeightSequence("log", NONNEGATIVE_SIDE)
+    for fn in _EVERY_FAMILY:
+        others = [(rng.uniform(-1, 1, 5), g, CONST1, CONST1) for g in _EVERY_FAMILY if g != fn]
+        alone = orlicz._Batch([(c, fn, phi, w)])
+        mixed = orlicz._Batch([*others[:3], (c, fn, phi, w), *others[3:]])
+        row = mixed.order.index(3)
+        for lam in alone.refs[0] * np.array([2.0 ** -3, 1.0, 2.0 ** 5, 2.0 ** 12]):
+            scales = np.ones(len(mixed.order))
+            scales[row] = lam
+            got = float(alone.modulars(np.array([lam]))[0])
+            assert float(mixed.modulars(scales)[row]) == got == modular(c, fn, phi, w, lam)
 
 
 @st.composite
@@ -845,7 +891,7 @@ def test_brackets_equal_the_linear_reference_at_the_ends_of_the_doubles():
 
 
 _EVERY_FAMILY = [OrliczFunction(family, p) for family in ("pow", "powlog")
-                 for p in (1, 1.05, 2.95, 7)] + [OrliczFunction("expm1")]
+                 for p in (1, 1.05, 2, 2.95, 7)] + [OrliczFunction("expm1")]
 
 
 @pytest.mark.parametrize("fn", _EVERY_FAMILY, ids=OrliczFunction.spec)
@@ -897,3 +943,28 @@ def test_a_doubling_bracket_takes_at_most_four_modulars(fn):
             assert hi == 2 * lo and m_hi <= 1 < m_lo
             cases += 1
     assert cases > 100
+
+
+@pytest.mark.parametrize("fn", _EVERY_FAMILY, ids=OrliczFunction.spec)
+def test_the_window_never_lies_beyond_the_convexity_bound(fn):
+    """When the modular m > 1 at ref doubles, ``_bracket`` takes its bound
+    from the family's window alone: its first probe ref * 2^far, with far
+    the window's top ceil((log2 m + log2 U)/q), never lies beyond the
+    convexity bound e - (frac == 0.5) from frexp(m) = (frac, e), the
+    ceil(log2 m) doublings within which the modular is <= 1.  Checked at
+    m = 2^k and 2^k +- 1 ulp, just above 1, and log-uniformly up to the
+    largest double; ref = 2^-1000 keeps the cut to the normal doubles
+    out of the way."""
+    ref = 2.0 ** -1000
+    ms = [math.nextafter(1.0, 2.0), 1 + 2 ** -30, 1.5, 1e300, sys.float_info.max]
+    for k in range(1, 1024):
+        top = 2.0 ** k
+        ms += [top, math.nextafter(top, 0.0), math.nextafter(top, math.inf)]
+    ms += list(10.0 ** np.random.default_rng(3).uniform(0, 308, 2000))
+    for m in ms:
+        solve = orlicz._bracket(ref, fn._growth)
+        assert next(solve) == ref
+        far = math.frexp(solve.send(m))[1] - math.frexp(ref)[1]
+        solve.close()
+        frac, e = math.frexp(m)
+        assert 1 <= far <= e - (frac == 0.5), m
