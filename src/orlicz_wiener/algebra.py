@@ -192,13 +192,6 @@ def verify_one_sided(nf: NormReport, ng: NormReport, nfg: NormReport,
         )
 
 
-def _sides(f: LaurentPolynomial):
-    """(|f_{-j}|, |f_j|) for j = 0..n_max, with the j = 0 entry of the
-    negative side set to 0."""
-    mags = np.abs(f.coeffs)
-    return np.concatenate(([0.0], mags[:f.n_max][::-1])), mags[f.n_max:]
-
-
 def verify_coefficient_bound(f: LaurentPolynomial, g: LaurentPolynomial) -> Checks:
     """The coefficient-level convolution majorant of |(fg)_{-k}| for
     k = 1..deg, then of |(fg)_k| for k = 0..deg, where deg = f.n_max + g.n_max.
@@ -207,29 +200,21 @@ def verify_coefficient_bound(f: LaurentPolynomial, g: LaurentPolynomial) -> Chec
     and a head sum:
       negative side:     sum_{j>=0} |x_j||y_{-k-j}| + sum_{j=1}^{k//2} |x_{-j}||y_{-k+j}|
       nonnegative side:  sum_{j>=1} |x_{-j}||y_{k+j}| + sum_{j=0}^{k//2} |x_j||y_{k-j}|
-    The tails are correlations.  A head sum and its swapped twin together
-    cover j = 1..k-1 (negative side) or j = 0..k (nonnegative side) once
-    each, except the middle term j = k/2 of an even k, which they count
-    twice: one convolution plus that diagonal term.
+    At product index m, each term is |f_i||g_{m-i}| for one i.  For m >= 0
+    the order (f, g) takes i < 0 and 0 <= i <= m/2, and (g, f) takes i > m
+    and m/2 <= i <= m; for m < 0, (f, g) takes i >= 0 and m/2 <= i < 0, and
+    (g, f) takes i <= m and m < i <= m/2.  Every i is taken once, except
+    i = m/2 of an even m, which both head sums take.
+    So the majorant is |f| * |g| plus |f_{m/2}||g_{m/2}| at every even m,
+    which is nonzero only for |m/2| <= min(f.n_max, g.n_max).
     """
-    deg = f.n_max + g.n_max
-    prod = np.abs(np.convolve(f.coeffs, g.coeffs))  # |(fg)_i| at i + deg
-    lhs = np.concatenate([prod[:deg][::-1], prod[deg:]])
-    a_neg, a_pos = _sides(f)
-    b_neg, b_pos = _sides(g)
-
-    def tail(u, v):  # sum_j u[j] v[k+j] for k = 0..deg
-        out = np.zeros(deg + 1)
-        corr = np.convolve(u[::-1], v)[len(u) - 1:]
-        out[:len(corr)] = corr
-        return out
-
-    mid = min(f.n_max, g.n_max) + 1
-    rhs_neg = tail(a_pos, b_neg) + tail(b_pos, a_neg) + np.convolve(a_neg, b_neg)
-    rhs_neg[:2 * mid:2] += a_neg[:mid] * b_neg[:mid]
-    rhs_pos = tail(a_neg, b_pos) + tail(b_neg, a_pos) + np.convolve(a_pos, b_pos)
-    rhs_pos[:2 * mid:2] += a_pos[:mid] * b_pos[:mid]
-    rhs = np.concatenate([rhs_neg[1:], rhs_pos])
+    deg, mid = f.n_max + g.n_max, min(f.n_max, g.n_max)
+    prod = np.abs(np.convolve(f.coeffs, g.coeffs))  # |(fg)_m| at m + deg
+    a, b = np.abs(f.coeffs), np.abs(g.coeffs)
+    maj = np.convolve(a, b)
+    maj[deg - 2 * mid:deg + 2 * mid + 1:2] += (a[f.n_max - mid:f.n_max + mid + 1]
+                                                * b[g.n_max - mid:g.n_max + mid + 1])
+    lhs, rhs = (np.concatenate([v[:deg][::-1], v[deg:]]) for v in (prod, maj))
     return Checks(lhs, rhs, np.ones(len(lhs)), lhs <= rhs + COEFF_SLACK * (1 + rhs))
 
 

@@ -150,9 +150,9 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     the parts p_+ (k >= 1) and p_- (k <= -1), evaluate each once on the
     grid and exponentiate it pointwise; G is exp of the k = 0 coefficient.
     One truncated DFT of exp(p_+) + exp(p_-) gives both factors (plus keeps
-    k >= 0, minus k <= 0) and, once the residual gate has passed, one DFT
-    of 1/exp(p_+) + 1/exp(p_-) both inverses.  That makes 4 grid samples
-    and 3 DFTs when the grid needs no doubling.
+    k >= 0, minus k <= 0) and one DFT of 1/exp(p_+) + 1/exp(p_-) both
+    inverses.  That makes 4 grid samples and 3 DFTs when the grid needs no
+    doubling.
 
     Sharing a DFT is safe: at bins 1 <= |k| <= truncation it adds the other
     factor's coefficients at |k| >= N - truncation >= 3N/4, while each
@@ -167,9 +167,11 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
 
     Raises IndexObstructionError when the winding number is nonzero,
     DomainError when the symbol is not finite or has a subnormal modulus on
-    the grid, and TruncationError when the reconstruction residual exceeds
-    tol times max|b| on the grid; tol must be positive and finite.  The
-    residual reported stays absolute.
+    the grid, or when the factors, their product or their inverses leave
+    the double range (a nan residual would pass the gate), and
+    TruncationError when the reconstruction residual exceeds tol times
+    max|b| on the grid; tol must be positive and finite.  The residual
+    reported stays absolute.
     """
     if not 0 < tol < np.inf:
         raise SpecError(f"residual tolerance must be positive and finite, got {tol}")
@@ -185,18 +187,23 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     scalar = complex(math.ldexp(g.real, diag.scale), math.ldexp(g.imag, diag.scale))
     lc.coeffs[lc.n_max] += diag.scale * math.log(2)  # the log of b itself
     n = s.size
-    exp_plus, exp_minus = (np.exp(sample(_keep(lc, side, 1), n)) for side in (+1, -1))
-    factors = fourier_coefficients(exp_plus + exp_minus, truncation)
-    m = factors.n_max
-    factors.coeffs[m] = 1
-    # plus * minus from its two halves: k = -m..0 times k = 0..m
-    product = LaurentPolynomial(np.convolve(factors.coeffs[:m + 1], factors.coeffs[m:]), m)
-    residual = float(np.max(np.abs(s - scalar * sample(product, n))))
+    with np.errstate(all="ignore"):
+        exp_plus, exp_minus = (np.exp(sample(_keep(lc, side, 1), n)) for side in (+1, -1))
+        factors = fourier_coefficients(exp_plus + exp_minus, truncation)
+        m = factors.n_max
+        factors.coeffs[m] = 1
+        # plus * minus from its two halves: k = -m..0 times k = 0..m
+        product = LaurentPolynomial(np.convolve(factors.coeffs[:m + 1], factors.coeffs[m:]), m)
+        residual = float(np.max(np.abs(s - scalar * sample(product, n))))
+        inverses = fourier_coefficients(1 / exp_plus + 1 / exp_minus, truncation)
+    inverses.coeffs[inverses.n_max] = 1
+    if not (math.isfinite(residual) and np.isfinite(factors.coeffs).all()
+            and np.isfinite(inverses.coeffs).all()):
+        raise DomainError("the factors, their product or their inverses are not finite "
+                          "in double precision")
     gate = tol * diag.max_modulus
     if residual > gate:
         raise TruncationError(residual, gate)
-    inverses = fourier_coefficients(1 / exp_plus + 1 / exp_minus, truncation)
-    inverses.coeffs[inverses.n_max] = 1
     return FactorizationResult(
         scalar=scalar,
         minus=_keep(factors, -1, 0),

@@ -205,6 +205,14 @@ def majorant_oracle(f, g, target):
     return abs(lhs), rhs
 
 
+def exact_element(support, seed):
+    """Coefficients drawn from {0, +-1, +-2, +-i, 3 +- 4i}, whose moduli
+    0, 1, 2 and 5 are exact, at every index in [-support, support]."""
+    values = np.array([0, 1, -1, 2, -2, 1j, -1j, 3 + 4j, 3 - 4j])
+    rng = np.random.default_rng(seed)
+    return LaurentPolynomial(rng.choice(values, 2 * support + 1), support)
+
+
 class TestVerifyCoefficientBound:
     def test_lhs_is_the_product_coefficient(self):
         rng = np.random.default_rng(47)
@@ -232,27 +240,40 @@ class TestVerifyCoefficientBound:
         assert len(ws) == 7
         assert all(w["lhs"] == 0 and w["holds"] for w in ws)
 
-    @pytest.mark.parametrize("f,g", [
-        (LaurentPolynomial.zero(), LaurentPolynomial.zero()),
-        (LaurentPolynomial.zero(), random_element(5, 1)),
-        (random_element(4, 2), LaurentPolynomial.zero()),
-        (LaurentPolynomial.from_dict({0: 2 - 1j}), random_element(6, 3)),
-        (random_element(0, 4), random_element(0, 5)),
-        (random_element(2, 6), random_element(7, 7)),
-        (random_element(9, 8), random_element(1, 9)),
-        (random_element(5, 10), random_element(5, 11)),
+    @pytest.mark.parametrize("f,g,exact", [
+        (LaurentPolynomial.zero(), LaurentPolynomial.zero(), False),
+        (LaurentPolynomial.zero(), random_element(5, 1), False),
+        (random_element(4, 2), LaurentPolynomial.zero(), False),
+        (LaurentPolynomial.from_dict({0: 2 - 1j}), random_element(6, 3), False),
+        (random_element(0, 4), random_element(0, 5), False),
+        (random_element(2, 6), random_element(7, 7), False),
+        (random_element(9, 8), random_element(1, 9), False),
+        (random_element(5, 10), random_element(5, 11), False),
         (LaurentPolynomial.from_dict({-3: 1, 2: -1j}),
-         LaurentPolynomial.from_dict({-4: 0.5, 1: 2})),
+         LaurentPolynomial.from_dict({-4: 0.5, 1: 2}), False),
+        (exact_element(6, 12), exact_element(6, 12), True),
+        (exact_element(0, 13), exact_element(9, 14), True),
+        (exact_element(9, 15), exact_element(0, 16), True),
+        (exact_element(4, 17), exact_element(7, 18), True),
+        (LaurentPolynomial.from_dict({-2: 3 + 4j, 0: 1j, 1: -2}),
+         LaurentPolynomial.from_dict({-1: 2, 0: 3 - 4j, 2: -1}), True),
     ], ids=["zero-zero", "zero-g", "f-zero", "const-g", "deg0", "unequal-2-7",
-            "unequal-9-1", "equal-5", "sparse"])
-    def test_matches_brute_force_oracle(self, f, g):
+            "unequal-9-1", "equal-5", "sparse", "exact-f-is-g-6", "exact-0-9",
+            "exact-9-0", "exact-4-7", "exact-sparse"])
+    def test_matches_brute_force_oracle(self, f, g, exact):
+        # with exact coefficients every modulus, product and sum is an exact
+        # integer, so the majorant must equal the oracle bit for bit: this
+        # pins the index of the middle term
         targets = coefficient_targets(f, g)
         ws = rows(verify_coefficient_bound(f, g))
         assert len(ws) == len(targets)
         for target, w in zip(targets, ws):
             lhs, rhs = majorant_oracle(f, g, target)
             assert w["lhs"] == pytest.approx(lhs, rel=1e-12, abs=1e-15), target
-            assert w["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0), target
+            if exact:
+                assert w["rhs"] == rhs, target
+            else:
+                assert w["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0), target
             assert w["constant"] == 1.0 and w["holds"]
 
     def test_random_pairs_all_k(self):

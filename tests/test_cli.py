@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -455,6 +456,26 @@ class TestHugeAndNonFinite:
         assert code == 2
         assert out == ""
         assert err == "error: symbol is not finite on the grid\n"
+
+    @pytest.mark.parametrize("a,band,grid,trunc", [
+        (730, 800, 4096, 1000),
+        (1450, 1550, 8192, 2000),
+    ])
+    def test_factors_beyond_the_double_range_refused(self, capsys, a, band, grid, trunc):
+        """exp(i a cos theta) is finite on the grid, but its factors or
+        their product overflow: a refusal, not a nan residual or an
+        internal error, and no numpy warning."""
+        c = np.fft.fft(np.exp(1j * a * np.cos(2 * np.pi * np.arange(8192) / 8192))) / 8192
+        coeffs = [{"k": k, "re": c[k].real, "im": c[k].imag} for k in range(-band, band + 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--cmd", "factorize", "--grid", str(grid),
+                                 "--trunc", str(trunc), "--input",
+                                 json.dumps({"coeffs": coeffs}))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "not finite" in err
 
     def test_emit_refuses_non_json_numbers(self, capsys):
         for value in (math.inf, -math.inf, math.nan):

@@ -2,6 +2,7 @@
 factorization pipeline."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,14 @@ class TestLogSymbol:
         assert out.tobytes() == (d.log + d.scale * np.log(2)).tobytes()
 
 
+def exp_i_cos(a, band, n=8192):
+    """exp(i a cos theta), its coefficients i^k J_k(a) taken from one DFT on
+    n points and kept for |k| <= band.  Each Wiener-Hopf factor is
+    exp(+-(i a / 2) e^{+-i theta}), of modulus up to e^{a/2} on the circle."""
+    c = np.fft.fft(np.exp(1j * a * np.cos(2 * np.pi * np.arange(n) / n))) / n
+    return LaurentPolynomial(c[np.arange(-band, band + 1) % n], band)
+
+
 class TestFactorize:
     def test_winding_number_computed_once(self, monkeypatch):
         calls = []
@@ -207,6 +216,19 @@ class TestFactorize:
         with pytest.raises(UnderResolvedError, match="grid of 65536 points") as exc:
             factorize(b)
         assert "refine" not in str(exc.value)
+
+    @pytest.mark.parametrize("a,band,n_grid,truncation", [
+        (730, 800, 4096, 1000),  # factors finite near e^365, their product overflows
+        (1450, 1550, 8192, 2000),  # the factors themselves overflow
+    ])
+    def test_factors_beyond_the_double_range_refused(self, a, band, n_grid, truncation):
+        # a non-finite residual would pass the gate (nan > gate is False),
+        # so it is refused before the gate, with no numpy warning
+        b = exp_i_cos(a, band)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="not finite"):
+                factorize(b, n_grid, truncation)
 
     def test_two_plus_t(self):
         b = LaurentPolynomial.from_dict({0: 2, 1: 1})
