@@ -17,7 +17,6 @@ from .orlicz import (
     DEFAULT_NORM_TOL,
     OrliczFunction,
     WeightSequence,
-    _end_to_end,
     luxemburg_norm,
     luxemburg_norms,
 )
@@ -127,11 +126,18 @@ class Checks(NamedTuple):
         return rows
 
 
-def _one_sided_problems(f: LaurentPolynomial, sp: AlgebraSpace) -> list:
-    """The (c, orlicz, phi, w) problems of f's two one-sided norms."""
-    neg, nonneg = f.split()
-    return [(neg, sp.neg_orlicz, sp.neg_scale, sp.neg_sum),
-            (nonneg, sp.pos_orlicz, sp.pos_scale, sp.pos_sum)]
+def _one_sided_problems(mags: np.ndarray, sp: AlgebraSpace) -> list:
+    """The (c, orlicz, phi, w) problems of the two one-sided norms of the
+    polynomial whose coefficient moduli are ``mags``, as ``coeffs`` lays
+    them out: c is a float view of mags, reversed on the negative side
+    (c[i] is |f_{-(i+1)}|) and from the middle on the other (c[i] is
+    |f_i|).  The moduli are taken of the whole contiguous array, never of
+    a reversed complex view: ``np.abs`` of a strided complex array differs
+    in the last bit from its contiguous copy's, and of a float it is exact,
+    so the solver sees the bits of ``f.split()``'s moduli."""
+    n = mags.size // 2
+    return [(mags[:n][::-1], sp.neg_orlicz, sp.neg_scale, sp.neg_sum),
+            (mags[n:], sp.pos_orlicz, sp.pos_scale, sp.pos_sum)]
 
 
 def _finite(report: NormReport) -> NormReport:
@@ -143,26 +149,31 @@ def _finite(report: NormReport) -> NormReport:
 
 def wnf_norm(f: LaurentPolynomial, sp: AlgebraSpace,
              tol: float = DEFAULT_NORM_TOL) -> NormReport:
-    """Absolute-sum norm plus the two one-sided Luxemburg norms."""
-    neg, nonneg = _one_sided_problems(f, sp)
+    """Absolute-sum norm plus the two one-sided Luxemburg norms, all three
+    from one array of the coefficient moduli."""
+    mags = np.abs(f.coeffs)
+    neg, nonneg = _one_sided_problems(mags, sp)
     negative, nonnegative = luxemburg_norm(*neg, tol), luxemburg_norm(*nonneg, tol)
     with np.errstate(over="ignore"):
-        return _finite(NormReport(f.wiener_norm(), negative, nonnegative))
+        return _finite(NormReport(float(np.sum(mags)), negative, nonnegative))
 
 
 def wnf_norm_arrays(pairs) -> NormReport:
     """``wnf_norm`` of each (f, sp) pair at its default tol, bit for bit, as
-    one NormReport of arrays over the pairs.  Every one-sided norm comes from
-    one batched solve, every absolute sum from one ``np.add.reduceat`` over
-    the coefficient moduli laid end to end, each f led by one zero, which
-    gives each f the bits of ``np.sum`` (see ``orlicz._Batch``)."""
+    one NormReport of arrays over the pairs.  The moduli of each f are taken
+    once.  Every one-sided norm comes from one batched solve, every absolute
+    sum from one ``np.add.reduceat`` over the moduli laid end to end, each f
+    led by one zero, which gives each f the bits of ``np.sum`` (see
+    ``orlicz._Batch``)."""
     pairs = list(pairs)
+    mags = [np.abs(f.coeffs) for f, _ in pairs]
     lams = np.array(luxemburg_norms(
-        [p for f, sp in pairs for p in _one_sided_problems(f, sp)]))
-    sizes = np.array([f.coeffs.size + 1 for f, _ in pairs], dtype=int)
-    mags = _end_to_end(np.abs(f.coeffs) for f, _ in pairs) if pairs else np.zeros(0)
+        [p for m, (_, sp) in zip(mags, pairs) for p in _one_sided_problems(m, sp)]))
+    sizes = np.array([m.size + 1 for m in mags], dtype=int)
+    lead = np.zeros(1)
+    flat = np.concatenate([x for m in mags for x in (lead, m)]) if pairs else np.zeros(0)
     with np.errstate(over="ignore"):
-        return _finite(NormReport(np.add.reduceat(mags, np.cumsum(sizes) - sizes),
+        return _finite(NormReport(np.add.reduceat(flat, np.cumsum(sizes) - sizes),
                                   lams[0::2], lams[1::2]))
 
 

@@ -61,17 +61,22 @@ class OrliczFunction:
         if np.any(x < 0):
             raise DomainError("Orlicz functions are defined for x >= 0 only")
         with np.errstate(over="ignore"):
-            return self._at(x)
+            return self._at(x, None)
 
-    def _at(self, x: np.ndarray) -> np.ndarray:
-        """The function at an array x >= 0, with neither the sign check nor
-        an overflow policy of its own: the batched solver's arguments
-        |c_n| phi_n / lam are nonnegative by construction."""
+    def _at(self, x: np.ndarray, out, scratch=None) -> np.ndarray:
+        """The function at an array x >= 0, written into ``out`` (which may
+        be x itself; None allocates), with neither the sign check nor an
+        overflow policy of its own: the solver's arguments |c_n| phi_n / lam
+        are nonnegative by construction.  ``powlog`` puts log1p(x) in
+        ``scratch``, at least as long as x, or in a new array if None.
+        ``np.power(x, p, out=...)`` has the bits of ``x**p``, numpy's square
+        path at p = 2 included (pinned by the tests)."""
         if self.family == "pow":
-            return x**self.p
+            return np.power(x, self.p, out=out)
         if self.family == "expm1":
-            return np.expm1(x)
-        return x**self.p * np.log1p(x)
+            return np.expm1(x, out=out)
+        log = np.log1p(x, out=None if scratch is None else scratch[:x.size])
+        return np.multiply(np.power(x, self.p, out=out), log, out=out)
 
     @property
     def _growth(self) -> tuple:
@@ -289,9 +294,15 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
     if c.size == 0:
         return 0.0
     _check_class(phi, w)
-    n = np.arange(phi.start, phi.start + c.size)
+    n = np.arange(phi.start, phi.start + c.size, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(orlicz(np.abs(c) * phi(n) / lam) * w(n)))
+        # One new float array, whatever the type of c, then in place:
+        # (|c_n| phi_n) / lam, Phi of that, times w_n.
+        x = np.multiply(np.abs(c), phi(n))
+        x /= lam
+        orlicz._at(x, x)
+        x *= w(n)
+        total = float(np.sum(x))
     if math.isnan(total):
         raise DomainError("weighted coefficients and weights must be finite")
     return total
@@ -402,12 +413,6 @@ def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     return lo, hi
 
 
-def _end_to_end(arrays) -> np.ndarray:
-    """The arrays laid end to end in one 1-D array, each led by one zero."""
-    lead = np.zeros(1)
-    return np.concatenate([x for a in arrays for x in (lead, a)])
-
-
 class _Batch:
     """The rows |c_n| phi_n and w_n of many solves, laid end to end in two
     flat arrays, sorted by Orlicz function, with one zero before each row.
@@ -420,9 +425,14 @@ class _Batch:
     ``order[j]`` is the position, in the problems given, of sorted row j,
     ``starts[j]`` the position of its leading zero, ``sizes[j]`` its length
     with that zero, and ``refs[j]`` its largest weighted entry.  ``spans``
-    holds, per Orlicz function, the function and its flat span a:b, and
-    ``x`` the arguments and then the values of Phi during a step.  A batch
-    of one, such as a serial solve, is laid out and stepped as any other.
+    holds, per Orlicz function, the function and its flat span a:b.  Every
+    array is allocated once, in the set-up, and written in place after:
+    the two flat arrays, each row written where it lies; ``x``, which holds
+    the arguments and then, span by span, the values of Phi during a pass;
+    and ``scratch``, as long as the longest ``powlog`` span and empty where
+    there is none, which holds log1p of a ``powlog`` span's arguments.  A
+    batch of one, such as a serial solve, is laid out and stepped as any
+    other.
     """
 
     def __init__(self, problems):
@@ -433,6 +443,7 @@ class _Batch:
         rows = [problems[i] for i in self.order]
         self.sizes = np.array([c.size + 1 for c, *_ in rows])
         self.starts = np.cumsum(self.sizes) - self.sizes
+        ends = (self.starts + self.sizes).tolist()
         # Each weight object is evaluated once, over the longest row that
         # uses it, and its rows take prefixes: no weight is evaluated at an
         # index that no row reaches, so no batch refuses an overflow that
@@ -443,37 +454,45 @@ class _Batch:
         for c, _, phi, w in rows:
             for nu in (phi, w):
                 reach[id(nu)] = nu, max(reach.get(id(nu), (nu, 0))[1], c.size)
+        self.scaled, self.w = np.zeros(ends[-1]), np.zeros(ends[-1])
         # An infinite weight times a zero coefficient is nan: refused below.
         with np.errstate(over="ignore", invalid="ignore"):
-            values = {key: nu(np.arange(nu.start, nu.start + n)) for key, (nu, n) in reach.items()}
-            self.scaled = _end_to_end(np.abs(c) * values[id(phi)][:c.size]
-                                      for c, _, phi, _ in rows)
-        self.w = _end_to_end(values[id(w)][:c.size] for c, _, _, w in rows)
-        if not (np.isfinite(self.scaled).all() and np.isfinite(self.w).all()):
+            values = {key: nu(np.arange(nu.start, nu.start + n, dtype=float))
+                      for key, (nu, n) in reach.items()}
+            for (c, _, phi, w), b in zip(rows, ends):
+                row = self.scaled[b - c.size:b]
+                np.multiply(np.abs(c, out=row), values[id(phi)][:c.size], out=row)
+                self.w[b - c.size:b] = values[id(w)][:c.size]
+        # Exact: every entry is >= 0, so a leading zero never wins.  A row
+        # maximum is nan or inf where an entry of the row is, and so is the
+        # largest weight where a weight is.
+        refs = np.maximum.reduceat(self.scaled, self.starts)
+        if not (math.isfinite(refs.max()) and math.isfinite(self.w.max())):
             raise DomainError("weighted coefficients and weights must be finite")
-        # Exact: every entry is >= 0, so a leading zero never wins.
-        self.refs = np.maximum.reduceat(self.scaled, self.starts).tolist()
+        self.refs = refs.tolist()
         # Allocated once: a default verify chunk that allocated the arguments
         # and the values of Phi afresh at every step page-faulted both in
         # again each time, and its steps took twice as long.
         self.x = np.empty_like(self.scaled)
-        ends = (self.starts + self.sizes).tolist()
         self.spans = []
         for orlicz, group in itertools.groupby(range(len(rows)), key=lambda j: rows[j][1]):
             group = list(group)
             self.spans.append((orlicz, int(self.starts[group[0]]), ends[group[-1]]))
+        self.scratch = np.empty(max((b - a for orlicz, a, b in self.spans
+                                     if orlicz.family == "powlog"), default=0))
 
     def modulars(self, lam: np.ndarray) -> np.ndarray:
         """The modular of each row j at the scale lam[j], in one pass over
         the flat arrays: one division by the rows' scales, each repeated
-        over its row, Phi once per Orlicz function into its span of ``x``,
-        one product with w and one ``np.add.reduceat`` over every row."""
+        over its row, Phi once per Orlicz function, written over its span's
+        arguments in ``x``, one product with w and one ``np.add.reduceat``
+        over every row."""
         x = self.x
         with np.errstate(over="ignore"):
             np.divide(self.scaled, np.repeat(lam, self.sizes), out=x)
-            # Each span's values of Phi overwrite its arguments.
             for orlicz, a, b in self.spans:
-                x[a:b] = orlicz._at(x[a:b])
+                span = x[a:b]
+                orlicz._at(span, span, self.scratch)
             x *= self.w
             return np.add.reduceat(x, self.starts)
 
@@ -524,9 +543,12 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
 
     The solve is the coroutine ``_luxemburg_steps``, run as a batch of one
     by the loop that ``luxemburg_norms`` runs on many problems at once.
-    That loop computes |c_n| phi_n and w_n once, lays them end to end
-    behind one zero (see ``_Batch``) and evaluates the modular of each
-    iterate on them, with the same bits as the public ``modular``.  The
+    That loop writes |c_n| phi_n and w_n once, end to end behind one zero,
+    into arrays it allocates once (see ``_Batch``), and evaluates the
+    modular of each iterate on them in place, with the same bits as the
+    public ``modular``.  c may be any numeric array or list; ``np.abs`` of
+    a float array is exact, so the moduli of a complex array, taken once
+    as ``algebra.wnf_norm`` takes them, give the bits of c itself.  The
     solve brackets the threshold between consecutive scales ref * 2^k,
     from the scale ref of the largest weighted entry, with one bound per
     direction: doubling, within the window of at most two steps that the

@@ -34,6 +34,7 @@ from orlicz_wiener.orlicz import (
     NONNEGATIVE_SIDE,
     OrliczFunction,
     WeightSequence,
+    luxemburg_norm,
 )
 
 
@@ -118,6 +119,51 @@ class TestWnfNorm:
         sp = make_space(neg_orlicz="pow:p=2", neg_sum="pow:alpha=1")
         rep = wnf_norm(LaurentPolynomial.from_dict({-1: 1}), sp)
         assert rep.negative == pytest.approx(np.sqrt(2), rel=1e-10)
+
+    @staticmethod
+    def _split_oracle(f, sp):
+        """The three pieces composed from copies: ``f.split()``'s complex
+        sides, each solved by ``luxemburg_norm``, and ``f.wiener_norm()``."""
+        neg, nonneg = f.split()
+        return (f.wiener_norm(),
+                luxemburg_norm(neg, sp.neg_orlicz, sp.neg_scale, sp.neg_sum),
+                luxemburg_norm(nonneg, sp.pos_orlicz, sp.pos_scale, sp.pos_sum))
+
+    @staticmethod
+    def _polynomials():
+        """Random polynomials: n_max 0 to 64, sides that are all zero,
+        whole polynomials at 1e-300 and 1e300, entries log-uniform over
+        1e-300..1e300, and one with 32,769 coefficients on its negative
+        side and 32,770 on the other."""
+        rng = np.random.default_rng(2024)
+        polys = []
+        for n in (0, 0, 1, 2, 3, 7, 16, 64):
+            for scale in (1e-300, 1.0, 1e300):
+                polys.append(LaurentPolynomial(scale * random_element(n, rng).coeffs, n))
+            c = random_element(n, rng).coeffs * 10.0 ** rng.uniform(-300, 300, 2 * n + 1)
+            polys.append(LaurentPolynomial(c, n))
+            for side in (slice(0, n), slice(n + 1, 2 * n + 1)):
+                c = random_element(n, rng).coeffs
+                c[side] = 0
+                polys.append(LaurentPolynomial(c, n))
+        polys.append(random_element(32769, rng))
+        return polys
+
+    def test_the_moduli_taken_once_give_the_bits_of_the_split_sides(self):
+        rng = np.random.default_rng(7)
+        specs = ["powlog:p=2.5;expm1;pow:alpha=1.5;log;log;const:2",
+                 "expm1;pow:p=1.05;log;const:0.5;pow:alpha=1.95;log",
+                 "pow:p=2;powlog:p=1;const:1;pow:alpha=0.5;const:3;pow:alpha=1"]
+        spaces = [AlgebraSpace.from_spec(s) for s in specs]
+        pairs = [(f, spaces[i % 3] if i % 2 else draw_space(rng))
+                 for i, f in enumerate(self._polynomials())]
+        want = [self._split_oracle(f, sp) for f, sp in pairs]
+        for (f, sp), pieces in zip(pairs, want):
+            rep = wnf_norm(f, sp)
+            assert (rep.wiener, rep.negative, rep.nonnegative) == pieces
+        got = algebra.wnf_norm_arrays(pairs)
+        assert list(zip(got.wiener.tolist(), got.negative.tolist(),
+                        got.nonnegative.tolist())) == want
 
 
 class TestVerifyTheorem:

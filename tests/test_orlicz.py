@@ -536,6 +536,47 @@ def test_reduceat_from_a_leading_zero_is_the_row_sum():
     assert [float(x) for x in got] == [float(np.sum(row)) for row in rows]
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_a_slice_of_the_moduli_is_the_moduli_of_its_copy():
+    """The one array of moduli per polynomial in ``algebra`` relies on this
+    numpy behaviour: ``np.abs`` of a contiguous complex array does not
+    depend on an entry's position, so each side of ``np.abs(coeffs)``, the
+    reversed negative side included, has the bits of ``np.abs`` of that
+    side's contiguous copy, as ``split`` makes it; so does ``np.abs`` into
+    a span of a flat array, as the batched set-up writes it."""
+    rng = np.random.default_rng(43)
+    for size in [*range(1, 301), 4097, 32769, 2 * harness.MAX_SUPPORT + 1]:
+        c = 10.0 ** rng.uniform(-300, 300, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+        mags, n = np.abs(c), size // 2
+        assert np.array_equal(_bits(mags[:n][::-1]), _bits(np.abs(c[:n][::-1].copy())))
+        assert np.array_equal(_bits(mags[n:]), _bits(np.abs(c[n:].copy())))
+        flat = np.zeros(size + 3)
+        np.abs(c, out=flat[3:])
+        assert np.array_equal(_bits(flat[3:]), _bits(mags))
+
+
+def test_power_into_an_output_array_is_the_power_operator():
+    """Phi is written in place with ``np.power(x, p, out=...)``; it has the
+    bits of ``x**p``, numpy's square path at p = 2 included, for the
+    integer exponents and for non-integer ones in [1.05, 2.95], over
+    arguments from 1e-300 to beyond overflow."""
+    rng = np.random.default_rng(44)
+    x = np.concatenate([10.0 ** rng.uniform(-300, 300, 100_000), rng.uniform(0, 4, 100_000),
+                        [0.0, 1.0]])
+    with np.errstate(over="ignore", under="ignore"):
+        for p in [1.0, 1.5, 2.0, 3.0, *rng.uniform(1.05, 2.95, 16)]:
+            want = _bits(x**p)
+            buf = np.empty_like(x)
+            np.power(x, p, out=buf)
+            assert np.array_equal(_bits(buf), want), p
+            inplace = x.copy()
+            np.power(inplace[1:], p, out=inplace[1:])
+            assert np.array_equal(_bits(inplace[1:]), want[1:]), p
+
+
 @pytest.mark.parametrize("length", [4097, 32769])
 def test_a_long_row_has_the_same_bits_alone_and_in_a_mixed_batch(length):
     """A batch of one long row, as a serial solve makes, divides by its
@@ -968,3 +1009,46 @@ def test_the_window_never_lies_beyond_the_convexity_bound(fn):
         solve.close()
         frac, e = math.frexp(m)
         assert 1 <= far <= e - (frac == 0.5), m
+
+
+@pytest.mark.parametrize("fn", _EVERY_FAMILY, ids=OrliczFunction.spec)
+def test_phi_in_place_has_the_bits_of_the_expression(fn):
+    """``_at`` writes Phi over its arguments, at any offset, with a scratch
+    array as the batched pass gives it, and has the bits of Phi written
+    out as one expression."""
+    rng = np.random.default_rng(45)
+    x = np.concatenate([10.0 ** rng.uniform(-300, 3, 20_000), rng.uniform(0, 2, 20_000)])
+    with np.errstate(over="ignore"):
+        if fn.family == "pow":
+            want = x**fn.p
+        elif fn.family == "expm1":
+            want = np.expm1(x)
+        else:
+            want = x**fn.p * np.log1p(x)
+        for offset in range(4):
+            flat = np.concatenate([np.zeros(offset), x])
+            span = flat[offset:]
+            fn._at(span, span, np.empty(x.size + 1))
+            assert np.array_equal(_bits(span), _bits(want))
+        assert np.array_equal(_bits(fn._at(x, None)), _bits(want))
+
+
+@pytest.mark.parametrize("fn", _EVERY_FAMILY, ids=OrliczFunction.spec)
+def test_integer_and_list_coefficients_have_the_bits_of_floats(fn):
+    """``modular`` and ``luxemburg_norm`` take integer arrays and Python
+    lists, real or complex, with the bits of the equal float or complex
+    array."""
+    phi = WeightSequence("log", NONNEGATIVE_SIDE)
+    for w in (WeightSequence("const", NONNEGATIVE_SIDE, 1.0),
+              WeightSequence("pow", NONNEGATIVE_SIDE, 0.5)):
+        for c, same in [(np.array([3, -4]), np.array([3.0, -4.0])),
+                        (np.array([0, 7, -1, 12, 0]), np.array([0.0, 7, -1, 12, 0])),
+                        ([3, -4, 0, 5], np.array([3.0, -4.0, 0.0, 5.0])),
+                        ([3, -4j, 1 + 2j], np.array([3, -4j, 1 + 2j]))]:
+            for lam in (0.5, 2.0, 37.0):
+                assert modular(c, fn, phi, w, lam) == modular(same, fn, phi, w, lam)
+            assert luxemburg_norm(c, fn, phi, w) == luxemburg_norm(same, fn, phi, w)
+            assert luxemburg_norms([(c, fn, phi, w)]) == [luxemburg_norm(same, fn, phi, w)]
+    if fn == OrliczFunction("pow", 2):
+        one = WeightSequence("const", NONNEGATIVE_SIDE, 1.0)
+        assert modular(np.array([3, -4]), fn, phi, one, 2.0) == 9.148625039612842
