@@ -248,27 +248,51 @@ class ShiftReport:
 def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
     """Check nu_k <= C nu_j for every j >= k - floor(k/2) up to k_max.
 
-    The bound at k is C times the minimum of nu over ceil(k/2)..k_max, and
-    ceil(k/2) <= h = ceil(k_max/2).  So one running minimum, in place, runs
-    over a contiguous array that holds the minimum over h..k_max and then
-    the values from h - 1 down to the class start: its entry i is the
-    minimum over h - i..k_max, and the bound at k is read at h - ceil(k/2).
+    The bound at k is C S_j, where S_j is the minimum of nu over j..k_max
+    at j = ceil(k/2), so k = 2j - 1 and k = 2j share it, and j runs from
+    the class start s to h = ceil(k_max/2).  One running minimum, in
+    place, gives every S_j: it runs over S_h and then the values from
+    h - 1 down to s.  Each pair is checked once, by the larger of its two
+    values over C S_j: for a fixed divisor, rounded division is monotone
+    in the numerator, so this is the pair's largest ratio, bit for bit,
+    and ``max_ratio`` the largest of them.  Where it is at most 1, no value
+    exceeds fl(C S_j (1 + 1e-12)), and the per-index comparison that finds
+    the violations is skipped.  A value or a bound C S_j that is not
+    finite in double precision raises DomainError.
     """
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    c = nu.delta2_constant()
-    n = np.arange(nu.start, k_max + 1)
-    vals = nu(n)
-    h = (k_max + 1) // 2
-    rmin = np.empty(h - nu.start + 1)
-    rmin[0] = vals[h - nu.start:].min()
-    rmin[1:] = vals[:h - nu.start][::-1]
-    np.minimum.accumulate(rmin, out=rmin)
-    bound = c * rmin[h - (n + 1) // 2]
-    with np.errstate(divide="ignore"):
-        max_ratio = float(np.max(vals / bound))
-    violations = [{"k": int(n[i]), "value": float(vals[i]), "bound": float(bound[i])}
-                  for i in np.nonzero(vals > bound * (1 + 1e-12))[0]]
+    c, s, h = nu.delta2_constant(), nu.start, (k_max + 1) // 2
+    with np.errstate(over="ignore"):
+        vals = nu(np.arange(s, k_max + 1, dtype=float))
+        # Entry i of the running minimum is S_{h-i}; times C, read backward,
+        # it is the bound of pair j at j - s.
+        rmin = np.empty(h - s + 1)
+        rmin[0] = vals[h - s:].min()
+        rmin[1:] = vals[:h - s][::-1]
+        np.minimum.accumulate(rmin, out=rmin)
+        rmin *= c
+        bound = rmin[::-1]
+        # Row i holds the values at k = 2j - 1 and k = 2j for j = s + i,
+        # and -inf where k lies outside s..k_max.
+        flat = np.empty(2 * (h - s + 1))
+        flat[:1 - s] = flat[1 - s + vals.size:] = -np.inf
+        flat[1 - s:1 - s + vals.size] = vals
+        pairs = flat.reshape(-1, 2)
+        top = np.maximum(pairs[:, 0], pairs[:, 1])
+        # No S_j exceeds S_h, and no value exceeds the largest top.
+        if not (math.isfinite(bound[-1]) and math.isfinite(top.max())):
+            raise DomainError(f"weight {nu.spec()} or its shift bounds overflow "
+                              f"up to index {k_max}")
+        max_ratio = float(np.divide(top, bound, out=top).max())
+        violations = []
+        if max_ratio > 1:
+            # A bound within 1e-12 of the largest double has no finite
+            # slack, and no value exceeds it.
+            rows, cols = np.nonzero(pairs > (bound * (1 + 1e-12))[:, None])
+            violations = [{"k": 2 * (s + i) - 1 + q, "value": float(pairs[i, q]),
+                           "bound": float(bound[i])}
+                          for i, q in zip(rows.tolist(), cols.tolist())]
     return ShiftReport(k_max, max_ratio, violations)
 
 

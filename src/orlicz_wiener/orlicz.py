@@ -275,6 +275,15 @@ def validate_weight(nu: WeightSequence, n_max: int) -> WeightReport:
     return WeightReport(positive, nondecreasing, doubling, sup, c, n_max)
 
 
+def _coefficients(c) -> np.ndarray:
+    """c as an array whose modulus ``np.abs`` takes exactly: integer and
+    boolean input is cast to float, since ``np.abs`` of a signed integer
+    type's minimum is that minimum (of int8 -128, -128); float and complex
+    input keeps its bits."""
+    c = np.asarray(c)
+    return c.astype(float) if c.dtype.kind in "biu" else c
+
+
 def _check_class(phi: WeightSequence, w: WeightSequence):
     if phi.klass != w.klass:
         raise SpecError("argument and summand weights must share one index class")
@@ -290,7 +299,7 @@ def modular(c, orlicz: OrliczFunction, phi: WeightSequence, w: WeightSequence,
     """
     if not lam > 0:
         raise DomainError("scale must be positive")
-    c = np.asarray(c)
+    c = _coefficients(c)
     if c.size == 0:
         return 0.0
     _check_class(phi, w)
@@ -503,7 +512,7 @@ def _brackets(problems, tol: float) -> list:
     stepped together: one batched modular evaluation per step."""
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
-    problems = [(np.asarray(c), *rest) for c, *rest in problems]
+    problems = [(_coefficients(c), *rest) for c, *rest in problems]
     for c, _, phi, w in problems:
         if c.size:
             _check_class(phi, w)

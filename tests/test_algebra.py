@@ -2,12 +2,13 @@
 verifiers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from orlicz_wiener import algebra, harness
-from orlicz_wiener.errors import SpecError
+from orlicz_wiener.errors import DomainError, SpecError
 from orlicz_wiener.algebra import (
     DEFAULT_SPACE_SPEC,
     AlgebraSpace,
@@ -35,6 +36,7 @@ from orlicz_wiener.orlicz import (
     OrliczFunction,
     WeightSequence,
     luxemburg_norm,
+    validate_weight,
 )
 
 
@@ -353,6 +355,37 @@ def weight_shift_loop(nu, k_max):
     return ShiftReport(k_max, max_ratio, violations)
 
 
+def shift_tables(klass, seed, count):
+    """Seeded random tables that are not monotone, each declaring the
+    doubling constant it observes, so that ``delta2_constant`` accepts it
+    while the shift bound may fail at any index."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        values = tuple(np.exp(rng.normal(0, 1, int(rng.integers(2, 40)))).tolist())
+        loose = WeightSequence("table", klass, table=values, table_delta2=1e300)
+        sup = validate_weight(loose, 2 * len(values) + 2).empirical_sup
+        yield WeightSequence("table", klass, table=values, table_delta2=max(1.0, sup))
+
+
+def violation_kinds(rep, start):
+    """Where each violation of a ShiftReport lies in its pair k = 2j - 1,
+    2j of j = ceil(k/2): alone in a pair whose other index holds, in a
+    pair that fails on both, or at an index with no partner in
+    start..k_max (the last index of an odd k_max, or k = 0)."""
+    ks = {v["k"] for v in rep.violations}
+    kinds = set()
+    for k in ks:
+        j = (k + 1) // 2
+        mates = {2 * j - 1, 2 * j} & set(range(start, rep.k_max + 1))
+        if len(mates) == 1:
+            kinds.add("unpaired last" if k == rep.k_max else "unpaired zero")
+        elif mates <= ks:
+            kinds.add("both")
+        else:
+            kinds.add("odd alone" if k % 2 else "even alone")
+    return kinds
+
+
 def builtin_weights():
     for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE):
         for alpha in WEIGHT_EXPONENTS:
@@ -387,6 +420,61 @@ class TestVerifyWeightShift:
         assert got.ok == (k_max < 8)
         assert got.to_json() == ref.to_json()
         assert got.violations == ref.violations
+
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    def test_pairwise_scan_matches_reference_on_random_tables(self, klass):
+        kinds = set()
+        for nu in shift_tables(klass, 11, 60):
+            n = len(nu.table)
+            for k_max in sorted({1, 2, 3, n - 1, n, 2 * n - 1, 2 * n, 2 * n + 1} - {0}):
+                got, ref = verify_weight_shift(nu, k_max), weight_shift_loop(nu, k_max)
+                assert got.to_json() == ref.to_json()
+                assert got.violations == ref.violations
+                assert got.max_ratio.hex() == float(ref.max_ratio).hex()
+                assert all(type(v["k"]) is int for v in got.violations)
+                kinds |= violation_kinds(got, nu.start)
+        assert {"odd alone", "even alone", "both", "unpaired last"} <= kinds
+
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    def test_ratio_within_the_slack_is_no_violation(self, klass):
+        # The value at the class start is 1 + 2^-44 and every later one 1,
+        # with doubling constant 1: the worst ratio is that first value,
+        # above 1 but within the relative slack 1e-12 of the bound.
+        first = 1 + 2.0**-44
+        nu = WeightSequence("table", klass, table=(first, 1.0), table_delta2=1.0)
+        got, ref = verify_weight_shift(nu, 9), weight_shift_loop(nu, 9)
+        assert got.max_ratio == first and 1 < got.max_ratio <= 1 + 1e-12
+        assert got.ok and got.violations == []
+        assert got.to_json() == ref.to_json()
+
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    def test_bound_at_the_largest_double(self, klass):
+        # C S_j is the largest double but one, and the value at the class
+        # start the largest: the ratio exceeds 1 by one ulp, and the bound
+        # times 1 + 1e-12 overflows, which no value exceeds.
+        top = float(np.finfo(float).max)
+        nu = WeightSequence("table", klass, table=(top, np.nextafter(top, 0)),
+                            table_delta2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify_weight_shift(nu, 3)
+        assert got.max_ratio > 1 and got.ok
+
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    @pytest.mark.parametrize("family, rest, k_max", [
+        ("pow", (1000.0,), 1000),  # (n+1)^1000 overflows from n = 2 on
+        ("pow", (600.0,), 10_000),  # (n+1)^600 overflows from n = 3 on
+        ("pow", (1000.0,), 1),  # the values are finite, C S_1 = 2^2000 is not
+        # The values are finite, C S_j = 10 * 1e308 is not: the ratio
+        # 1e308 / inf would read 0 where it is 0.1.
+        ("table", (0.0, (1e308, 1e308), 10.0), 5),
+    ], ids=["pow1000", "pow600", "pow1000-bound", "table-bound"])
+    def test_non_finite_scan_refused(self, klass, family, rest, k_max):
+        nu = WeightSequence(family, klass, *rest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                verify_weight_shift(nu, k_max)
 
     def test_linear_weight(self):
         # nu_n = n realized as a table; doubling constant 2

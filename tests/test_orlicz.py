@@ -445,6 +445,26 @@ class TestLuxemburgNorm:
         with pytest.raises(DomainError):
             luxemburg_norm(c, OrliczFunction("expm1"), phi, CONST1)
 
+    @pytest.mark.parametrize("c", [
+        *(np.array([np.iinfo(t).min, 5, 0], dtype=t)
+          for t in (np.int8, np.int16, np.int32, np.int64)),
+        [-(2**63), 5, 0],
+    ], ids=["int8", "int16", "int32", "int64", "int-list"])
+    def test_integer_coefficients_have_the_bits_of_float64(self, c):
+        # np.abs of a signed type's minimum is that minimum (of int8 -128,
+        # -128), so the modulus is taken after a cast to float.
+        ref = np.array(c, dtype=float)
+        phi = WeightSequence("pow", NEGATIVE_SIDE, 1.0)
+        for fn in (OrliczFunction("pow", 1), OrliczFunction("powlog", 2),
+                   OrliczFunction("expm1")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = (modular(c, fn, phi, CONST1, 1.5), luxemburg_norm(c, fn, phi, CONST1),
+                       luxemburg_norms([(c, fn, phi, CONST1)])[0])
+            want = (modular(ref, fn, phi, CONST1, 1.5), luxemburg_norm(ref, fn, phi, CONST1),
+                    luxemburg_norms([(ref, fn, phi, CONST1)])[0])
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_tol_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             luxemburg_norm(np.array([1.0]), OrliczFunction("pow", 1), CONST1,
