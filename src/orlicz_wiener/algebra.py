@@ -134,7 +134,7 @@ def _one_sided_problems(mags: np.ndarray, sp: AlgebraSpace) -> list:
     |f_i|).  The moduli are taken of the whole contiguous array, never of
     a reversed complex view: ``np.abs`` of a strided complex array differs
     in the last bit from its contiguous copy's, and of a float it is exact,
-    so the solver sees the bits of ``f.split()``'s moduli."""
+    so the solver sees the bits of the moduli of copies of the two sides."""
     n = mags.size // 2
     return [(mags[:n][::-1], sp.neg_orlicz, sp.neg_scale, sp.neg_sum),
             (mags[n:], sp.pos_orlicz, sp.pos_scale, sp.pos_sum)]

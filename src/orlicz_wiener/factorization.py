@@ -175,10 +175,9 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     """
     if not 0 < tol < np.inf:
         raise SpecError(f"residual tolerance must be positive and finite, got {tol}")
-    if n_grid & (n_grid - 1) or n_grid < 4 * max(truncation, b.n_max, 1):
-        raise SpecError(
-            f"grid size {n_grid} must be a power of two >= 4*max(truncation, degree)"
-        )
+    if n_grid & (n_grid - 1) or n_grid < max(8, 4 * max(truncation, b.n_max)):
+        raise SpecError(f"grid size {n_grid} must be a power of two "
+                        ">= max(8, 4*max(truncation, degree))")
     if n_grid > MAX_GRID:
         raise SpecError(f"grid size {n_grid} exceeds the largest grid {MAX_GRID}")
     s, diag = _resolve_winding(b, n_grid)

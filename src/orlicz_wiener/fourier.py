@@ -1,5 +1,5 @@
 """Laurent polynomials on the unit circle: coefficients, evaluation,
-convolution products, the absolute-sum norm, and coefficient splitting."""
+convolution products, grid sampling by one FFT, and DFT extraction."""
 
 from __future__ import annotations
 
@@ -108,9 +108,6 @@ class LaurentPolynomial:
         phases = np.exp(1j * np.multiply.outer(theta, k))
         return phases @ self.coeffs
 
-    def wiener_norm(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
-
     def multiply(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         """Coefficient convolution; support bound adds."""
         return LaurentPolynomial(
@@ -118,15 +115,6 @@ class LaurentPolynomial:
         )
 
     __mul__ = multiply
-
-    def split(self):
-        """(negative part, nonnegative part): arrays indexed from 1 and 0.
-
-        neg[i] is f_{-(i+1)}; nonneg[i] is f_i.
-        """
-        neg = self.coeffs[: self.n_max][::-1].copy()
-        nonneg = self.coeffs[self.n_max:].copy()
-        return neg, nonneg
 
 
 def sample(f: LaurentPolynomial, n_grid: int) -> np.ndarray:

@@ -138,20 +138,11 @@ def _chunk_checks(families, drawn) -> dict[str, tuple[Checks, np.ndarray]]:
     return {family: checks[family] for family in families}
 
 
-def _run_trials(families, seed: int, trials: range, support: int):
-    """Yield each chunk's ``_chunk_checks`` in trial order, a chunk holding
-    at most CHUNK_TERMS terms."""
-    chunk = max(1, CHUNK_TERMS // (6 * (2 * support + 1)))
-    for lo in range(trials.start, trials.stop, chunk):
-        yield _chunk_checks(families, [(t, *_draw_trial(seed, t, support))
-                                       for t in range(lo, min(lo + chunk, trials.stop))])
-
-
 def run_trial(families, seed: int, trial: int, support: int) -> dict[str, Checks]:
     """Run one trial of each of the given inequality families on a single
     draw of (space, f, g); deterministic in (seed, trial, support)."""
     _check_trials(families, seed, trial, support)
-    by_family = next(_run_trials(families, seed, range(trial, trial + 1), support))
+    by_family = _chunk_checks(families, [(trial, *_draw_trial(seed, trial, support))])
     return {family: checks for family, (checks, _) in by_family.items()}
 
 
@@ -203,8 +194,10 @@ def run_suite(families, trials: int, seed: int, support: int) -> dict[str, Suite
     families = tuple(families)
     _check_trials(families, seed, 0, support)
     reports = {family: SuiteReport(family, trials) for family in families}
-    for by_family in _run_trials(families, seed, range(trials), support):
-        for family, (checks, trial) in by_family.items():
+    chunk = max(1, CHUNK_TERMS // (6 * (2 * support + 1)))
+    for lo in range(0, trials, chunk):
+        drawn = [(t, *_draw_trial(seed, t, support)) for t in range(lo, min(lo + chunk, trials))]
+        for family, (checks, trial) in _chunk_checks(families, drawn).items():
             reports[family].absorb(checks, trial, seed, support)
     return reports
 

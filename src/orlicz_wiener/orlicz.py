@@ -396,6 +396,9 @@ def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     if ends is None:
         return 0.0, 0.0
     lo, m_lo, hi, m_hi = ends
+    # A width or probe gap under one ulp cannot be met: stop within 16 ulps
+    # of hi (hi = 2 lo).  For a normal-range norm this is below 2e-15.
+    tol = max(tol, 4 * math.ulp(hi) / lo)
 
     # Abscissae are log(lam/ref), which keeps them small and precise.
     x_lo, y_lo = math.log(lo / ref), _log(m_lo)
@@ -570,9 +573,12 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
     ``pow`` family.  Each new point lies at least tol/4 of the upper end
     inside the bracket, so a point on the root also closes the far side;
     the geometric midpoint stands in when a log-modular is not finite.
-    It stops at relative width tol and returns the upper end, where the
-    modular is <= 1.  Here both ends are also certified through the
-    public ``modular`` (<= 1 at the upper end, > 1 at the lower end).
+    It stops at relative width tol, or at 4 ulp(hi)/lo of the first
+    bracket (lo, hi) where that is larger, so a tol below the resolution
+    of doubles or a subnormal norm ends within 16 ulps of the upper end,
+    and returns the upper end, where the modular is <= 1.  Here both ends
+    are also certified through the public ``modular`` (<= 1 at the upper
+    end, > 1 at the lower end).
     """
     [(lo, hi)] = _brackets([(c, orlicz, phi, w)], tol)
     if hi > 0 and not modular(c, orlicz, phi, w, hi) <= 1 < modular(c, orlicz, phi, w, lo):

@@ -39,6 +39,8 @@ from orlicz_wiener.orlicz import (
     validate_weight,
 )
 
+from oracles import split, wiener_norm
+
 
 def norms(f, g, sp):
     """The norm reports of f, g and fg."""
@@ -124,10 +126,10 @@ class TestWnfNorm:
 
     @staticmethod
     def _split_oracle(f, sp):
-        """The three pieces composed from copies: ``f.split()``'s complex
-        sides, each solved by ``luxemburg_norm``, and ``f.wiener_norm()``."""
-        neg, nonneg = f.split()
-        return (f.wiener_norm(),
+        """The three pieces composed from copies: ``split(f)``'s complex
+        sides, each solved by ``luxemburg_norm``, and ``wiener_norm(f)``."""
+        neg, nonneg = split(f)
+        return (wiener_norm(f),
                 luxemburg_norm(neg, sp.neg_orlicz, sp.neg_scale, sp.neg_sum),
                 luxemburg_norm(nonneg, sp.pos_orlicz, sp.pos_scale, sp.pos_sum))
 

@@ -80,6 +80,20 @@ class TestNorm:
         header, values = out.strip().split("\n")
         assert "total" in header.split(",")
 
+    def test_tol_below_the_resolution_of_doubles(self, capsys):
+        """A --tol under the spacing of doubles stops at their resolution,
+        at the norm of the default tol."""
+        f = json.dumps({"coeffs": [{"k": k, "re": 1 / (k * k + 1), "im": 0.3 * k}
+                                   for k in range(-5, 6)]})
+        norms = []
+        for tol in ((), ("--tol", "1e-16")):
+            code, out, _ = run(capsys, "--cmd", "norm", "--input", f, *tol)
+            assert code == 0
+            norms.append(json.loads(out))
+        default, fine = norms
+        for key in ("negative", "nonnegative", "total"):
+            assert fine[key] == pytest.approx(default[key], rel=1e-12, abs=0)
+
 
 @pytest.mark.parametrize("argv", [
     ("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "4", "--grid", "64"),
@@ -282,6 +296,15 @@ class TestFactorize:
         assert doc["scalar"]["re"] == pytest.approx(2.0, abs=1e-10)
         assert doc["residual"] <= 1e-10
         assert "membership" in doc
+
+    def test_grid_below_8_is_refused_by_the_grid_rule(self, capsys):
+        """4 >= 4*max(trunc, degree) here, but a winding number needs 8
+        points: the one grid rule refuses it before any sampling."""
+        code, out, err = run(capsys, "--cmd", "factorize", "--input", TWO_PLUS_T,
+                             "--grid", "4", "--trunc", "1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "max(8, 4*max(truncation, degree))" in err
 
     def test_index_obstruction(self, capsys):
         t = json.dumps({"coeffs": [{"k": 1, "re": 1.0, "im": 0.0}]})

@@ -25,6 +25,8 @@ from orlicz_wiener.factorization import (
 )
 from orlicz_wiener.fourier import LaurentPolynomial, fourier_coefficients, sample
 
+from oracles import wiener_norm
+
 SPACE = AlgebraSpace.from_spec("pow:p=1;pow:p=1;const:1;const:1;const:1;const:1")
 
 
@@ -342,7 +344,7 @@ class TestOneSidedEval:
             for k in range(1, n_max + 1):
                 dense += lp.coeff(side * k) * np.exp(1j * side * k * th)
             got = sample(factorization._keep(lp, side, 1), n_grid)
-            assert np.max(np.abs(got - dense)) <= 1e-12 * max(lp.wiener_norm(), 1)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * max(wiener_norm(lp), 1)
             assert np.array_equal(lp.coeffs, before)  # not masked in place
 
 

@@ -41,6 +41,16 @@ def _counting_steps(steps, received):
     return counting
 
 
+def _counting_solves(steps, solves):
+    """Wrap the solve coroutine so that each solve appends to ``solves`` the
+    list of the modular values sent to it."""
+    def counting(*args):
+        received = []
+        solves.append(received)
+        return (yield from _counting_steps(steps, received)(*args))
+    return counting
+
+
 def weighted_lp_norm(c, p, phi, w):
     """Closed-form oracle for the power family: (sum |c_n|^p phi_n^p w_n)^{1/p}."""
     n = np.arange(phi.start, phi.start + len(c))
@@ -73,6 +83,21 @@ def mp_luxemburg_norm(c, fn, phi, w):
 CONST1 = WeightSequence("const", NEGATIVE_SIDE, 1.0)
 TABLE_NEG = WeightSequence("table", NEGATIVE_SIDE, table=(0.5, 1.0, 1.0, 3.0),
                            table_delta2=6.0)
+
+
+def _mixed_problems(seed, solves, scale=1.0):
+    """Random problems cycling through the three Orlicz families and four
+    weights, 1 to 64 complex coefficients of modulus up to sqrt(2) * scale."""
+    rng = np.random.default_rng(seed)
+    fns = [OrliczFunction("pow", 1.5), OrliczFunction("expm1"), OrliczFunction("powlog", 2)]
+    weights = [CONST1, WeightSequence("pow", NEGATIVE_SIDE, 1.0),
+               WeightSequence("log", NEGATIVE_SIDE), TABLE_NEG]
+    problems = []
+    for i in range(solves):
+        m = int(rng.integers(1, 65))
+        c = (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)) * scale
+        problems.append((c, fns[i % 3], weights[i % 4], weights[(i // 4) % 4]))
+    return problems
 
 
 class TestOrliczFunction:
@@ -397,19 +422,27 @@ class TestLuxemburgNorm:
         calls = []
         monkeypatch.setattr(orlicz, "_luxemburg_steps",
                             _counting_steps(orlicz._luxemburg_steps, calls))
-        rng = np.random.default_rng(31)
-        fns = [OrliczFunction("pow", 1.5), OrliczFunction("expm1"),
-               OrliczFunction("powlog", 2)]
-        weights = [CONST1, WeightSequence("pow", NEGATIVE_SIDE, 1.0),
-                   WeightSequence("log", NEGATIVE_SIDE), TABLE_NEG]
         solves = 300
-        problems = []
-        for i in range(solves):
-            m = int(rng.integers(1, 65))
-            c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
-            problems.append((c, fns[i % 3], weights[i % 4], weights[(i // 4) % 4]))
-        luxemburg_norms(problems)
+        luxemburg_norms(_mixed_problems(31, solves))
         assert 1 <= len(calls) / solves <= 12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-310])
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_solve_stops_at_the_resolution_of_doubles(self, monkeypatch, tol, scale):
+        """A tol below the spacing of doubles, and a norm among the
+        subnormals, stop within 16 ulps of the upper end in a few steps,
+        at the norm of the default tol."""
+        problems = _mixed_problems(37, 60, scale)
+        want = luxemburg_norms(problems)
+        solves = []
+        monkeypatch.setattr(orlicz, "_luxemburg_steps",
+                            _counting_solves(orlicz._luxemburg_steps, solves))
+        brackets = orlicz._brackets(problems, tol)
+        assert len(solves) == len(problems)
+        assert max(map(len, solves)) <= 20
+        for (lo, hi), norm in zip(brackets, want):
+            assert 0 < hi - lo <= max(tol * hi, 16 * math.ulp(hi))
+            assert hi == pytest.approx(norm, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("fn", [OrliczFunction("pow", 1.5), OrliczFunction("expm1")])
     def test_bracket_certified_through_public_modular(self, monkeypatch, fn):
