@@ -16,8 +16,8 @@ from .orlicz import (
     NONNEGATIVE_SIDE,
     OrliczFunction,
     WeightSequence,
+    luxemburg_brackets,
     luxemburg_norm,
-    luxemburg_norms,
     modular,
     validate_weight,
 )
@@ -49,7 +49,7 @@ __all__ = [
     "TruncationError",
     "NEGATIVE_SIDE", "NONNEGATIVE_SIDE",
     "OrliczFunction", "WeightSequence", "modular", "luxemburg_norm",
-    "luxemburg_norms", "validate_weight",
+    "luxemburg_brackets", "validate_weight",
     "LaurentPolynomial", "sample", "fourier_coefficients",
     "AlgebraSpace", "NormReport",
     "wnf_norm", "verify_theorem", "verify_one_sided",

@@ -17,8 +17,8 @@ from .orlicz import (
     DEFAULT_NORM_TOL,
     OrliczFunction,
     WeightSequence,
+    luxemburg_brackets,
     luxemburg_norm,
-    luxemburg_norms,
 )
 
 INEQ_SLACK = 1e-9  # relative slack on norm inequalities (solver tolerance)
@@ -167,8 +167,8 @@ def wnf_norm_arrays(pairs) -> NormReport:
     ``orlicz._Batch``)."""
     pairs = list(pairs)
     mags = [np.abs(f.coeffs) for f, _ in pairs]
-    lams = np.array(luxemburg_norms(
-        [p for m, (_, sp) in zip(mags, pairs) for p in _one_sided_problems(m, sp)]))
+    lams = np.array([hi for _, hi in luxemburg_brackets(
+        [p for m, (_, sp) in zip(mags, pairs) for p in _one_sided_problems(m, sp)])])
     sizes = np.array([m.size + 1 for m in mags], dtype=int)
     lead = np.zeros(1)
     flat = np.concatenate([x for m in mags for x in (lead, m)]) if pairs else np.zeros(0)

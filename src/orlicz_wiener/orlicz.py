@@ -262,7 +262,7 @@ def validate_weight(nu: WeightSequence, n_max: int) -> WeightReport:
     m = np.arange(1, n_max // 2 + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = nu(n)
-        sup = float(np.max(nu(2 * m) / nu(m)))
+        sup = float(np.max(vals[2 * m - nu.start] / vals[m - nu.start]))
     if not (np.all(np.isfinite(vals)) and math.isfinite(sup)):
         raise DomainError(f"weight {nu.spec()} or its doubling ratios overflow "
                           f"up to index {n_max}")
@@ -321,8 +321,11 @@ def _bracket(ref: float, growth: tuple):
     """The bracketing phase of a Luxemburg solve, in the protocol of
     ``_luxemburg_steps``: returns the consecutive scales lo and hi = 2 lo
     of the sequence ref * 2^k between which the modular crosses 1, with
-    their modulars, as (lo, m_lo, hi, m_hi); None when the modular stays
-    <= 1 down to the smallest double.
+    their modulars, as (lo, m_lo, hi, m_hi).  Where the modular m stays
+    <= 1 down to the smallest double, it returns None if m <= 1/2 there,
+    and (0.0, inf, 5e-324, m) if m > 1/2: convexity then gives a modular
+    >= 2m > 1 at half that scale, so the norm lies in (2.5e-324, 5e-324],
+    whose nearest double is 5e-324.
 
     One bound per direction.  Where the modular m at ref is > 1 it
     doubles: every argument |c_n| phi_n / lam then lies in [0, 1], where
@@ -378,7 +381,7 @@ def _bracket(ref: float, growth: tuple):
         nxt = lam * step
         if nxt == limit:
             if below:
-                return None
+                return (0.0, math.inf, lam, m) if m > 0.5 else None
             raise DomainError("failed to bracket the Luxemburg norm")
         m_nxt = yield nxt
     return (nxt, m_nxt, lam, m) if below else (lam, m, nxt, m_nxt)
@@ -387,15 +390,18 @@ def _bracket(ref: float, growth: tuple):
 def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     """One Luxemburg solve as a coroutine: yields each scale lam, receives
     the modular there, and returns the final bracket (lo, hi), with the
-    modular <= 1 at hi and > 1 at lo; (0.0, 0.0) when the modular stays
-    <= 1 down to the smallest double.  ``ref`` is the largest weighted
-    entry, where ``_bracket`` starts, and ``growth`` the Orlicz function's
-    ``_growth``, from which it predicts its bracket; regula falsi then
-    narrows that bracket."""
+    modular <= 1 at hi and > 1 at lo; (0.0, 0.0) when the norm rounds to
+    0, and (0.0, 5e-324) when it rounds to the smallest double (see
+    ``_bracket``).  ``ref`` is the largest weighted entry, where
+    ``_bracket`` starts, and ``growth`` the Orlicz function's ``_growth``,
+    from which it predicts its bracket; regula falsi then narrows that
+    bracket."""
     ends = yield from _bracket(ref, growth)
     if ends is None:
         return 0.0, 0.0
     lo, m_lo, hi, m_hi = ends
+    if lo == 0:
+        return lo, hi
     # A width or probe gap under one ulp cannot be met: stop within 16 ulps
     # of hi (hi = 2 lo).  For a normal-range norm this is below 2e-15.
     tol = max(tol, 4 * math.ulp(hi) / lo)
@@ -448,24 +454,29 @@ class _Batch:
     """
 
     def __init__(self, problems):
-        """``problems`` holds (c, orlicz, phi, w) with c an array, possibly
-        empty, and phi, w of one index class where c is nonempty."""
-        self.order = sorted(range(len(problems)), key=lambda i: (
-            problems[i][1].family, problems[i][1].p))
-        rows = [problems[i] for i in self.order]
-        self.sizes = np.array([c.size + 1 for c, *_ in rows])
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        ends = (self.starts + self.sizes).tolist()
+        """``problems`` holds (c, orlicz, phi, w) with c a numeric array or
+        list, possibly empty, cast by ``_coefficients``; phi and w must
+        share one index class where c is nonempty."""
         # Each weight object is evaluated once, over the longest row that
         # uses it, and its rows take prefixes: no weight is evaluated at an
         # index that no row reaches, so no batch refuses an overflow that
         # the serial solves of its rows would not.  Weights are told apart
         # by identity; the suites draw theirs from one table of prebuilt
         # weights.
-        reach = {}  # id(nu) -> (nu, the length of its longest row)
-        for c, _, phi, w in rows:
+        rows, reach = [], {}  # reach: id(nu) -> (nu, the length of its longest row)
+        for c, orlicz, phi, w in problems:
+            c = _coefficients(c)
+            if c.size:
+                _check_class(phi, w)
+            rows.append((c, orlicz, phi, w))
             for nu in (phi, w):
                 reach[id(nu)] = nu, max(reach.get(id(nu), (nu, 0))[1], c.size)
+        self.order = sorted(range(len(rows)), key=lambda i: (
+            rows[i][1].family, rows[i][1].p))
+        rows = [rows[i] for i in self.order]
+        self.sizes = np.array([c.size + 1 for c, *_ in rows])
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        ends = (self.starts + self.sizes).tolist()
         self.scaled, self.w = np.zeros(ends[-1]), np.zeros(ends[-1])
         # An infinite weight times a zero coefficient is nan: refused below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -509,16 +520,15 @@ class _Batch:
             return np.add.reduceat(x, self.starts)
 
 
-def _brackets(problems, tol: float) -> list:
+def luxemburg_brackets(problems, tol: float = DEFAULT_NORM_TOL) -> list:
     """The final bracket (lo, hi) of each (c, orlicz, phi, w) problem's
-    Luxemburg solve, (0.0, 0.0) where the norm is 0.  Every live solve is
-    stepped together: one batched modular evaluation per step."""
+    Luxemburg solve (see ``luxemburg_norm``), in the order of the sequence
+    ``problems``: the modular is > 1 at lo and <= 1 at hi, the norm
+    ``luxemburg_norm`` returns, and (0.0, 0.0) where the norm is 0.  Every
+    live solve is stepped together: one batched modular evaluation per
+    step."""
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
-    problems = [(_coefficients(c), *rest) for c, *rest in problems]
-    for c, _, phi, w in problems:
-        if c.size:
-            _check_class(phi, w)
     brackets = [(0.0, 0.0)] * len(problems)
     if not problems:
         return brackets
@@ -542,19 +552,12 @@ def _brackets(problems, tol: float) -> list:
     return brackets
 
 
-def luxemburg_norms(problems) -> list[float]:
-    """``luxemburg_norm`` of each (c, orlicz, phi, w) problem at the default
-    tol, bit for bit, with every solve stepped together (see
-    ``luxemburg_norm``)."""
-    return [hi for _, hi in _brackets(problems, DEFAULT_NORM_TOL)]
-
-
 def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
                    w: WeightSequence, tol: float = DEFAULT_NORM_TOL) -> float:
     """inf{lam > 0 : modular(c, ..., lam) <= 1} by bracketing and regula falsi.
 
     The solve is the coroutine ``_luxemburg_steps``, run as a batch of one
-    by the loop that ``luxemburg_norms`` runs on many problems at once.
+    by the loop that ``luxemburg_brackets`` runs on many problems at once.
     That loop writes |c_n| phi_n and w_n once, end to end behind one zero,
     into arrays it allocates once (see ``_Batch``), and evaluates the
     modular of each iterate on them in place, with the same bits as the
@@ -578,10 +581,12 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
     of doubles or a subnormal norm ends within 16 ulps of the upper end,
     and returns the upper end, where the modular is <= 1.  Here both ends
     are also certified through the public ``modular`` (<= 1 at the upper
-    end, > 1 at the lower end).
+    end, > 1 at the lower end), except a lower end of 0 below a norm of
+    5e-324, which convexity certifies (see ``_bracket``).
     """
-    [(lo, hi)] = _brackets([(c, orlicz, phi, w)], tol)
-    if hi > 0 and not modular(c, orlicz, phi, w, hi) <= 1 < modular(c, orlicz, phi, w, lo):
+    [(lo, hi)] = luxemburg_brackets([(c, orlicz, phi, w)], tol)
+    if hi > 0 and not modular(c, orlicz, phi, w, hi) <= 1 < (
+            modular(c, orlicz, phi, w, lo) if lo else math.inf):
         raise RuntimeError("the Luxemburg bracket failed its certificate")
     return hi
 

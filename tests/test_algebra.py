@@ -543,13 +543,13 @@ class TestHarnessReplay:
 def _batch_sizes(monkeypatch) -> list:
     """Record the number of problems in each batched solve from now on."""
     sizes = []
-    original = algebra.luxemburg_norms
+    original = algebra.luxemburg_brackets
 
     def counted(problems, *args, **kwargs):
         sizes.append(len(problems))
         return original(problems, *args, **kwargs)
 
-    monkeypatch.setattr(algebra, "luxemburg_norms", counted)
+    monkeypatch.setattr(algebra, "luxemburg_brackets", counted)
     return sizes
 
 

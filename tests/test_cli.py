@@ -94,6 +94,22 @@ class TestNorm:
         for key in ("negative", "nonnegative", "total"):
             assert fine[key] == pytest.approx(default[key], rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("p", ["1", "2"])
+    def test_norm_of_the_smallest_double(self, capsys, p):
+        """A coefficient of 5e-324 on each side: the modular at that scale
+        is 1, so each one-sided norm is 5e-324, the smallest double, not
+        0."""
+        f = json.dumps({"coeffs": [{"k": 0, "re": 5e-324, "im": 0},
+                                   {"k": -1, "re": 5e-324, "im": 0}]})
+        space = f"pow:p={p};pow:p={p};const:1;const:1;const:1;const:1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--cmd", "norm", "--input", f, "--space", space)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["negative"] == doc["nonnegative"] == 5e-324
+        assert doc["total"] == 2e-323
+
 
 @pytest.mark.parametrize("argv", [
     ("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "4", "--grid", "64"),

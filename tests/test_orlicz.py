@@ -18,11 +18,16 @@ from orlicz_wiener.orlicz import (
     NONNEGATIVE_SIDE,
     OrliczFunction,
     WeightSequence,
+    luxemburg_brackets,
     luxemburg_norm,
-    luxemburg_norms,
     modular,
     validate_weight,
 )
+
+
+def _norms(problems, tol=DEFAULT_NORM_TOL):
+    """The upper end of each problem's bracket: its Luxemburg norm."""
+    return [hi for _, hi in luxemburg_brackets(problems, tol)]
 
 
 def _counting_steps(steps, received):
@@ -423,7 +428,7 @@ class TestLuxemburgNorm:
         monkeypatch.setattr(orlicz, "_luxemburg_steps",
                             _counting_steps(orlicz._luxemburg_steps, calls))
         solves = 300
-        luxemburg_norms(_mixed_problems(31, solves))
+        luxemburg_brackets(_mixed_problems(31, solves))
         assert 1 <= len(calls) / solves <= 12
 
     @pytest.mark.parametrize("scale", [1.0, 1e-310])
@@ -433,11 +438,11 @@ class TestLuxemburgNorm:
         subnormals, stop within 16 ulps of the upper end in a few steps,
         at the norm of the default tol."""
         problems = _mixed_problems(37, 60, scale)
-        want = luxemburg_norms(problems)
+        want = _norms(problems)
         solves = []
         monkeypatch.setattr(orlicz, "_luxemburg_steps",
                             _counting_solves(orlicz._luxemburg_steps, solves))
-        brackets = orlicz._brackets(problems, tol)
+        brackets = luxemburg_brackets(problems, tol)
         assert len(solves) == len(problems)
         assert max(map(len, solves)) <= 20
         for (lo, hi), norm in zip(brackets, want):
@@ -493,9 +498,9 @@ class TestLuxemburgNorm:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = (modular(c, fn, phi, CONST1, 1.5), luxemburg_norm(c, fn, phi, CONST1),
-                       luxemburg_norms([(c, fn, phi, CONST1)])[0])
+                       *_norms([(c, fn, phi, CONST1)]))
             want = (modular(ref, fn, phi, CONST1, 1.5), luxemburg_norm(ref, fn, phi, CONST1),
-                    luxemburg_norms([(ref, fn, phi, CONST1)])[0])
+                    *_norms([(ref, fn, phi, CONST1)]))
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_tol_out_of_range_rejected(self):
@@ -674,10 +679,11 @@ def _batches(draw):
     return problems
 
 
+@pytest.mark.parametrize("tol", [DEFAULT_NORM_TOL, 1e-6, 1e-14], ids=["default", "1e-6", "1e-14"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_batches())
-def test_batched_solves_equal_the_serial_solves(problems):
-    assert luxemburg_norms(problems) == [luxemburg_norm(*p) for p in problems]
+def test_batched_solves_equal_the_serial_solves(tol, problems):
+    assert _norms(problems, tol) == [luxemburg_norm(*p, tol) for p in problems]
 
 
 class TestBatchedEdgeCases:
@@ -687,13 +693,28 @@ class TestBatchedEdgeCases:
                 WeightSequence("log", NEGATIVE_SIDE))
 
     def _same(self, problems):
-        got = luxemburg_norms(problems)
+        got = _norms(problems)
         assert got == [luxemburg_norm(*p) for p in problems]
         return got
 
     def test_underflow_to_zero(self):
         row = (np.array([1e-300]), OrliczFunction("pow", 1), CONST1, self.TINY)
         assert self._same([self.ORDINARY, row, self.ORDINARY])[1] == 0.0
+
+    @pytest.mark.parametrize("p, w, want", [
+        (1, 1.0, 5e-324), (2, 1.0, 5e-324), (1, 0.75, 5e-324), (2, 0.75, 5e-324),
+        (1, 0.5, 0.0),
+    ])
+    def test_norm_of_the_smallest_double(self, p, w, want):
+        # The modular m at the scale 5e-324 is w.  Halving rounds that scale
+        # to 0; convexity gives a modular >= 2m at half of it, so where
+        # m > 1/2 the norm lies in (2.5e-324, 5e-324], and 5e-324 is its
+        # nearest double.  For p = 1 the norm is w * 5e-324, and at w = 1/2
+        # it is the tie 2.5e-324, which rounds to 0.
+        row = (np.array([5e-324]), OrliczFunction("pow", p), CONST1,
+               WeightSequence("const", NEGATIVE_SIDE, w))
+        assert self._same([self.ORDINARY, row])[1] == want
+        assert luxemburg_brackets([row], 1e-6) == [(0.0, want)]
 
     def test_far_scales(self):
         # The bracket starts at 1 and the norm is 1e300 or 1e-300 for p = 1:
@@ -717,11 +738,11 @@ class TestBatchedEdgeCases:
         with pytest.raises(DomainError) as serial:
             luxemburg_norm(*row)
         with pytest.raises(DomainError) as batched:
-            luxemburg_norms([self.ORDINARY, row, self.ORDINARY])
+            luxemburg_brackets([self.ORDINARY, row, self.ORDINARY])
         assert str(batched.value) == str(serial.value)
 
     def test_empty_batch(self):
-        assert luxemburg_norms([]) == []
+        assert luxemburg_brackets([]) == []
 
     def test_infinite_weight_at_a_zero_coefficient_is_refused(self):
         # (n+1)^2000 is inf from n = 1 on, and inf times a zero coefficient
@@ -754,7 +775,7 @@ class TestBatchedEdgeCases:
             c = rng.uniform(-1, 1, int(rng.integers(1, 30))) + 0j
             problems.append((c, OrliczFunction("pow", 1 + i % 3),
                              shared[klass][i % 4], WeightSequence("log", klass)))
-        luxemburg_norms(problems)
+        luxemburg_brackets(problems)
         objects = {id(nu) for _, _, phi, w in problems for nu in (phi, w)}
         assert len(objects) == 8 + 60
         assert sorted(map(id, calls)) == sorted(objects)
@@ -767,9 +788,9 @@ class TestBatchedEdgeCases:
         with pytest.raises(DomainError) as serial:
             luxemburg_norm(*long)
         with pytest.raises(DomainError) as batched:
-            luxemburg_norms([short, long])
+            luxemburg_brackets([short, long])
         assert str(batched.value) == str(serial.value)
-        assert luxemburg_norms([short]) == [luxemburg_norm(*short)]
+        assert _norms([short]) == [luxemburg_norm(*short)]
         assert luxemburg_norm(*short) > 0
 
 
@@ -777,7 +798,8 @@ def _two_loop_bracket(ref: float, *_):
     """The bracketing of a Luxemburg solve as two mirrored linear loops, in
     the protocol of ``orlicz._bracket``: from ref it halves while the
     modular is <= 1 or doubles while it is > 1, and returns the bracket
-    (lo, m_lo, hi, m_hi), or None when the scale reaches 0.  It takes the
+    (lo, m_lo, hi, m_hi).  When the scale reaches 0 from hi, it returns
+    (0.0, inf, hi, m_hi) if m_hi > 1/2, and None otherwise.  It takes the
     family's growth bounds and ignores them."""
     m = yield ref
     if m <= 1:
@@ -785,7 +807,7 @@ def _two_loop_bracket(ref: float, *_):
         while True:
             lo = hi / 2
             if lo == 0:
-                return None
+                return (0.0, math.inf, hi, m_hi) if m_hi > 0.5 else None
             m_lo = yield lo
             if m_lo > 1:
                 return lo, m_lo, hi, m_hi
@@ -931,7 +953,7 @@ def _far_batches(draw):
 def _bracket_bits(problems, tol):
     """Each end of each final bracket as its hex string, or the refusal."""
     try:
-        return [(lo.hex(), hi.hex()) for lo, hi in orlicz._brackets(problems, tol)]
+        return [(lo.hex(), hi.hex()) for lo, hi in luxemburg_brackets(problems, tol)]
     except DomainError as exc:
         return str(exc)
 
@@ -971,9 +993,11 @@ def test_brackets_equal_the_linear_reference(case):
 def test_brackets_equal_the_linear_reference_at_the_ends_of_the_doubles():
     """The same at the ends of the range, where the window and the bisection
     are cut to the normal doubles: subnormal and near-overflow
-    coefficients, with the smallest and the largest constant weights."""
+    coefficients, with the smallest and the largest constant weights.  At
+    5e-324, the smallest double, the other two entries round to 0, and
+    halving from a modular in (1/2, 1] ends with the bracket (0, 5e-324)."""
     problems = [(np.array([c, c / 3, -c / 7j]), fn, CONST1, WeightSequence("const", NEGATIVE_SIDE, w))
-                for c in (1e-320, 1e-310, sys.float_info.min, 1.0, sys.float_info.max)
+                for c in (5e-324, 1e-320, 1e-310, sys.float_info.min, 1.0, sys.float_info.max)
                 for w in (sys.float_info.min, 1.0, sys.float_info.max)
                 for fn in (OrliczFunction("pow", 2.5), OrliczFunction("expm1"),
                            OrliczFunction("powlog", 1.05))]
@@ -1101,7 +1125,7 @@ def test_integer_and_list_coefficients_have_the_bits_of_floats(fn):
             for lam in (0.5, 2.0, 37.0):
                 assert modular(c, fn, phi, w, lam) == modular(same, fn, phi, w, lam)
             assert luxemburg_norm(c, fn, phi, w) == luxemburg_norm(same, fn, phi, w)
-            assert luxemburg_norms([(c, fn, phi, w)]) == [luxemburg_norm(same, fn, phi, w)]
+            assert _norms([(c, fn, phi, w)]) == [luxemburg_norm(same, fn, phi, w)]
     if fn == OrliczFunction("pow", 2):
         one = WeightSequence("const", NONNEGATIVE_SIDE, 1.0)
         assert modular(np.array([3, -4]), fn, phi, one, 2.0) == 9.148625039612842
