@@ -20,13 +20,13 @@ from .algebra import (
     Checks,
     NormReport,
     ShiftReport,
-    random_element,
     verify_coefficient_bound,
     verify_one_sided,
     verify_theorem,
     verify_weight_shift,
     wnf_norm_arrays,
 )
+from .fourier import LaurentPolynomial
 from .orlicz import NEGATIVE_SIDE, NONNEGATIVE_SIDE, OrliczFunction, WeightSequence
 
 # Sampling grids for the random space draw.
@@ -69,7 +69,8 @@ def _pick(rng: np.random.Generator, groups):
 
 
 def draw_space(rng: np.random.Generator) -> AlgebraSpace:
-    """A random six-tuple over the builtin family cross product."""
+    """A random six-tuple over the builtin family cross product.  Only
+    ``rng.integers(n)`` is called, which ``_Words`` also provides."""
     neg, pos = WEIGHT_GROUPS[NEGATIVE_SIDE], WEIGHT_GROUPS[NONNEGATIVE_SIDE]
     return AlgebraSpace(_pick(rng, ORLICZ_GROUPS), _pick(rng, ORLICZ_GROUPS),
                         _pick(rng, neg), _pick(rng, neg), _pick(rng, pos), _pick(rng, pos))
@@ -104,13 +105,71 @@ def _check_trials(families, seed: int, trial: int, support: int):
         raise SpecError(f"support must be <= {MAX_SUPPORT}, got {support}")
 
 
+class _Words:
+    """numpy's ``Generator.integers(n)``, read from the raw 64-bit outputs of
+    one PCG64 stream.  numpy draws a bounded integer below 2**32 by Lemire's
+    method (ACM TOMACS 29(1), 2019) on 32-bit words, and PCG64 serves each
+    output as two such words, its low half first and its high half at the
+    next call.  ``raw`` holds the outputs drawn so far and ``used`` how many
+    of them a word has come from; ``take`` reads on past the last of those,
+    and draws more outputs from the stream where ``raw`` runs out."""
+
+    def __init__(self, bg: np.random.PCG64, raw: np.ndarray):
+        self.bg, self.raw, self.used, self.high = bg, raw, 0, None
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k outputs after ``used``; a high half not yet read is
+        skipped, as ``Generator.uniform`` skips it.  Where ``raw`` runs
+        out it at least doubles, so a long run of rejections reads it in
+        amortized constant time per word."""
+        short = self.used + k - len(self.raw)
+        if short > 0:
+            more = self.bg.random_raw(max(short, len(self.raw)))
+            self.raw = np.concatenate((self.raw, more))
+        self.used += k
+        return self.raw[self.used - k:self.used]
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for 1 <= n <= 2**32: the high 32 bits
+        of word * n, rejected while its low 32 bits are below 2**32 % n.
+        n = 1 reads no word."""
+        if n == 1:
+            return 0
+        threshold = (1 << 32) % n
+        while True:
+            if self.high is None:
+                out = int(self.take(1)[0])
+                word, self.high = out & 0xFFFFFFFF, out >> 32
+            else:
+                word, self.high = self.high, None
+            m = word * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
 def _draw_trial(seed: int, trial: int, support: int):
-    """The draw (space, f, g) of one trial; pure in (seed, trial, support)."""
-    rng = np.random.default_rng([seed, trial])
-    sp = draw_space(rng)
-    sup_f = int(rng.integers(0, support + 1))
-    sup_g = int(rng.integers(0, support + 1))
-    return sp, random_element(sup_f, rng), random_element(sup_g, rng)
+    """The draw (space, f, g) of one trial; pure in (seed, trial, support).
+
+    Its bits are those of ``draw_space``, two supports from
+    ``integers(0, support + 1)`` and ``random_element`` of each, all drawn
+    from ``np.random.default_rng([seed, trial])``, which wraps this PCG64.
+    The picks and the uniforms are read from one block of its raw output:
+    8 outputs hold the picks' at most 14 words with two to spare for
+    rejections, and 4 (2 support + 1) the uniforms of both factors."""
+    bg = np.random.PCG64(np.random.SeedSequence([seed, trial]))
+    words = _Words(bg, bg.random_raw(8 + 4 * (2 * support + 1)))
+    sp = draw_space(words)
+    sup_f, sup_g = words.integers(support + 1), words.integers(support + 1)
+    nf, ng = 2 * sup_f + 1, 2 * sup_g + 1
+    # Generator.uniform(-1, 1) is -1.0 + 2.0 * ((out >> 11) * 2.0**-53) per
+    # output.  Both products scale a 53-bit integer by a power of two, which
+    # is exact, and y - 1.0 is the sum -1.0 + y, so (out >> 11) * 2.0**-52
+    # - 1.0 has the same bits.  Real parts come before imaginary parts, f
+    # before g.
+    u = (words.take(2 * (nf + ng)) >> 11) * 2.0**-52 - 1.0
+    f, g = u[:2 * nf], u[2 * nf:]
+    return (sp, LaurentPolynomial(f[:nf] + 1j * f[nf:], sup_f),
+            LaurentPolynomial(g[:ng] + 1j * g[ng:], sup_g))
 
 
 def _chunk_checks(families, drawn) -> dict[str, tuple[Checks, np.ndarray]]:

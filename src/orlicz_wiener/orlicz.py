@@ -406,7 +406,11 @@ def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     # of hi (hi = 2 lo).  For a normal-range norm this is below 2e-15.
     tol = max(tol, 4 * math.ulp(hi) / lo)
 
-    # Abscissae are log(lam/ref), which keeps them small and precise.
+    # Abscissae are log(lam/ref), which keeps them small and precise; where
+    # hi / ref overflows (a subnormal ref, a norm far above it) they are
+    # taken from lo, since log(inf) would make every later scale nan.
+    if hi / ref == math.inf:
+        ref = lo
     x_lo, y_lo = math.log(lo / ref), _log(m_lo)
     x_hi, y_hi = math.log(hi / ref), _log(m_hi)
     last = 0  # side of the latest point: +1 upper end, -1 lower end

@@ -1,8 +1,12 @@
 """Reference computations on Laurent polynomials that the tests compare
-the package against: the absolute-sum (Wiener) norm and the split of the
-coefficients into their two one-sided arrays, each from copies."""
+the package against: the absolute-sum (Wiener) norm, the split of the
+coefficients into their two one-sided arrays, each from copies, and the
+draw of a verification trial through numpy's ``Generator``."""
 
 import numpy as np
+
+from orlicz_wiener.algebra import random_element
+from orlicz_wiener.harness import draw_space
 
 
 def wiener_norm(f) -> float:
@@ -18,3 +22,14 @@ def split(f):
     neg = f.coeffs[: f.n_max][::-1].copy()
     nonneg = f.coeffs[f.n_max:].copy()
     return neg, nonneg
+
+
+def draw_trial(seed: int, trial: int, support: int):
+    """The draw (space, f, g) of one trial through ``numpy.random.Generator``
+    calls, which ``harness._draw_trial`` reads from raw PCG64 output
+    instead."""
+    rng = np.random.default_rng([seed, trial])
+    sp = draw_space(rng)
+    sup_f = int(rng.integers(0, support + 1))
+    sup_g = int(rng.integers(0, support + 1))
+    return sp, random_element(sup_f, rng), random_element(sup_g, rng)

@@ -39,7 +39,7 @@ from orlicz_wiener.orlicz import (
     validate_weight,
 )
 
-from oracles import split, wiener_norm
+from oracles import draw_trial, split, wiener_norm
 
 
 def norms(f, g, sp):
@@ -538,6 +538,70 @@ class TestHarnessReplay:
     def test_unknown_family_rejected(self):
         with pytest.raises(SpecError):
             run_trial(("theorem", "sideways"), 7, 3, 16)
+
+
+def _same_draw(got, want) -> bool:
+    """Equal draws: the same prebuilt Orlicz functions and weights, the
+    same supports, and coefficients equal bit for bit."""
+    (sp, f, g), (want_sp, want_f, want_g) = got, want
+    sides = ("neg_orlicz", "pos_orlicz", "neg_scale", "neg_sum", "pos_scale", "pos_sum")
+    return (all(getattr(sp, side) is getattr(want_sp, side) for side in sides)
+            and (f.n_max, g.n_max) == (want_f.n_max, want_g.n_max)
+            and f.coeffs.tobytes() == want_f.coeffs.tobytes()
+            and g.coeffs.tobytes() == want_g.coeffs.tobytes())
+
+
+class TestRawDraw:
+    """``harness._draw_trial`` reads each trial from raw PCG64 output; the
+    oracle draws it through ``Generator`` calls."""
+
+    @pytest.mark.parametrize("support", [0, 1, 32, 64])
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**64 + 5])
+    def test_draw_equals_the_generator_draw(self, seed, support):
+        for t in range(100):
+            assert _same_draw(harness._draw_trial(seed, t, support), draw_trial(seed, t, support))
+
+    def test_draw_at_the_largest_support(self):
+        for t in range(3):
+            got = harness._draw_trial(11, t, harness.MAX_SUPPORT)
+            assert _same_draw(got, draw_trial(11, t, harness.MAX_SUPPORT))
+
+    @staticmethod
+    def streams(seed, block=8):
+        """A word reader on a block of ``block`` outputs of a seeded PCG64,
+        and a Generator on a PCG64 of the same seed."""
+        bg = np.random.PCG64(seed)
+        return harness._Words(bg, bg.random_raw(block)), np.random.Generator(np.random.PCG64(seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 65537, 3 * 2**30, 2**32 - 1])
+    def test_integers_equal_the_generator(self, n):
+        # 400 picks read past the first block of 8 outputs; at 3 * 2^30 a
+        # quarter of the words are rejected, and n = 1 reads no word.
+        words, gen = self.streams(n)
+        assert [words.integers(n) for _ in range(400)] == [int(gen.integers(n)) for _ in range(400)]
+        if n == 1:
+            assert words.used == 0
+        if n == 3 * 2**30:
+            assert words.used > 220
+
+    def test_mixed_bounds_equal_the_generator(self):
+        rng = np.random.default_rng(3)
+        bounds = rng.choice([1, 2, 3, 4, 65, 3 * 2**30], 500).tolist()
+        words, gen = self.streams(4)
+        assert [words.integers(n) for n in bounds] == [int(gen.integers(n)) for n in bounds]
+
+    @pytest.mark.parametrize("picks", [1, 2, 3])
+    def test_uniforms_skip_a_buffered_high_half(self, picks):
+        # After an odd number of words the high half of the last output is
+        # buffered: the uniforms start at the next output, and a later pick
+        # still reads that high half, as the Generator does.
+        words, gen = self.streams(picks + 20, block=3)
+        assert [words.integers(5) for _ in range(picks)] == [int(gen.integers(5)) for _ in range(picks)]
+        want = gen.uniform(-1, 1, 9)
+        got = (words.take(9) >> 11) * 2.0**-52 - 1.0
+        assert got.tobytes() == want.tobytes()
+        assert words.used == (picks + 1) // 2 + 9
+        assert [words.integers(7) for _ in range(3)] == [int(gen.integers(7)) for _ in range(3)]
 
 
 def _batch_sizes(monkeypatch) -> list:

@@ -110,6 +110,18 @@ class TestNorm:
         assert doc["negative"] == doc["nonnegative"] == 5e-324
         assert doc["total"] == 2e-323
 
+    def test_upper_end_overflowing_over_the_largest_entry(self, capsys):
+        """A largest weighted entry of 1e-300 and a norm near 1.7e8
+        (1e-300 / log1p(1 / 1.7e308)): the bracket's upper end over that
+        entry overflows, and the solve still ends with a finite norm."""
+        f = json.dumps({"coeffs": [{"k": 0, "re": 1e-300, "im": 0}]})
+        space = "expm1;expm1;const:1;const:1;const:1;const:1.7e308"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--cmd", "norm", "--input", f, "--space", space)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["nonnegative"] == pytest.approx(1.7e8, rel=1e-12)
+
 
 @pytest.mark.parametrize("argv", [
     ("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "4", "--grid", "64"),

@@ -725,6 +725,19 @@ class TestBatchedEdgeCases:
         for (_, fn, phi, w), lam in zip(rows, got):
             assert lam == pytest.approx(weighted_lp_norm(c, 1, phi, w), rel=1e-10, abs=0)
 
+    def test_upper_end_overflowing_over_the_reference(self):
+        # The largest weighted entry is 1e-300 and the norm near 1.7e8, so
+        # hi / ref overflows: both ends stay finite, the modular crosses 1
+        # between them, and the 50-digit norm, 1e-300 / log1p(1 / 1.7e308),
+        # lies in the bracket once rounded to a double (it rounds to lo
+        # itself, where the modular in doubles rounds to just above 1).
+        row = (np.array([1e-300]), OrliczFunction("expm1"), CONST1,
+               WeightSequence("const", NEGATIVE_SIDE, 1.7e308))
+        (lo, hi), = luxemburg_brackets([row])
+        assert math.isfinite(lo) and 0 < lo < hi and hi - lo <= DEFAULT_NORM_TOL * hi
+        assert modular(*row, lo) > 1 >= modular(*row, hi)
+        assert lo <= mp_luxemburg_norm(*row) <= hi
+
     def test_modular_overflows_to_inf(self, monkeypatch):
         received = []
         monkeypatch.setattr(orlicz, "_luxemburg_steps",
@@ -995,7 +1008,8 @@ def test_brackets_equal_the_linear_reference_at_the_ends_of_the_doubles():
     are cut to the normal doubles: subnormal and near-overflow
     coefficients, with the smallest and the largest constant weights.  At
     5e-324, the smallest double, the other two entries round to 0, and
-    halving from a modular in (1/2, 1] ends with the bracket (0, 5e-324)."""
+    halving from a modular in (1/2, 1] ends with the bracket (0, 5e-324).
+    No end is nan, which equal hex strings would let through."""
     problems = [(np.array([c, c / 3, -c / 7j]), fn, CONST1, WeightSequence("const", NEGATIVE_SIDE, w))
                 for c in (5e-324, 1e-320, 1e-310, sys.float_info.min, 1.0, sys.float_info.max)
                 for w in (sys.float_info.min, 1.0, sys.float_info.max)
@@ -1003,6 +1017,7 @@ def test_brackets_equal_the_linear_reference_at_the_ends_of_the_doubles():
                            OrliczFunction("powlog", 1.05))]
     for p in problems:
         want = _linear(lambda: _bracket_bits([p], 1e-12))
+        assert not any(end == "nan" for ends in want if isinstance(ends, tuple) for end in ends)
         assert _bracket_bits([p], 1e-12) == want
         for perturb in _WRONG_GROWTH:
             assert _wrong(lambda: _bracket_bits([p], 1e-12), perturb) == want
