@@ -4,7 +4,7 @@ constant, and brute-force checks of the inequalities behind it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -245,7 +245,8 @@ class ShiftReport:
         return {"ok": self.ok, **vars(self), "violations": self.violations[:10]}
 
 
-def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
+def verify_weight_shift(nu: WeightSequence, k_max: int, twin: WeightSequence | None = None
+                        ) -> ShiftReport | tuple[ShiftReport, ShiftReport]:
     """Check nu_k <= C nu_j for every j >= k - floor(k/2) up to k_max.
 
     The bound at k is C S_j, where S_j is the minimum of nu over j..k_max
@@ -259,12 +260,26 @@ def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
     exceeds fl(C S_j (1 + 1e-12)), and the per-index comparison that finds
     the violations is skipped.  A value or a bound C S_j that is not
     finite in double precision raises DomainError.
+
+    ``twin``, if given, must be nu's builtin family and parameter in the
+    other index class; the pair (report of nu, report of twin) then comes
+    from one scan of the W+ one of the two.  Both classes give a builtin
+    weight the same value at every n >= 1 and the same C, so every S_j,
+    bound and pair ratio for j >= 1 is the same double in both scans, and
+    the W- report is that of rows j >= 1 of the W+ scan.  A pair that is
+    not such a twin is refused with SpecError.
     """
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    c, s, h = nu.delta2_constant(), nu.start, (k_max + 1) // 2
+    if twin is not None and not (
+            nu.family != "table" and nu.klass != twin.klass
+            and replace(nu, klass=twin.klass) == twin):
+        raise SpecError(f"{twin.klass}:{twin.spec()} is not the builtin twin of "
+                        f"{nu.klass}:{nu.spec()}")
+    scanned = nu if twin is None or nu.klass == NONNEGATIVE_SIDE else twin
+    c, s, h = scanned.delta2_constant(), scanned.start, (k_max + 1) // 2
     with np.errstate(over="ignore"):
-        vals = nu(np.arange(s, k_max + 1, dtype=float))
+        vals = scanned(np.arange(s, k_max + 1, dtype=float))
         # Entry i of the running minimum is S_{h-i}; times C, read backward,
         # it is the bound of pair j at j - s.
         rmin = np.empty(h - s + 1)
@@ -284,15 +299,27 @@ def verify_weight_shift(nu: WeightSequence, k_max: int) -> ShiftReport:
         if not (math.isfinite(bound[-1]) and math.isfinite(top.max())):
             raise DomainError(f"weight {nu.spec()} or its shift bounds overflow "
                               f"up to index {k_max}")
-        max_ratio = float(np.divide(top, bound, out=top).max())
-        violations = []
-        if max_ratio > 1:
-            # A bound within 1e-12 of the largest double has no finite
-            # slack, and no value exceeds it.
-            rows, cols = np.nonzero(pairs > (bound * (1 + 1e-12))[:, None])
-            violations = [{"k": 2 * (s + i) - 1 + q, "value": float(pairs[i, q]),
-                           "bound": float(bound[i])}
-                          for i, q in zip(rows.tolist(), cols.tolist())]
+        ratios = np.divide(top, bound, out=top)
+        if twin is None:
+            return _shift_report(k_max, s, pairs, bound, ratios)
+        # The W- report skips row j = 0, which only the W+ class has.
+        return tuple(_shift_report(k_max, wt.start, pairs[wt.start:], bound[wt.start:],
+                                   ratios[wt.start:]) for wt in (nu, twin))
+
+
+def _shift_report(k_max: int, s: int, pairs: np.ndarray, bound: np.ndarray,
+                  ratios: np.ndarray) -> ShiftReport:
+    """The report of a scan's rows j = s, s + 1, ...: ``pairs`` holds the
+    values at k = 2j - 1 and k = 2j, ``bound`` C S_j and ``ratios`` the
+    larger value over the bound.  A bound within 1e-12 of the largest
+    double has no finite slack, and no value exceeds it."""
+    max_ratio = float(ratios.max())
+    violations = []
+    if max_ratio > 1:
+        rows, cols = np.nonzero(pairs > (bound * (1 + 1e-12))[:, None])
+        violations = [{"k": 2 * (s + i) - 1 + q, "value": float(pairs[i, q]),
+                       "bound": float(bound[i])}
+                      for i, q in zip(rows.tolist(), cols.tolist())]
     return ShiftReport(k_max, max_ratio, violations)
 
 

@@ -32,13 +32,15 @@ class LaurentPolynomial:
             raise SpecError(
                 f"coefficient array must have length {2 * self.n_max + 1}, got {c.shape}"
             )
-        nz = np.nonzero(c)[0]
-        if len(nz) == 0:
-            self.n_max = 0
-            self.coeffs = np.zeros(1, dtype=complex)
-            return
-        reach = max(abs(int(nz[0]) - self.n_max), abs(int(nz[-1]) - self.n_max))
-        if reach < self.n_max:
+        # A nonzero end coefficient (nan included) leaves nothing to trim:
+        # the scan for the nonzero entries runs only where both ends are 0.
+        if c[0] == 0 and c[-1] == 0:
+            nz = np.nonzero(c)[0]
+            if len(nz) == 0:
+                self.n_max = 0
+                self.coeffs = np.zeros(1, dtype=complex)
+                return
+            reach = max(abs(int(nz[0]) - self.n_max), abs(int(nz[-1]) - self.n_max))
             c = c[self.n_max - reach: self.n_max + reach + 1]
             self.n_max = reach
         self.coeffs = c

@@ -262,9 +262,15 @@ def run_suite(families, trials: int, seed: int, support: int) -> dict[str, Suite
 
 
 def run_weight_shift_suite(k_max: int = 10_000) -> dict[str, ShiftReport]:
-    """Shift-bound scan of every builtin weight on both sides, by ``<class>:<spec>``."""
-    return {f"{klass}:{nu.spec()}": verify_weight_shift(nu, k_max)
-            for klass, groups in WEIGHT_GROUPS.items() for group in groups for nu in group}
+    """Shift-bound scan of every builtin weight on both sides, by
+    ``<class>:<spec>``, the W- weights first.  Each W- weight and its W+
+    twin, built from the same family and parameter, share one scan (see
+    ``verify_weight_shift``)."""
+    minus, plus = ([nu for group in WEIGHT_GROUPS[klass] for nu in group]
+                   for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE))
+    scans = [verify_weight_shift(m, k_max, p) for m, p in zip(minus, plus)]
+    return {f"{nu.klass}:{nu.spec()}": rep
+            for side, reports in zip((minus, plus), zip(*scans)) for nu, rep in zip(side, reports)}
 
 
 def replay(fp: str) -> Checks:

@@ -166,8 +166,10 @@ class WeightSequence:
 
     def __call__(self, n):
         n = np.asarray(n, dtype=float)
-        if np.any(n < self.start):
-            raise DomainError(f"index below class start {self.start}")
+        # Two reductions, no boolean temporary: a nan minimum fails the
+        # comparison, so nan is refused with an infinite or too small index.
+        if n.size and not self.start <= n.min() <= n.max() < math.inf:
+            raise DomainError(f"indices must be finite and >= the class start {self.start}")
         if self.family == "pow":
             return (n + 1.0) ** self.param
         if self.family == "log":
@@ -392,10 +394,12 @@ def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     the modular there, and returns the final bracket (lo, hi), with the
     modular <= 1 at hi and > 1 at lo; (0.0, 0.0) when the norm rounds to
     0, and (0.0, 5e-324) when it rounds to the smallest double (see
-    ``_bracket``).  ``ref`` is the largest weighted entry, where
-    ``_bracket`` starts, and ``growth`` the Orlicz function's ``_growth``,
-    from which it predicts its bracket; regula falsi then narrows that
-    bracket."""
+    ``_bracket``).  The modulars are those computed in doubles, so lo is
+    where the computed modular exceeds 1, which it can do by rounding
+    alone: lo may lie above the exact norm.  ``ref`` is the largest
+    weighted entry, where ``_bracket`` starts, and ``growth`` the Orlicz
+    function's ``_growth``, from which it predicts its bracket; regula
+    falsi then narrows that bracket."""
     ends = yield from _bracket(ref, growth)
     if ends is None:
         return 0.0, 0.0
@@ -530,7 +534,15 @@ def luxemburg_brackets(problems, tol: float = DEFAULT_NORM_TOL) -> list:
     ``problems``: the modular is > 1 at lo and <= 1 at hi, the norm
     ``luxemburg_norm`` returns, and (0.0, 0.0) where the norm is 0.  Every
     live solve is stepped together: one batched modular evaluation per
-    step."""
+    step.
+
+    Both ends are judged by the modular computed in doubles, so lo is where
+    that computed modular exceeds 1, and it can round up past 1 where the
+    exact modular does not: lo can lie above the exact norm.  For
+    c = [1e-300] under ``expm1`` with weights const:1 and const:1.7e308, lo
+    is 170000000.0 (the modular there computes to 1.0000000000000002),
+    while the 50-digit norm is 169999999.9999999981.  A lower bound of the
+    norm must widen lo by the modular's rounding error."""
     if not 0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
     brackets = [(0.0, 0.0)] * len(problems)

@@ -1,7 +1,8 @@
 """Reference computations on Laurent polynomials that the tests compare
 the package against: the absolute-sum (Wiener) norm, the split of the
-coefficients into their two one-sided arrays, each from copies, and the
-draw of a verification trial through numpy's ``Generator``."""
+coefficients into their two one-sided arrays, each from copies, the trim
+of a coefficient array to its canonical support by a scan of every entry,
+and the draw of a verification trial through numpy's ``Generator``."""
 
 import numpy as np
 
@@ -22,6 +23,19 @@ def split(f):
     neg = f.coeffs[: f.n_max][::-1].copy()
     nonneg = f.coeffs[f.n_max:].copy()
     return neg, nonneg
+
+
+def trim(coeffs, n_max: int):
+    """(coefficients, n_max) of the Laurent polynomial with coefficient
+    array ``coeffs`` over -n_max..n_max, cut to the smallest band outside
+    which every coefficient is zero, from a scan of every entry: nan is
+    nonzero and -0.0 zero.  An all-zero array gives ([0j], 0)."""
+    c = np.asarray(coeffs, dtype=complex)
+    nonzero = [i for i, v in enumerate(c.tolist()) if v != 0]
+    if not nonzero:
+        return np.zeros(1, dtype=complex), 0
+    reach = max(abs(i - n_max) for i in nonzero)
+    return c[n_max - reach:n_max + reach + 1], reach
 
 
 def draw_trial(seed: int, trial: int, support: int):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from orlicz_wiener import algebra, harness
+from orlicz_wiener import algebra, harness, orlicz
 from orlicz_wiener.errors import DomainError, SpecError
 from orlicz_wiener.algebra import (
     DEFAULT_SPACE_SPEC,
@@ -503,6 +503,79 @@ class TestVerifyWeightShift:
         for k in range(1, 51):
             for j in range(max(1, k - k // 2), 51):
                 assert nu(k) <= c * nu(j) * (1 + 1e-12)
+
+
+def builtin_twins():
+    """Every builtin weight of the suite as (W- weight, W+ twin)."""
+    return list(zip(*([nu for group in harness.WEIGHT_GROUPS[klass] for nu in group]
+                      for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE))))
+
+
+class TestSharedTwinScan:
+    """One scan of a W+ weight gives its W- twin's report, bit for bit."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.to_json() == want.to_json()
+        assert got.violations == want.violations
+        assert repr(got.max_ratio) == repr(want.max_ratio)
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 4, 9, 10, 1000, 10_000])
+    @pytest.mark.parametrize("minus, plus", builtin_twins(),
+                             ids=[minus.spec() for minus, _ in builtin_twins()])
+    def test_shared_scan_equals_two_scans(self, minus, plus, k_max):
+        rep_minus, rep_plus = verify_weight_shift(minus, k_max, plus)
+        self.assert_same(rep_minus, verify_weight_shift(minus, k_max))
+        self.assert_same(rep_plus, verify_weight_shift(plus, k_max))
+        # Either argument order: the reports follow the arguments.
+        rep_plus, rep_minus = verify_weight_shift(plus, k_max, minus)
+        self.assert_same(rep_minus, verify_weight_shift(minus, k_max))
+        self.assert_same(rep_plus, verify_weight_shift(plus, k_max))
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 4, 9, 10, 1000])
+    def test_shared_scan_with_violations(self, monkeypatch, k_max):
+        # With a doubling constant of 1, the increasing log weight breaks
+        # the bound at every k >= 2 in both classes.
+        monkeypatch.setattr(orlicz, "_LOG_DELTA2", 1.0)
+        minus, plus = (WeightSequence("log", klass) for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE))
+        rep_minus, rep_plus = verify_weight_shift(minus, k_max, plus)
+        want_minus, want_plus = verify_weight_shift(minus, k_max), verify_weight_shift(plus, k_max)
+        self.assert_same(rep_minus, want_minus)
+        self.assert_same(rep_plus, want_plus)
+        assert want_minus.ok == want_plus.ok == (k_max < 2)
+
+    def test_suite_equals_one_scan_per_weight_in_its_key_order(self):
+        want = {f"{klass}:{nu.spec()}": verify_weight_shift(nu, 1000)
+                for klass in (NEGATIVE_SIDE, NONNEGATIVE_SIDE)
+                for group in harness.WEIGHT_GROUPS[klass] for nu in group}
+        got = harness.run_weight_shift_suite(1000)
+        assert list(got) == list(want) and len(got) == 12
+        for name in want:
+            self.assert_same(got[name], want[name])
+
+    def test_suite_makes_one_scan_per_twin_pair(self, monkeypatch):
+        calls = []
+
+        def counting(nu, k_max, twin=None):
+            calls.append((nu, twin))
+            return verify_weight_shift(nu, k_max, twin)
+        monkeypatch.setattr(harness, "verify_weight_shift", counting)
+        harness.run_weight_shift_suite(10)
+        assert calls == builtin_twins()
+
+    @pytest.mark.parametrize("nu, twin", [
+        (WeightSequence("pow", NEGATIVE_SIDE, 1.0), WeightSequence("pow", NEGATIVE_SIDE, 1.0)),
+        (WeightSequence("pow", NEGATIVE_SIDE, 1.0), WeightSequence("pow", NONNEGATIVE_SIDE, 2.0)),
+        (WeightSequence("pow", NEGATIVE_SIDE, 0.0), WeightSequence("const", NONNEGATIVE_SIDE, 1.0)),
+        (WeightSequence("log", NONNEGATIVE_SIDE), WeightSequence("const", NEGATIVE_SIDE, 1.0)),
+        (WeightSequence("const", NEGATIVE_SIDE, 1.0), WeightSequence("const", NONNEGATIVE_SIDE, 2.0)),
+        (WeightSequence("table", NEGATIVE_SIDE, table=(1.0, 2.0), table_delta2=2.0),
+         WeightSequence("table", NONNEGATIVE_SIDE, table=(1.0, 2.0), table_delta2=2.0)),
+    ], ids=["same-class", "other-alpha", "other-family", "log-const", "other-constant",
+            "table"])
+    def test_a_pair_that_is_not_a_twin_is_refused(self, nu, twin):
+        with pytest.raises(SpecError, match="not the builtin twin"):
+            verify_weight_shift(nu, 10, twin)
 
 
 class TestRandomElement:

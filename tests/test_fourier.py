@@ -1,12 +1,43 @@
 """Tests for Laurent polynomial arithmetic and coefficient extraction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orlicz_wiener.errors import SpecError
 from orlicz_wiener.fourier import LaurentPolynomial, fourier_coefficients, sample
 
-from oracles import split, wiener_norm
+from oracles import split, trim, wiener_norm
+
+# Coefficients of every kind the trim tells apart: zeros of every sign,
+# nonzero reals, nan in either part, purely imaginary values and a
+# subnormal.
+TRIM_VALUES = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 + 0j,
+               -2.0 + 0.25j, complex(math.nan, 0.0), complex(0.0, math.nan), 3j, -0.5j,
+               5e-324 + 0j)
+ZEROS = TRIM_VALUES[:4]
+
+
+@st.composite
+def coefficient_arrays(draw):
+    """(coefficients, n_max): each end coefficient drawn from every kind,
+    the rest mostly zero, so that both trims and no trim occur."""
+    n_max = draw(st.integers(0, 6))
+    values = st.sampled_from(TRIM_VALUES)
+    inner = st.one_of(st.sampled_from(ZEROS), values)
+    c = [draw(values)] + [draw(inner) for _ in range(2 * n_max - 1)]
+    if n_max:
+        c.append(draw(values))
+    return np.array(c, dtype=complex), n_max
+
+
+def assert_trimmed_like_the_reference(c, n_max):
+    want, want_n = trim(c, n_max)
+    f = LaurentPolynomial(c.copy(), n_max)
+    assert f.n_max == want_n
+    assert f.coeffs.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def brute_convolution(f, g):
@@ -30,6 +61,22 @@ class TestLaurentPolynomial:
     def test_canonical_trim(self):
         f = LaurentPolynomial(np.array([0, 0, 1, 0, 0], dtype=complex), 2)
         assert f.n_max == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(coefficient_arrays())
+    def test_trim_equals_the_full_scan(self, case):
+        assert_trimmed_like_the_reference(*case)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
+    @pytest.mark.parametrize("zero", ZEROS, ids=["+0+0j", "-0+0j", "+0-0j", "-0-0j"])
+    def test_trim_of_an_all_zero_array(self, n_max, zero):
+        c = np.full(2 * n_max + 1, zero)
+        assert_trimmed_like_the_reference(c, n_max)
+        assert LaurentPolynomial(c, n_max).coeffs.view(np.uint64).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("value", TRIM_VALUES[4:])
+    def test_trim_at_support_zero(self, value):
+        assert_trimmed_like_the_reference(np.array([value]), 0)
 
     def test_zero(self):
         assert wiener_norm(LaurentPolynomial.zero()) == 0

@@ -236,6 +236,23 @@ class TestWeightSequence:
         with pytest.raises(DomainError):
             WeightSequence("pow", NEGATIVE_SIDE, 1.0)(0)
 
+    @pytest.mark.parametrize("klass", [NEGATIVE_SIDE, NONNEGATIVE_SIDE])
+    @pytest.mark.parametrize("family, rest", [
+        ("pow", (1.5,)), ("log", ()), ("const", (2.0,)), ("table", (0.0, (1.0, 2.0), 2.0)),
+    ], ids=["pow", "log", "const", "table"])
+    def test_non_finite_index_refused(self, klass, family, rest):
+        # Unchecked, a table weight warns of an invalid cast at nan and inf,
+        # and pow returns nan.
+        nu = WeightSequence(family, klass, *rest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (math.nan, math.inf, -math.inf, [0, math.nan], [nu.start, math.nan],
+                      [math.nan, nu.start], np.array([nu.start + 1, math.inf])):
+                with pytest.raises(DomainError, match="finite"):
+                    nu(n)
+            empty = nu(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == float
+
     @pytest.mark.parametrize("spec", ["pow:alpha=1.5", "log", "const:2"])
     def test_spec_round_trip(self, spec):
         assert WeightSequence.from_spec(spec, NEGATIVE_SIDE).spec() == spec
