@@ -25,7 +25,6 @@ from .fourier import LaurentPolynomial, fourier_coefficients, sample
 from .algebra import (
     AlgebraSpace,
     NormReport,
-    random_element,
     verify_coefficient_bound,
     verify_one_sided,
     verify_theorem,
@@ -53,7 +52,7 @@ __all__ = [
     "LaurentPolynomial", "sample", "fourier_coefficients",
     "AlgebraSpace", "NormReport",
     "wnf_norm", "verify_theorem", "verify_one_sided",
-    "verify_coefficient_bound", "verify_weight_shift", "random_element",
+    "verify_coefficient_bound", "verify_weight_shift",
     "WindingDiagnostics", "FactorizationResult",
     "winding_number", "log_symbol", "factorize", "membership",
 ]

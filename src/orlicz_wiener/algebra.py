@@ -161,19 +161,15 @@ def wnf_norm(f: LaurentPolynomial, sp: AlgebraSpace,
 def wnf_norm_arrays(pairs) -> NormReport:
     """``wnf_norm`` of each (f, sp) pair at its default tol, bit for bit, as
     one NormReport of arrays over the pairs.  The moduli of each f are taken
-    once.  Every one-sided norm comes from one batched solve, every absolute
-    sum from one ``np.add.reduceat`` over the moduli laid end to end, each f
-    led by one zero, which gives each f the bits of ``np.sum`` (see
-    ``orlicz._Batch``)."""
+    once.  Every one-sided norm comes from one batched solve, and each
+    absolute sum is one ``np.add.reduce`` of its moduli, which is what
+    ``np.sum`` runs, without ``np.sum``'s Python wrapper."""
     pairs = list(pairs)
     mags = [np.abs(f.coeffs) for f, _ in pairs]
     lams = np.array([hi for _, hi in luxemburg_brackets(
         [p for m, (_, sp) in zip(mags, pairs) for p in _one_sided_problems(m, sp)])])
-    sizes = np.array([m.size + 1 for m in mags], dtype=int)
-    lead = np.zeros(1)
-    flat = np.concatenate([x for m in mags for x in (lead, m)]) if pairs else np.zeros(0)
     with np.errstate(over="ignore"):
-        return _finite(NormReport(np.add.reduceat(flat, np.cumsum(sizes) - sizes),
+        return _finite(NormReport(np.array([np.add.reduce(m) for m in mags]),
                                   lams[0::2], lams[1::2]))
 
 
@@ -225,8 +221,10 @@ def verify_coefficient_bound(f: LaurentPolynomial, g: LaurentPolynomial) -> Chec
     maj = np.convolve(a, b)
     maj[deg - 2 * mid:deg + 2 * mid + 1:2] += (a[f.n_max - mid:f.n_max + mid + 1]
                                                 * b[g.n_max - mid:g.n_max + mid + 1])
-    lhs, rhs = (np.concatenate([v[:deg][::-1], v[deg:]]) for v in (prod, maj))
-    return Checks(lhs, rhs, np.ones(len(lhs)), lhs <= rhs + COEFF_SLACK * (1 + rhs))
+    # Reversed in place, the entries of m < 0 run from m = -1 down to -deg.
+    for v in (prod, maj):
+        v[:deg] = v[:deg][::-1]
+    return Checks(prod, maj, np.ones(len(prod)), prod <= maj + COEFF_SLACK * (1 + maj))
 
 
 @dataclass
@@ -323,21 +321,8 @@ def _shift_report(k_max: int, s: int, pairs: np.ndarray, bound: np.ndarray,
     return ShiftReport(k_max, max_ratio, violations)
 
 
-def random_element(support: int, seed) -> LaurentPolynomial:
-    """Deterministic pseudo-random coefficients: real and imaginary parts
-    uniform in [-1, 1] for every index in [-support, support].
-    ``seed`` may also be a ``numpy.random.Generator``, which is drawn from."""
-    if support < 0:
-        raise DomainError("support must be nonnegative")
-    rng = np.random.default_rng(seed)
-    n = 2 * support + 1
-    re = rng.uniform(-1, 1, n)
-    im = rng.uniform(-1, 1, n)
-    return LaurentPolynomial(re + 1j * im, support)
-
-
 __all__ = [
     "AlgebraSpace", "NormReport", "ShiftReport", "Checks", "DEFAULT_SPACE_SPEC",
     "wnf_norm", "wnf_norm_arrays", "verify_theorem", "verify_one_sided",
-    "verify_coefficient_bound", "verify_weight_shift", "random_element",
+    "verify_coefficient_bound", "verify_weight_shift",
 ]

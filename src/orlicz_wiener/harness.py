@@ -111,8 +111,8 @@ class _Words:
     method (ACM TOMACS 29(1), 2019) on 32-bit words, and PCG64 serves each
     output as two such words, its low half first and its high half at the
     next call.  ``raw`` holds the outputs drawn so far and ``used`` how many
-    of them a word has come from; ``take`` reads on past the last of those,
-    and draws more outputs from the stream where ``raw`` runs out."""
+    of them have been read; ``take`` reads on past the last of those, and
+    draws from the stream the outputs that ``raw`` lacks."""
 
     def __init__(self, bg: np.random.PCG64, raw: np.ndarray):
         self.bg, self.raw, self.used, self.high = bg, raw, 0, None
@@ -150,14 +150,13 @@ class _Words:
 def _draw_trial(seed: int, trial: int, support: int):
     """The draw (space, f, g) of one trial; pure in (seed, trial, support).
 
-    Its bits are those of ``draw_space``, two supports from
-    ``integers(0, support + 1)`` and ``random_element`` of each, all drawn
-    from ``np.random.default_rng([seed, trial])``, which wraps this PCG64.
-    The picks and the uniforms are read from one block of its raw output:
-    8 outputs hold the picks' at most 14 words with two to spare for
-    rejections, and 4 (2 support + 1) the uniforms of both factors."""
+    Its bits are those of the ``Generator`` draw in ``tests/oracles.py``,
+    made on ``np.random.default_rng([seed, trial])``, which wraps this
+    PCG64.  The picks are read from a block of 8 raw outputs, which holds
+    their at most 14 words with two to spare for rejections, and the
+    uniforms from the outputs that ``take`` fetches after them."""
     bg = np.random.PCG64(np.random.SeedSequence([seed, trial]))
-    words = _Words(bg, bg.random_raw(8 + 4 * (2 * support + 1)))
+    words = _Words(bg, bg.random_raw(8))
     sp = draw_space(words)
     sup_f, sup_g = words.integers(support + 1), words.integers(support + 1)
     nf, ng = 2 * sup_f + 1, 2 * sup_g + 1

@@ -2,11 +2,14 @@
 the package against: the absolute-sum (Wiener) norm, the split of the
 coefficients into their two one-sided arrays, each from copies, the trim
 of a coefficient array to its canonical support by a scan of every entry,
-and the draw of a verification trial through numpy's ``Generator``."""
+and the draw of a verification trial through numpy's ``Generator``, with
+``random_element``, the random polynomial it draws, which also gives the
+tests and goldens their inputs."""
 
 import numpy as np
 
-from orlicz_wiener.algebra import random_element
+from orlicz_wiener.errors import DomainError
+from orlicz_wiener.fourier import LaurentPolynomial
 from orlicz_wiener.harness import draw_space
 
 
@@ -36,6 +39,19 @@ def trim(coeffs, n_max: int):
         return np.zeros(1, dtype=complex), 0
     reach = max(abs(i - n_max) for i in nonzero)
     return c[n_max - reach:n_max + reach + 1], reach
+
+
+def random_element(support: int, seed) -> LaurentPolynomial:
+    """Deterministic pseudo-random coefficients: real and imaginary parts
+    uniform in [-1, 1] for every index in [-support, support].
+    ``seed`` may also be a ``numpy.random.Generator``, which is drawn from."""
+    if support < 0:
+        raise DomainError("support must be nonnegative")
+    rng = np.random.default_rng(seed)
+    n = 2 * support + 1
+    re = rng.uniform(-1, 1, n)
+    im = rng.uniform(-1, 1, n)
+    return LaurentPolynomial(re + 1j * im, support)
 
 
 def draw_trial(seed: int, trial: int, support: int):

@@ -12,7 +12,6 @@ import pytest
 
 from orlicz_wiener.algebra import (
     AlgebraSpace,
-    random_element,
     verify_coefficient_bound,
     wnf_norm,
 )
@@ -32,7 +31,7 @@ from orlicz_wiener.orlicz import (
     luxemburg_norm,
 )
 
-from oracles import split, wiener_norm
+from oracles import random_element, split, wiener_norm
 
 SEED = 20260823
 

@@ -7,13 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+import orlicz_wiener
 from orlicz_wiener import algebra, harness, orlicz
 from orlicz_wiener.errors import DomainError, SpecError
 from orlicz_wiener.algebra import (
     DEFAULT_SPACE_SPEC,
     AlgebraSpace,
     ShiftReport,
-    random_element,
     verify_coefficient_bound,
     verify_one_sided,
     verify_theorem,
@@ -39,7 +39,7 @@ from orlicz_wiener.orlicz import (
     validate_weight,
 )
 
-from oracles import draw_trial, split, wiener_norm
+from oracles import draw_trial, random_element, split, wiener_norm
 
 
 def norms(f, g, sp):
@@ -123,6 +123,25 @@ class TestWnfNorm:
         sp = make_space(neg_orlicz="pow:p=2", neg_sum="pow:alpha=1")
         rep = wnf_norm(LaurentPolynomial.from_dict({-1: 1}), sp)
         assert rep.negative == pytest.approx(np.sqrt(2), rel=1e-10)
+
+    def test_arrays_of_no_pairs_are_empty(self):
+        rep = algebra.wnf_norm_arrays([])
+        for piece in (rep.wiener, rep.negative, rep.nonnegative):
+            assert piece.dtype == np.float64 and piece.shape == (0,)
+
+    def test_zero_polynomial_has_a_zero_wiener_sum_on_both_paths(self):
+        zero = LaurentPolynomial.zero()
+        assert wnf_norm(zero, make_space()).wiener == 0.0
+        assert algebra.wnf_norm_arrays([(zero, make_space())]).wiener.tolist() == [0.0]
+
+    def test_an_infinite_wiener_sum_is_refused_on_both_paths(self):
+        # Each side is 1e308, finite, but their absolute sum overflows.
+        f, sp = LaurentPolynomial.from_dict({-1: 1e308, 0: 1e308}), make_space()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm in (lambda: wnf_norm(f, sp), lambda: algebra.wnf_norm_arrays([(f, sp)])):
+                with pytest.raises(DomainError, match="the combined norm is not finite"):
+                    norm()
 
     @staticmethod
     def _split_oracle(f, sp):
@@ -598,6 +617,20 @@ class TestRandomElement:
         assert np.max(np.abs(f.coeffs.imag)) <= 1
 
 
+class TestPublicNames:
+    """Every exported name resolves, so no removed name is left in an
+    ``__all__``."""
+
+    @pytest.mark.parametrize("module", [orlicz_wiener, algebra])
+    def test_every_exported_name_exists(self, module):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from orlicz_wiener import *", namespace)
+        assert set(orlicz_wiener.__all__) <= namespace.keys()
+
+
 class TestHarnessReplay:
     def test_replay_matches_original(self):
         first = run_trial(("theorem",), 7, 3, 16)["theorem"]
@@ -638,6 +671,26 @@ class TestRawDraw:
         for t in range(3):
             got = harness._draw_trial(11, t, harness.MAX_SUPPORT)
             assert _same_draw(got, draw_trial(11, t, harness.MAX_SUPPORT))
+
+    @pytest.mark.parametrize("support", [0, 1, 64, harness.MAX_SUPPORT])
+    def test_draw_fetches_the_outputs_it_reads(self, monkeypatch, support):
+        # take fetches at least as many outputs as it holds, which is 8 at
+        # first, so a reader that reads fewer than 16 outputs may hold 16.
+        readers = []
+
+        class Recorded(harness._Words):
+            def __init__(self, *args):
+                super().__init__(*args)
+                readers.append(self)
+
+        monkeypatch.setattr(harness, "_Words", Recorded)
+        trials = 3 if support == harness.MAX_SUPPORT else 50
+        for seed in (0, 7, 2**32 + 3):
+            for t in range(trials):
+                harness._draw_trial(seed, t, support)
+        assert len(readers) == 3 * trials
+        assert [(len(w.raw), w.used) for w in readers
+                if len(w.raw) > max(w.used, 16)] == []
 
     @staticmethod
     def streams(seed, block=8):

@@ -20,10 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from orlicz_wiener.algebra import AlgebraSpace, random_element, wnf_norm
+from orlicz_wiener.algebra import AlgebraSpace, wnf_norm
 from orlicz_wiener.cli import main
 from orlicz_wiener.orlicz import (
     NEGATIVE_SIDE, NONNEGATIVE_SIDE, OrliczFunction, WeightSequence)
+
+from oracles import random_element
 
 GOLDEN = Path(__file__).parent / "golden"
 NORM_FAMILIES = ("theorem", "one_sided_negative", "one_sided_nonnegative")
