@@ -62,18 +62,23 @@ WEIGHT_GROUPS = {
 }
 
 
-def _pick(rng: np.random.Generator, groups):
-    """A group, then a member of it when it has more than one."""
-    group = groups[rng.integers(len(groups))]
-    return group[rng.integers(len(group))] if len(group) > 1 else group[0]
+# The six slots of a space, in the order ``draw_space`` fills them, and the
+# sizes of each slot's groups.
+SLOTS = (ORLICZ_GROUPS, ORLICZ_GROUPS, WEIGHT_GROUPS[NEGATIVE_SIDE], WEIGHT_GROUPS[NEGATIVE_SIDE],
+         WEIGHT_GROUPS[NONNEGATIVE_SIDE], WEIGHT_GROUPS[NONNEGATIVE_SIDE])
+_SLOT_SIZES = [np.array([len(group) for group in groups], np.uint64) for groups in SLOTS]
 
 
 def draw_space(rng: np.random.Generator) -> AlgebraSpace:
-    """A random six-tuple over the builtin family cross product.  Only
-    ``rng.integers(n)`` is called, which ``_Words`` also provides."""
-    neg, pos = WEIGHT_GROUPS[NEGATIVE_SIDE], WEIGHT_GROUPS[NONNEGATIVE_SIDE]
-    return AlgebraSpace(_pick(rng, ORLICZ_GROUPS), _pick(rng, ORLICZ_GROUPS),
-                        _pick(rng, neg), _pick(rng, neg), _pick(rng, pos), _pick(rng, pos))
+    """A random six-tuple over the builtin family cross product: in each
+    slot a group, then a member of it.  Only ``rng.integers(n)`` is called;
+    ``integers(1)`` reads nothing from a ``Generator`` and gives 0, so a
+    group of one member costs no word."""
+    picks = []
+    for groups in SLOTS:
+        group = groups[rng.integers(len(groups))]
+        picks.append(group[rng.integers(len(group))])
+    return AlgebraSpace(*picks)
 
 
 def fingerprint(family: str, seed: int, trial: int, support: int) -> str:
@@ -105,70 +110,227 @@ def _check_trials(families, seed: int, trial: int, support: int):
         raise SpecError(f"support must be <= {MAX_SUPPORT}, got {support}")
 
 
-class _Words:
-    """numpy's ``Generator.integers(n)``, read from the raw 64-bit outputs of
-    one PCG64 stream.  numpy draws a bounded integer below 2**32 by Lemire's
-    method (ACM TOMACS 29(1), 2019) on 32-bit words, and PCG64 serves each
-    output as two such words, its low half first and its high half at the
-    next call.  ``raw`` holds the outputs drawn so far and ``used`` how many
-    of them have been read; ``take`` reads on past the last of those, and
-    draws from the stream the outputs that ``raw`` lacks."""
+# numpy's SeedSequence hashes its entropy into a pool of 4 32-bit words,
+# then hashes the pool into the words that seed a bit generator; each hash
+# call k of a chain xors in c_k = init * mult**k and multiplies by c_{k+1}
+# (mod 2**32), and these constants do not depend on the data.  Chain A fills
+# and mixes the pool (calls 0-15, and 4 more per entropy word past the
+# fourth); chain B gives generate_state's words (calls 0-7 for PCG64's 8).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-    def __init__(self, bg: np.random.PCG64, raw: np.ndarray):
-        self.bg, self.raw, self.used, self.high = bg, raw, 0, None
 
-    def take(self, k: int) -> np.ndarray:
-        """The next k outputs after ``used``; a high half not yet read is
-        skipped, as ``Generator.uniform`` skips it.  Where ``raw`` runs
-        out it at least doubles, so a long run of rejections reads it in
-        amortized constant time per word."""
-        short = self.used + k - len(self.raw)
-        if short > 0:
-            more = self.bg.random_raw(max(short, len(self.raw)))
-            self.raw = np.concatenate((self.raw, more))
-        self.used += k
-        return self.raw[self.used - k:self.used]
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < n."""
+    c = np.full(n, mult, np.uint32)
+    c[0] = init
+    return np.multiply.accumulate(c, dtype=np.uint32)
 
-    def integers(self, n: int) -> int:
-        """``Generator.integers(n)`` for 1 <= n <= 2**32: the high 32 bits
-        of word * n, rejected while its low 32 bits are below 2**32 % n.
-        n = 1 reads no word."""
-        if n == 1:
-            return 0
-        threshold = (1 << 32) % n
+
+_CHAIN_A, _CHAIN_B = _hash_chain(_INIT_A, _MULT_A, 17), _hash_chain(_INIT_B, _MULT_B, 9)
+# (xor, mult) of the hash calls that fill the pool from entropy words 0-3;
+# of the mixing pass, which hashes pool word s into every other word d in
+# order of d, per s by column d (column s, whose word the pass keeps, takes
+# call 0's); and of generate_state's 8 words, word i hashing pool word i % 4.
+_FILL = _CHAIN_A[:4], _CHAIN_A[1:5]
+_MIX_CALLS = [np.insert(np.arange(4 + 3 * s, 7 + 3 * s), s, 0) for s in range(4)]
+_MIX_HASH = [(_CHAIN_A[k], _CHAIN_A[k + 1]) for k in _MIX_CALLS]
+_STATE = _CHAIN_B[:-1].reshape(2, 4), _CHAIN_B[1:].reshape(2, 4)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(v, xor, mult):
+    v = (v ^ xor) * mult
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> _SHIFT)
+
+
+def _seed_words(seed: int, trials: range) -> np.ndarray:
+    """Row i is ``SeedSequence([seed, trials[i]]).generate_state(4,
+    np.uint64)``, computed for every trial at once.  The entropy is the
+    32-bit words of the seed, least significant first, then those of the
+    trial; the trials are taken in runs of one word count."""
+    seed_words = [seed >> b & 0xFFFFFFFF for b in range(0, max(seed.bit_length(), 1), 32)]
+    rows, lo = [], trials.start
+    while lo < trials.stop:
+        count = max(1, -(-lo.bit_length() // 32))
+        hi = min(trials.stop, 1 << 32 * count)
+        t = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
+        entropy = np.zeros((hi - lo, max(len(seed_words) + count, 4)), np.uint32)
+        entropy[:, :len(seed_words)] = seed_words
+        for j in range(count):
+            entropy[:, len(seed_words) + j] = t >> 32 * j & 0xFFFFFFFF
+        pool = _hashmix(entropy[:, :4], *_FILL)
+        for s, (xor, mult) in enumerate(_MIX_HASH):
+            mixed = _mix(pool, _hashmix(pool[:, s, None], xor, mult))
+            mixed[:, s] = pool[:, s]
+            pool = mixed
+        # Each entropy word past the fourth is hashed into every pool word.
+        extra = entropy[:, 4:]
+        chain = _hash_chain(int(_CHAIN_A[16]), _MULT_A, 4 * extra.shape[1] + 1)
+        for j in range(extra.shape[1]):
+            pool = _mix(pool, _hashmix(extra[:, j, None], chain[4 * j:4 * j + 4],
+                                       chain[4 * j + 1:4 * j + 5]))
+        state = _hashmix(pool[:, None, :], *_STATE).reshape(hi - lo, 8)
+        rows.append(state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False))
+        lo = hi
+    return np.concatenate(rows)
+
+
+class _Pool:
+    """A seed sequence whose ``generate_state(4, np.uint64)`` was computed
+    beforehand: a ``BitGenerator`` seeds itself from whatever
+    ``ISeedSequence`` it is given, and PCG64 asks for exactly those words.
+    It is registered as one when a chunk is drawn, not at import, since
+    numpy loads ``numpy.random`` only when it is first used."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(seed: int, trials: range) -> list:
+    """The PCG64 that ``np.random.default_rng([seed, trial])`` wraps, for
+    every trial, with no ``SeedSequence`` made."""
+    np.random.bit_generator.ISeedSequence.register(_Pool)
+    return [np.random.PCG64(_Pool(w)) for w in _seed_words(seed, trials)]
+
+
+_HIGH, _LOW = np.uint64(32), np.uint64(0xFFFFFFFF)
+
+
+class _Lanes:
+    """numpy's ``Generator.integers(n)`` and ``Generator.uniform(-1, 1)``
+    in every lane of a chunk at once, read from the raw 64-bit outputs of
+    the lane's own PCG64 stream.  numpy draws a bounded integer below 2**32
+    by Lemire's method (ACM TOMACS 29(1), 2019) on 32-bit words, and PCG64
+    serves each output as two such words, its low half first and its high
+    half at the next call.  ``raw`` holds the outputs each lane has drawn,
+    ``held`` of them in its row, and ``words`` the same as 32-bit words, row
+    by row, each row ending in a spare word that a lane reading no word may
+    point at; ``at`` is each lane's next word there.  Every lane first
+    draws a block of 8 outputs, which holds a draw's at most 14 words with
+    two to spare for rejections."""
+
+    def __init__(self, streams):
+        self.streams = streams
+        self.held = np.full(len(streams), 8)
+        self._lay(np.array([s.random_raw(8) for s in streams]), np.zeros(len(streams), np.intp))
+
+    def _lay(self, raw, read):
+        """Lay the rows of ``raw`` out as words, each lane having read
+        ``read`` of them; ``room`` is how many more passes every lane can
+        read without running past what it holds."""
+        lanes, width = raw.shape
+        words = np.zeros((lanes, 2 * width + 1), np.uint64)
+        words[:, :-1] = raw.astype("<u8", copy=False).view("<u4")
+        self.raw, self.words, self.lanes = raw, words.ravel(), np.arange(lanes)
+        self.base = self.lanes * (2 * width + 1)
+        self.at = self.base + read
+        self.room = int(np.min(2 * self.held - read))
+
+    def _grow(self, lanes):
+        """Double what each of the given lanes holds, from its stream."""
+        read = self.at - self.base
+        held = self.held.copy()
+        held[lanes] *= 2
+        raw = np.zeros((len(held), held.max()), np.uint64)
+        raw[:, :self.raw.shape[1]] = self.raw
+        for lane in lanes.tolist():
+            raw[lane, self.held[lane]:held[lane]] = self.streams[lane].random_raw(self.held[lane])
+        self.held = held
+        self._lay(raw, read)
+
+    def integers(self, n) -> np.ndarray:
+        """``Generator.integers(n)`` in every lane, for one bound n or one
+        per lane, 1 <= n <= 2**32: the high 32 bits of word * n, where a
+        lane whose low 32 bits fall below 2**32 % n reads its next word in
+        the next pass of the loop.  n = 1 reads no word."""
+        n = np.full(len(self.at), n, np.uint64)
+        threshold, reads = (1 << 32) % n, n > 1
+        out = np.empty(len(n), np.intp)
+        live = self.lanes
         while True:
-            if self.high is None:
-                out = int(self.take(1)[0])
-                word, self.high = out & 0xFFFFFFFF, out >> 32
-            else:
-                word, self.high = self.high, None
-            m = word * n
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
+            if self.room <= 0:
+                read = self.at[live] - self.base[live]
+                short = live[reads & (read >= 2 * self.held[live])]
+                if short.size:
+                    self._grow(short)
+                self.room = int(np.min(2 * self.held - (self.at - self.base)))
+            at = self.at[live]
+            m = self.words[at] * n
+            self.at[live] = at + reads
+            self.room -= 1
+            out[live] = (m >> _HIGH).view(np.intp)
+            rejected = (m & _LOW) < threshold
+            if not np.count_nonzero(rejected):
+                return out
+            live, n, threshold, reads = (a[rejected] for a in (live, n, threshold, reads))
+
+    def take(self, k: np.ndarray) -> np.ndarray:
+        """Each lane's next k outputs after the words it has read, lane
+        after lane; a high half not yet read is skipped, as
+        ``Generator.uniform`` skips it.  A lane draws from its stream only
+        the outputs it does not hold, and ``used`` is how many it has read."""
+        start = (self.at - self.base + 1) // 2
+        self.used = start + k
+        pieces = []
+        for lane, (a, b, h) in enumerate(zip(start.tolist(), self.used.tolist(), self.held.tolist())):
+            pieces.append(self.raw[lane, a:min(b, h)])
+            if b > h:
+                pieces.append(self.streams[lane].random_raw(b - h))
+        self.held = np.maximum(self.held, self.used)
+        return np.concatenate(pieces)
 
 
-def _draw_trial(seed: int, trial: int, support: int):
-    """The draw (space, f, g) of one trial; pure in (seed, trial, support).
+class _Picks:
+    """One lane's picks, which ``draw_space`` reads back in order as
+    ``integers(n)``."""
 
-    Its bits are those of the ``Generator`` draw in ``tests/oracles.py``,
-    made on ``np.random.default_rng([seed, trial])``, which wraps this
-    PCG64.  The picks are read from a block of 8 raw outputs, which holds
-    their at most 14 words with two to spare for rejections, and the
-    uniforms from the outputs that ``take`` fetches after them."""
-    bg = np.random.PCG64(np.random.SeedSequence([seed, trial]))
-    words = _Words(bg, bg.random_raw(8))
-    sp = draw_space(words)
-    sup_f, sup_g = words.integers(support + 1), words.integers(support + 1)
+    def __init__(self, picks):
+        pick = iter(picks).__next__
+        self.integers = lambda n: pick()
+
+
+def _draw_chunk(seed: int, trials: range, support: int):
+    """The draws (trial, space, f, g) of a chunk of trials, each pure in
+    (seed, trial, support).
+
+    A draw has the bits of the ``Generator`` draw in ``tests/oracles.py``,
+    made on ``np.random.default_rng([seed, trial])``, with no ``Generator``
+    call: each trial's PCG64 is seeded from its ``SeedSequence`` words,
+    hashed for the whole chunk at once (``_streams``), and its picks are
+    read in every lane at once, in ``draw_space``'s order."""
+    lanes = _Lanes(_streams(seed, trials))
+    picks = []
+    for groups, sizes in zip(SLOTS, _SLOT_SIZES):
+        group = lanes.integers(len(groups))
+        picks += (group, lanes.integers(sizes[group]))
+    sup_f, sup_g = lanes.integers(support + 1), lanes.integers(support + 1)
     nf, ng = 2 * sup_f + 1, 2 * sup_g + 1
     # Generator.uniform(-1, 1) is -1.0 + 2.0 * ((out >> 11) * 2.0**-53) per
     # output.  Both products scale a 53-bit integer by a power of two, which
     # is exact, and y - 1.0 is the sum -1.0 + y, so (out >> 11) * 2.0**-52
     # - 1.0 has the same bits.  Real parts come before imaginary parts, f
     # before g.
-    u = (words.take(2 * (nf + ng)) >> 11) * 2.0**-52 - 1.0
-    f, g = u[:2 * nf], u[2 * nf:]
-    return (sp, LaurentPolynomial(f[:nf] + 1j * f[nf:], sup_f),
-            LaurentPolynomial(g[:ng] + 1j * g[ng:], sup_g))
+    u = (lanes.take(2 * (nf + ng)) >> 11) * 2.0**-52 - 1.0
+    # The coefficients of every polynomial, f and g of each trial in turn,
+    # end to end: a polynomial of n coefficients starting at c[first] takes
+    # its real parts from u[2 * first:] and its imaginary parts n after.
+    n = np.column_stack((nf, ng)).ravel()
+    first = np.cumsum(n) - n
+    re = np.arange(len(u) // 2) + np.repeat(first, n)
+    c = u[re] + 1j * u[re + np.repeat(n, n)]
+    return [(trial, draw_space(_Picks(row)), LaurentPolynomial(c[p:p + 2 * a + 1], a),
+             LaurentPolynomial(c[q:q + 2 * b + 1], b))
+            for trial, row, a, b, p, q in zip(trials, np.transpose(picks).tolist(), sup_f.tolist(),
+                                              sup_g.tolist(), first[::2].tolist(), first[1::2].tolist())]
 
 
 def _chunk_checks(families, drawn) -> dict[str, tuple[Checks, np.ndarray]]:
@@ -200,7 +362,7 @@ def run_trial(families, seed: int, trial: int, support: int) -> dict[str, Checks
     """Run one trial of each of the given inequality families on a single
     draw of (space, f, g); deterministic in (seed, trial, support)."""
     _check_trials(families, seed, trial, support)
-    by_family = _chunk_checks(families, [(trial, *_draw_trial(seed, trial, support))])
+    by_family = _chunk_checks(families, _draw_chunk(seed, range(trial, trial + 1), support))
     return {family: checks for family, (checks, _) in by_family.items()}
 
 
@@ -254,7 +416,7 @@ def run_suite(families, trials: int, seed: int, support: int) -> dict[str, Suite
     reports = {family: SuiteReport(family, trials) for family in families}
     chunk = max(1, CHUNK_TERMS // (6 * (2 * support + 1)))
     for lo in range(0, trials, chunk):
-        drawn = [(t, *_draw_trial(seed, t, support)) for t in range(lo, min(lo + chunk, trials))]
+        drawn = _draw_chunk(seed, range(lo, min(lo + chunk, trials)), support)
         for family, (checks, trial) in _chunk_checks(families, drawn).items():
             reports[family].absorb(checks, trial, seed, support)
     return reports

@@ -56,8 +56,8 @@ def random_element(support: int, seed) -> LaurentPolynomial:
 
 def draw_trial(seed: int, trial: int, support: int):
     """The draw (space, f, g) of one trial through ``numpy.random.Generator``
-    calls, which ``harness._draw_trial`` reads from raw PCG64 output
-    instead."""
+    calls, which ``harness._draw_chunk`` reads from raw PCG64 output
+    instead, a chunk of trials at once."""
     rng = np.random.default_rng([seed, trial])
     sp = draw_space(rng)
     sup_f = int(rng.integers(0, support + 1))

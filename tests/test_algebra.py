@@ -657,77 +657,152 @@ def _same_draw(got, want) -> bool:
             and g.coeffs.tobytes() == want_g.coeffs.tobytes())
 
 
+# PCG64's 128-bit multiplier: a step is state * _PCG_MULT + inc.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _planted(zero_at, inc=0x5851F42D4C957F2D14057B7EF767814F):
+    """The state of a PCG64 whose output ``zero_at`` (from 0) is 0, so that
+    both of its 32-bit words are rejected for any n whose 2**32 % n > 0.
+    PCG64 steps, then outputs the xor of the new state's halves rotated, so
+    a state with equal halves outputs 0; the steps before it are undone
+    with the multiplier's inverse mod 2**128."""
+    state = 0x9E3779B97F4A7C15 * (2**64 + 1)
+    for _ in range(zero_at + 1):
+        state = (state - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 class TestRawDraw:
-    """``harness._draw_trial`` reads each trial from raw PCG64 output; the
-    oracle draws it through ``Generator`` calls."""
+    """``harness._draw_chunk`` reads a chunk of trials from raw PCG64 output,
+    each trial in its own lane; the oracle draws each trial through
+    ``Generator`` calls."""
 
     @pytest.mark.parametrize("support", [0, 1, 32, 64])
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**64 + 5])
     def test_draw_equals_the_generator_draw(self, seed, support):
+        # Each trial drawn alone, as a chunk of one, which is how run_trial
+        # and replay draw it.
         for t in range(100):
-            assert _same_draw(harness._draw_trial(seed, t, support), draw_trial(seed, t, support))
+            (trial, *draw), = harness._draw_chunk(seed, range(t, t + 1), support)
+            assert trial == t and _same_draw(draw, draw_trial(seed, t, support))
 
     def test_draw_at_the_largest_support(self):
         for t in range(3):
-            got = harness._draw_trial(11, t, harness.MAX_SUPPORT)
-            assert _same_draw(got, draw_trial(11, t, harness.MAX_SUPPORT))
+            (trial, *draw), = harness._draw_chunk(11, range(t, t + 1), harness.MAX_SUPPORT)
+            assert trial == t and _same_draw(draw, draw_trial(11, t, harness.MAX_SUPPORT))
+
+    # The suite draws at most one trial a chunk at MAX_SUPPORT (CHUNK_TERMS),
+    # so the larger chunks are drawn at the smaller supports only; each
+    # chunk is drawn from trial 0 and across 2**32, where a trial's entropy
+    # grows from one 32-bit word to two.
+    @pytest.mark.parametrize("support,size", [
+        *((s, n) for s in (0, 1, 32, 64) for n in (1, 2, 25, 338)),
+        (harness.MAX_SUPPORT, 1), (harness.MAX_SUPPORT, 2)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**64 + 5, 2**1000 + 12345],
+                             ids=["0", "7", "2**32+3", "2**64+5", "2**1000+12345"])
+    def test_chunks_equal_the_generator_draw(self, seed, support, size):
+        for start in (0, 2**32 - size // 2):
+            trials = range(start, start + size)
+            drawn = harness._draw_chunk(seed, trials, support)
+            assert [t for t, *_ in drawn] == list(trials)
+            for t, *draw in drawn:
+                assert _same_draw(draw, draw_trial(seed, t, support))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**64 + 5, 2**200 + 1, 2**1000 + 12345],
+                             ids=["0", "7", "2**32+3", "2**64+5", "2**200+1", "2**1000+12345"])
+    def test_seeded_states_equal_the_seed_sequence(self, seed):
+        # Across 2**32 and 2**64 a trial's entropy grows by a 32-bit word.
+        for start in (0, 2**32 - 3, 2**64 - 3):
+            trials = range(start, start + 6)
+            for t, got in zip(trials, harness._streams(seed, trials), strict=True):
+                assert got.state == np.random.PCG64(np.random.SeedSequence([seed, t])).state
 
     @pytest.mark.parametrize("support", [0, 1, 64, harness.MAX_SUPPORT])
     def test_draw_fetches_the_outputs_it_reads(self, monkeypatch, support):
-        # take fetches at least as many outputs as it holds, which is 8 at
-        # first, so a reader that reads fewer than 16 outputs may hold 16.
+        # A lane holds its block of 8 outputs and then draws exactly what it
+        # reads past them, so a lane that reads fewer than 16 outputs may
+        # hold 16 only where a rejection doubled its block.
         readers = []
 
-        class Recorded(harness._Words):
+        class Recorded(harness._Lanes):
             def __init__(self, *args):
                 super().__init__(*args)
                 readers.append(self)
 
-        monkeypatch.setattr(harness, "_Words", Recorded)
+        monkeypatch.setattr(harness, "_Lanes", Recorded)
         trials = 3 if support == harness.MAX_SUPPORT else 50
         for seed in (0, 7, 2**32 + 3):
-            for t in range(trials):
-                harness._draw_trial(seed, t, support)
-        assert len(readers) == 3 * trials
-        assert [(len(w.raw), w.used) for w in readers
-                if len(w.raw) > max(w.used, 16)] == []
+            harness._draw_chunk(seed, range(trials), support)
+        assert len(readers) == 3
+        assert [(h, u) for r in readers for h, u in zip(r.held.tolist(), r.used.tolist())
+                if h > max(u, 16)] == []
 
     @staticmethod
-    def streams(seed, block=8):
-        """A word reader on a block of ``block`` outputs of a seeded PCG64,
-        and a Generator on a PCG64 of the same seed."""
-        bg = np.random.PCG64(seed)
-        return harness._Words(bg, bg.random_raw(block)), np.random.Generator(np.random.PCG64(seed))
+    def lanes(states):
+        """A chunk reader on one PCG64 per state, and a Generator on a PCG64
+        of each state."""
+        def stream(state):
+            bg = np.random.PCG64(0)
+            bg.state = state
+            return bg
+        return (harness._Lanes([stream(s) for s in states]),
+                [np.random.Generator(stream(s)) for s in states])
+
+    @staticmethod
+    def seeded(n, lanes=5):
+        return [np.random.PCG64(n + lane).state for lane in range(lanes)]
+
+    def read(self, lanes):
+        """The words each lane has read."""
+        return (lanes.at - lanes.base).tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 65537, 3 * 2**30, 2**32 - 1])
     def test_integers_equal_the_generator(self, n):
-        # 400 picks read past the first block of 8 outputs; at 3 * 2^30 a
+        # 400 picks read past each lane's block of 8 outputs; at 3 * 2^30 a
         # quarter of the words are rejected, and n = 1 reads no word.
-        words, gen = self.streams(n)
-        assert [words.integers(n) for _ in range(400)] == [int(gen.integers(n)) for _ in range(400)]
+        lanes, gens = self.lanes(self.seeded(n))
+        got = np.array([lanes.integers(n) for _ in range(400)]).T.tolist()
+        assert got == [[int(gen.integers(n)) for _ in range(400)] for gen in gens]
         if n == 1:
-            assert words.used == 0
+            assert self.read(lanes) == [0] * 5
         if n == 3 * 2**30:
-            assert words.used > 220
+            assert min(self.read(lanes)) > 440
 
     def test_mixed_bounds_equal_the_generator(self):
+        # Each lane has its own bound at each pick.
         rng = np.random.default_rng(3)
-        bounds = rng.choice([1, 2, 3, 4, 65, 3 * 2**30], 500).tolist()
-        words, gen = self.streams(4)
-        assert [words.integers(n) for n in bounds] == [int(gen.integers(n)) for n in bounds]
+        bounds = rng.choice([1, 2, 3, 4, 65, 3 * 2**30], (500, 5))
+        lanes, gens = self.lanes(self.seeded(4))
+        got = np.array([lanes.integers(row) for row in bounds]).T.tolist()
+        assert got == [[int(gen.integers(n)) for n in bounds[:, i].tolist()]
+                       for i, gen in enumerate(gens)]
+
+    def test_planted_rejections_equal_the_generator(self):
+        # Lane 0's first output is 0, so at n = 2^32 - 1 its first two words
+        # are rejected; lane 1's eighth is, so its rejections run past its
+        # block of 8 outputs at its 15th pick; lanes 2 and 3 draw with n = 1
+        # and read no word; lane 4 rejects a quarter of its words.
+        lanes, gens = self.lanes([_planted(0), _planted(7), *self.seeded(9, 3)])
+        n = np.array([2**32 - 1, 2**32 - 1, 1, 1, 3 * 2**30])
+        got = np.array([lanes.integers(n) for _ in range(20)]).T.tolist()
+        assert got == [[int(gen.integers(k)) for _ in range(20)] for gen, k in zip(gens, n.tolist())]
+        read = self.read(lanes)
+        assert read[:4] == [22, 22, 0, 0]
+        assert lanes.held.tolist()[:4] == [16, 16, 8, 8]
 
     @pytest.mark.parametrize("picks", [1, 2, 3])
     def test_uniforms_skip_a_buffered_high_half(self, picks):
         # After an odd number of words the high half of the last output is
-        # buffered: the uniforms start at the next output, and a later pick
-        # still reads that high half, as the Generator does.
-        words, gen = self.streams(picks + 20, block=3)
-        assert [words.integers(5) for _ in range(picks)] == [int(gen.integers(5)) for _ in range(picks)]
-        want = gen.uniform(-1, 1, 9)
-        got = (words.take(9) >> 11) * 2.0**-52 - 1.0
-        assert got.tobytes() == want.tobytes()
-        assert words.used == (picks + 1) // 2 + 9
-        assert [words.integers(7) for _ in range(3)] == [int(gen.integers(7)) for _ in range(3)]
+        # buffered: the uniforms start at the next output, as the
+        # Generator's do.
+        lanes, gens = self.lanes(self.seeded(picks + 20, 3))
+        assert (np.array([lanes.integers(5) for _ in range(picks)]).T.tolist()
+                == [[int(gen.integers(5)) for _ in range(picks)] for gen in gens])
+        got = (lanes.take(np.full(3, 9)) >> 11) * 2.0**-52 - 1.0
+        assert got.tobytes() == np.concatenate([gen.uniform(-1, 1, 9) for gen in gens]).tobytes()
+        assert lanes.used.tolist() == [(picks + 1) // 2 + 9] * 3
 
 
 def _batch_sizes(monkeypatch) -> list:
@@ -807,7 +882,7 @@ def suite_oracle(families, trials, seed, support) -> dict:
     row written here."""
     out = {family: {"checks": 0, "max_ratio": 0.0, "violations": []} for family in families}
     for t in range(trials):
-        sp, f, g = harness._draw_trial(seed, t, support)
+        sp, f, g = draw_trial(seed, t, support)
         neg, nonneg = one_sided(f, g, sp)
         by_family = {"theorem": theorem(f, g, sp), "one_sided_negative": neg,
                      "one_sided_nonnegative": nonneg,
