@@ -203,6 +203,8 @@ def _streams(seed: int, trials: range) -> list:
 
 
 _HIGH, _LOW = np.uint64(32), np.uint64(0xFFFFFFFF)
+# Outputs every lane first draws: a draw's at most 14 words, two to spare.
+_BLOCK = 8
 
 
 class _Lanes:
@@ -211,60 +213,37 @@ class _Lanes:
     the lane's own PCG64 stream.  numpy draws a bounded integer below 2**32
     by Lemire's method (ACM TOMACS 29(1), 2019) on 32-bit words, and PCG64
     serves each output as two such words, its low half first and its high
-    half at the next call.  ``raw`` holds the outputs each lane has drawn,
-    ``held`` of them in its row, and ``words`` the same as 32-bit words, row
-    by row, each row ending in a spare word that a lane reading no word may
-    point at; ``at`` is each lane's next word there.  Every lane first
-    draws a block of 8 outputs, which holds a draw's at most 14 words with
-    two to spare for rejections."""
+    half at the next call.  ``raw`` holds the outputs the lanes have drawn,
+    a row of one width per lane, and ``words`` the same rows as 32-bit
+    words; ``at`` is how many words each lane has read, and ``room`` how
+    many more passes every lane can read without running past its row."""
 
     def __init__(self, streams):
-        self.streams = streams
-        self.held = np.full(len(streams), 8)
-        self._lay(np.array([s.random_raw(8) for s in streams]), np.zeros(len(streams), np.intp))
+        self.streams, self.at = streams, np.zeros(len(streams), np.intp)
+        self.raw = np.empty((len(streams), 0), np.uint64)
+        self._extend(_BLOCK)
 
-    def _lay(self, raw, read):
-        """Lay the rows of ``raw`` out as words, each lane having read
-        ``read`` of them; ``room`` is how many more passes every lane can
-        read without running past what it holds."""
-        lanes, width = raw.shape
-        words = np.zeros((lanes, 2 * width + 1), np.uint64)
-        words[:, :-1] = raw.astype("<u8", copy=False).view("<u4")
-        self.raw, self.words, self.lanes = raw, words.ravel(), np.arange(lanes)
-        self.base = self.lanes * (2 * width + 1)
-        self.at = self.base + read
-        self.room = int(np.min(2 * self.held - read))
-
-    def _grow(self, lanes):
-        """Double what each of the given lanes holds, from its stream."""
-        read = self.at - self.base
-        held = self.held.copy()
-        held[lanes] *= 2
-        raw = np.zeros((len(held), held.max()), np.uint64)
-        raw[:, :self.raw.shape[1]] = self.raw
-        for lane in lanes.tolist():
-            raw[lane, self.held[lane]:held[lane]] = self.streams[lane].random_raw(self.held[lane])
-        self.held = held
-        self._lay(raw, read)
+    def _extend(self, k: int):
+        """Draw k more outputs in every lane, at the end of its row."""
+        self.raw = np.hstack((self.raw, [s.random_raw(k) for s in self.streams]))
+        self.words = self.raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+        self.room = self.words.shape[1] - int(self.at.max())
 
     def integers(self, n) -> np.ndarray:
         """``Generator.integers(n)`` in every lane, for one bound n or one
         per lane, 1 <= n <= 2**32: the high 32 bits of word * n, where a
         lane whose low 32 bits fall below 2**32 % n reads its next word in
-        the next pass of the loop.  n = 1 reads no word."""
+        the next pass of the loop.  n = 1 reads no word.  When a pass could
+        run past the rows, every lane doubles its row first."""
         n = np.full(len(self.at), n, np.uint64)
         threshold, reads = (1 << 32) % n, n > 1
         out = np.empty(len(n), np.intp)
-        live = self.lanes
+        live = np.arange(len(n))
         while True:
-            if self.room <= 0:
-                read = self.at[live] - self.base[live]
-                short = live[reads & (read >= 2 * self.held[live])]
-                if short.size:
-                    self._grow(short)
-                self.room = int(np.min(2 * self.held - (self.at - self.base)))
+            if not self.room:
+                self._extend(self.raw.shape[1])
             at = self.at[live]
-            m = self.words[at] * n
+            m = self.words[live, at] * n
             self.at[live] = at + reads
             self.room -= 1
             out[live] = (m >> _HIGH).view(np.intp)
@@ -277,25 +256,14 @@ class _Lanes:
         """Each lane's next k outputs after the words it has read, lane
         after lane; a high half not yet read is skipped, as
         ``Generator.uniform`` skips it.  A lane draws from its stream only
-        the outputs it does not hold, and ``used`` is how many it has read."""
-        start = (self.at - self.base + 1) // 2
-        self.used = start + k
+        the outputs past its row."""
+        start, width = (self.at + 1) // 2, self.raw.shape[1]
         pieces = []
-        for lane, (a, b, h) in enumerate(zip(start.tolist(), self.used.tolist(), self.held.tolist())):
-            pieces.append(self.raw[lane, a:min(b, h)])
-            if b > h:
-                pieces.append(self.streams[lane].random_raw(b - h))
-        self.held = np.maximum(self.held, self.used)
+        for row, stream, a, b in zip(self.raw, self.streams, start.tolist(), (start + k).tolist()):
+            pieces.append(row[a:b])
+            if b > width:
+                pieces.append(stream.random_raw(b - width))
         return np.concatenate(pieces)
-
-
-class _Picks:
-    """One lane's picks, which ``draw_space`` reads back in order as
-    ``integers(n)``."""
-
-    def __init__(self, picks):
-        pick = iter(picks).__next__
-        self.integers = lambda n: pick()
 
 
 def _draw_chunk(seed: int, trials: range, support: int):
@@ -306,7 +274,8 @@ def _draw_chunk(seed: int, trials: range, support: int):
     made on ``np.random.default_rng([seed, trial])``, with no ``Generator``
     call: each trial's PCG64 is seeded from its ``SeedSequence`` words,
     hashed for the whole chunk at once (``_streams``), and its picks are
-    read in every lane at once, in ``draw_space``'s order."""
+    read in every lane at once, in ``draw_space``'s order: a group, then a
+    member of it, in each slot."""
     lanes = _Lanes(_streams(seed, trials))
     picks = []
     for groups, sizes in zip(SLOTS, _SLOT_SIZES):
@@ -327,8 +296,8 @@ def _draw_chunk(seed: int, trials: range, support: int):
     first = np.cumsum(n) - n
     re = np.arange(len(u) // 2) + np.repeat(first, n)
     c = u[re] + 1j * u[re + np.repeat(n, n)]
-    return [(trial, draw_space(_Picks(row)), LaurentPolynomial(c[p:p + 2 * a + 1], a),
-             LaurentPolynomial(c[q:q + 2 * b + 1], b))
+    return [(trial, AlgebraSpace(*[groups[g][m] for groups, g, m in zip(SLOTS, row[::2], row[1::2])]),
+             LaurentPolynomial(c[p:p + 2 * a + 1], a), LaurentPolynomial(c[q:q + 2 * b + 1], b))
             for trial, row, a, b, p, q in zip(trials, np.transpose(picks).tolist(), sup_f.tolist(),
                                               sup_g.tolist(), first[::2].tolist(), first[1::2].tolist())]
 

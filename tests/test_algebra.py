@@ -721,23 +721,38 @@ class TestRawDraw:
 
     @pytest.mark.parametrize("support", [0, 1, 64, harness.MAX_SUPPORT])
     def test_draw_fetches_the_outputs_it_reads(self, monkeypatch, support):
-        # A lane holds its block of 8 outputs and then draws exactly what it
-        # reads past them, so a lane that reads fewer than 16 outputs may
-        # hold 16 only where a rejection doubled its block.
-        readers = []
+        # Every lane draws a block of 8 outputs and then exactly what it
+        # reads past its row, so a lane that reads fewer than 16 outputs may
+        # fetch 16 only where a rejection doubled the rows.  The sizes of
+        # each stream's random_raw calls are recorded at the stream.
+        fetched, readers = [], []
+        streams = harness._streams
+
+        class Counted:
+            def __init__(self, bg):
+                self.bg, self.sizes = bg, []
+                fetched.append(self.sizes)
+
+            def random_raw(self, k):
+                self.sizes.append(k)
+                return self.bg.random_raw(k)
 
         class Recorded(harness._Lanes):
             def __init__(self, *args):
                 super().__init__(*args)
                 readers.append(self)
 
+        monkeypatch.setattr(harness, "_streams", lambda *a: [Counted(bg) for bg in streams(*a)])
         monkeypatch.setattr(harness, "_Lanes", Recorded)
         trials = 3 if support == harness.MAX_SUPPORT else 50
+        read = []
         for seed in (0, 7, 2**32 + 3):
-            harness._draw_chunk(seed, range(trials), support)
-        assert len(readers) == 3
-        assert [(h, u) for r in readers for h, u in zip(r.held.tolist(), r.used.tolist())
-                if h > max(u, 16)] == []
+            drawn = harness._draw_chunk(seed, range(trials), support)
+            # A lane reads its picks' outputs, then 2 per coefficient of f and g.
+            read += [(at + 1) // 2 + 2 * (len(f.coeffs) + len(g.coeffs))
+                     for at, (_, _, f, g) in zip(readers[-1].at.tolist(), drawn, strict=True)]
+        assert len(readers) == 3 and len(fetched) == len(read) == 3 * trials
+        assert [(sizes, r) for sizes, r in zip(fetched, read) if sum(sizes) > max(r, 16)] == []
 
     @staticmethod
     def lanes(states):
@@ -754,10 +769,6 @@ class TestRawDraw:
     def seeded(n, lanes=5):
         return [np.random.PCG64(n + lane).state for lane in range(lanes)]
 
-    def read(self, lanes):
-        """The words each lane has read."""
-        return (lanes.at - lanes.base).tolist()
-
     @pytest.mark.parametrize("n", [1, 2, 3, 65537, 3 * 2**30, 2**32 - 1])
     def test_integers_equal_the_generator(self, n):
         # 400 picks read past each lane's block of 8 outputs; at 3 * 2^30 a
@@ -766,9 +777,9 @@ class TestRawDraw:
         got = np.array([lanes.integers(n) for _ in range(400)]).T.tolist()
         assert got == [[int(gen.integers(n)) for _ in range(400)] for gen in gens]
         if n == 1:
-            assert self.read(lanes) == [0] * 5
+            assert lanes.at.tolist() == [0] * 5
         if n == 3 * 2**30:
-            assert min(self.read(lanes)) > 440
+            assert min(lanes.at.tolist()) > 440
 
     def test_mixed_bounds_equal_the_generator(self):
         # Each lane has its own bound at each pick.
@@ -788,9 +799,9 @@ class TestRawDraw:
         n = np.array([2**32 - 1, 2**32 - 1, 1, 1, 3 * 2**30])
         got = np.array([lanes.integers(n) for _ in range(20)]).T.tolist()
         assert got == [[int(gen.integers(k)) for _ in range(20)] for gen, k in zip(gens, n.tolist())]
-        read = self.read(lanes)
-        assert read[:4] == [22, 22, 0, 0]
-        assert lanes.held.tolist()[:4] == [16, 16, 8, 8]
+        assert lanes.at.tolist()[:4] == [22, 22, 0, 0]
+        # Lanes 0 and 1 ran past 16 words, so every row doubled once.
+        assert lanes.raw.shape[1] == 16
 
     @pytest.mark.parametrize("picks", [1, 2, 3])
     def test_uniforms_skip_a_buffered_high_half(self, picks):
@@ -802,7 +813,21 @@ class TestRawDraw:
                 == [[int(gen.integers(5)) for _ in range(picks)] for gen in gens])
         got = (lanes.take(np.full(3, 9)) >> 11) * 2.0**-52 - 1.0
         assert got.tobytes() == np.concatenate([gen.uniform(-1, 1, 9) for gen in gens]).tobytes()
-        assert lanes.used.tolist() == [(picks + 1) // 2 + 9] * 3
+        # Each lane fetched what the Generator read: its stream stands where
+        # the Generator's does.
+        assert ([bg.state["state"] for bg in lanes.streams]
+                == [gen.bit_generator.state["state"] for gen in gens])
+
+    # At a block of one output every lane doubles its row several times
+    # during the picks, so its uniforms start past a grown row.
+    @pytest.mark.parametrize("support,size", [(s, n) for s in (0, 1, 64) for n in (1, 25)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3], ids=["0", "7", "2**32+3"])
+    def test_uniforms_after_the_rows_grow(self, monkeypatch, seed, support, size):
+        monkeypatch.setattr(harness, "_BLOCK", 1)
+        drawn = harness._draw_chunk(seed, range(size), support)
+        assert [t for t, *_ in drawn] == list(range(size))
+        for t, *draw in drawn:
+            assert _same_draw(draw, draw_trial(seed, t, support))
 
 
 def _batch_sizes(monkeypatch) -> list:
