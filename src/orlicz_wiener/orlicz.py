@@ -323,11 +323,9 @@ def _bracket(ref: float, growth: tuple):
     """The bracketing phase of a Luxemburg solve, in the protocol of
     ``_luxemburg_steps``: returns the consecutive scales lo and hi = 2 lo
     of the sequence ref * 2^k between which the modular crosses 1, with
-    their modulars, as (lo, m_lo, hi, m_hi).  Where the modular m stays
-    <= 1 down to the smallest double, it returns None if m <= 1/2 there,
-    and (0.0, inf, 5e-324, m) if m > 1/2: convexity then gives a modular
-    >= 2m > 1 at half that scale, so the norm lies in (2.5e-324, 5e-324],
-    whose nearest double is 5e-324.
+    their modulars, as (lo, m_lo, hi, m_hi), the modular <= 1 at hi.
+    Where the modular m stays <= 1 down to the smallest double, it returns
+    (0.0, inf, 5e-324, m), whatever m is.
 
     One bound per direction.  Where the modular m at ref is > 1 it
     doubles: every argument |c_n| phi_n / lam then lies in [0, 1], where
@@ -383,7 +381,7 @@ def _bracket(ref: float, growth: tuple):
         nxt = lam * step
         if nxt == limit:
             if below:
-                return (0.0, math.inf, lam, m) if m > 0.5 else None
+                return 0.0, math.inf, lam, m
             raise DomainError("failed to bracket the Luxemburg norm")
         m_nxt = yield nxt
     return (nxt, m_nxt, lam, m) if below else (lam, m, nxt, m_nxt)
@@ -392,20 +390,27 @@ def _bracket(ref: float, growth: tuple):
 def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     """One Luxemburg solve as a coroutine: yields each scale lam, receives
     the modular there, and returns the final bracket (lo, hi), with the
-    modular <= 1 at hi and > 1 at lo; (0.0, 0.0) when the norm rounds to
-    0, and (0.0, 5e-324) when it rounds to the smallest double (see
-    ``_bracket``).  The modulars are those computed in doubles, so lo is
-    where the computed modular exceeds 1, which it can do by rounding
-    alone: lo may lie above the exact norm.  ``ref`` is the largest
-    weighted entry, where ``_bracket`` starts, and ``growth`` the Orlicz
-    function's ``_growth``, from which it predicts its bracket; regula
-    falsi then narrows that bracket."""
-    ends = yield from _bracket(ref, growth)
-    if ends is None:
-        return 0.0, 0.0
-    lo, m_lo, hi, m_hi = ends
+    modular > 1 at lo and <= 1 at hi.  ``ref`` is the largest weighted
+    entry, where ``_bracket`` starts, and ``growth`` the Orlicz function's
+    ``_growth``, from which it predicts its first bracket.
+
+    Regula falsi with the Anderson-Bjorck correction then narrows that
+    bracket on (log lam, log modular), a relation that is exactly linear
+    for the ``pow`` family.  Each new point lies at least tol/4 of the
+    upper end inside the bracket, so a point on the root also closes the
+    far side; the geometric midpoint stands in when a log-modular is not
+    finite.  It stops at relative width tol, or at 4 ulp(hi)/lo of the
+    first bracket where that is larger, so a tol below the resolution of
+    doubles or a subnormal norm ends within 16 ulps of the upper end, or
+    after ``MAX_STEPS`` steps.  A first bracket with lo = 0, at the bottom
+    of the doubles, is not narrowed: where the modular m at hi = 5e-324
+    exceeds 1/2, convexity gives a modular >= 2m > 1 at half that scale,
+    so the norm lies in (2.5e-324, 5e-324] and the solve returns
+    (0.0, 5e-324); otherwise the norm rounds to 0, and it returns
+    (0.0, 0.0)."""
+    lo, m_lo, hi, m_hi = yield from _bracket(ref, growth)
     if lo == 0:
-        return lo, hi
+        return lo, (hi if m_hi > 0.5 else lo)
     # A width or probe gap under one ulp cannot be met: stop within 16 ulps
     # of hi (hi = 2 lo).  For a normal-range norm this is below 2e-15.
     tol = max(tol, 4 * math.ulp(hi) / lo)
@@ -446,7 +451,10 @@ class _Batch:
     ``np.add.reduceat`` sums a segment as its first entry plus numpy's
     pairwise sum of the rest, so from a row's leading zero it returns the
     bits of ``np.sum`` on that row alone, whatever the row's length: one
-    call sums every row of the batch.
+    call sums every row of the batch, and each row's modular has the bits
+    of the public ``modular``.  ``np.abs`` of a float array is exact, so
+    the moduli of a complex array, taken once as ``algebra.wnf_norm``
+    takes them, give the bits of the complex array itself.
 
     ``order[j]`` is the position, in the problems given, of sorted row j,
     ``starts[j]`` the position of its leading zero, ``sizes[j]`` its length
@@ -530,11 +538,11 @@ class _Batch:
 
 def luxemburg_brackets(problems, tol: float = DEFAULT_NORM_TOL) -> list:
     """The final bracket (lo, hi) of each (c, orlicz, phi, w) problem's
-    Luxemburg solve (see ``luxemburg_norm``), in the order of the sequence
-    ``problems``: the modular is > 1 at lo and <= 1 at hi, the norm
-    ``luxemburg_norm`` returns, and (0.0, 0.0) where the norm is 0.  Every
-    live solve is stepped together: one batched modular evaluation per
-    step.
+    Luxemburg solve (see ``_luxemburg_steps``), in the order of the
+    sequence ``problems``: the modular is > 1 at lo and <= 1 at hi, the
+    norm ``luxemburg_norm`` returns, and (0.0, 0.0) where the norm is 0.
+    Every live solve is stepped together: one batched modular evaluation
+    per step.
 
     Both ends are judged by the modular computed in doubles, so lo is where
     that computed modular exceeds 1, and it can round up past 1 where the
@@ -572,33 +580,13 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
                    w: WeightSequence, tol: float = DEFAULT_NORM_TOL) -> float:
     """inf{lam > 0 : modular(c, ..., lam) <= 1} by bracketing and regula falsi.
 
-    The solve is the coroutine ``_luxemburg_steps``, run as a batch of one
-    by the loop that ``luxemburg_brackets`` runs on many problems at once.
-    That loop writes |c_n| phi_n and w_n once, end to end behind one zero,
-    into arrays it allocates once (see ``_Batch``), and evaluates the
-    modular of each iterate on them in place, with the same bits as the
-    public ``modular``.  c may be any numeric array or list; ``np.abs`` of
-    a float array is exact, so the moduli of a complex array, taken once
-    as ``algebra.wnf_norm`` takes them, give the bits of c itself.  The
-    solve brackets the threshold between consecutive scales ref * 2^k,
-    from the scale ref of the largest weighted entry, with one bound per
-    direction: doubling, within the window of at most two steps that the
-    Orlicz family's growth puts the crossing in; halving, by bisection
-    over the steps within which convexity puts it.  Where rounding or the
-    ends of the doubles defeat that bound, it halves or doubles on, or
-    bisects back toward ref (see ``_bracket``).  It then narrows the
-    bracket by regula falsi with the Anderson-Bjorck correction on
-    (log lam, log modular), a relation that is exactly linear for the
-    ``pow`` family.  Each new point lies at least tol/4 of the upper end
-    inside the bracket, so a point on the root also closes the far side;
-    the geometric midpoint stands in when a log-modular is not finite.
-    It stops at relative width tol, or at 4 ulp(hi)/lo of the first
-    bracket (lo, hi) where that is larger, so a tol below the resolution
-    of doubles or a subnormal norm ends within 16 ulps of the upper end,
-    and returns the upper end, where the modular is <= 1.  Here both ends
-    are also certified through the public ``modular`` (<= 1 at the upper
-    end, > 1 at the lower end), except a lower end of 0 below a norm of
-    5e-324, which convexity certifies (see ``_bracket``).
+    It returns the upper end hi of the final bracket of the problem's
+    solve, its batch of one in ``luxemburg_brackets``, where the modular
+    is <= 1.  c may be any numeric array or list.  Here both ends are
+    also certified through the public ``modular`` (<= 1 at hi, > 1 at
+    lo), except a lower end of 0, which convexity certifies.  The
+    bracketing is ``_bracket``'s, the narrowing and its exits
+    ``_luxemburg_steps``', and the layout and its bits ``_Batch``'s.
     """
     [(lo, hi)] = luxemburg_brackets([(c, orlicz, phi, w)], tol)
     if hi > 0 and not modular(c, orlicz, phi, w, hi) <= 1 < (
@@ -609,9 +597,7 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
 
 def _log(m: float) -> float:
     """log of a modular value in [0, inf]."""
-    if m == 0:
-        return -math.inf
-    return math.log(m) if m < math.inf else math.inf
+    return math.log(m) if m else -math.inf
 
 
 def _anderson_bjorck(y: float, y_prev: float) -> float:

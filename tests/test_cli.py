@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,22 @@ class TestNorm:
             code, out, err = run(capsys, "--cmd", "norm", "--input", f, "--space", space)
         assert (code, err) == (0, "")
         assert json.loads(out)["nonnegative"] == pytest.approx(1.7e8, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11")
+    def test_subnormal_weighted_entry_with_a_normal_norm(self, capsys):
+        """|c_0| phi_0 = 1.2345678901234567e-300 * 1e-20 is subnormal, with
+        about 4 significant digits, while the norm under pow:p=1, the closed
+        form |c_0| phi_0 w_0, is a normal double near 1.2345678901234568e-20:
+        the answer must hold its 12 digits."""
+        c = 1.2345678901234567e-300
+        f = json.dumps({"coeffs": [{"k": 0, "re": c, "im": 0}]})
+        space = "pow:p=1;pow:p=1;const:1;const:1;const:1e-20;const:1e300"
+        code, out, err = run(capsys, "--cmd", "norm", "--input", f, "--space", space)
+        assert (code, err) == (0, "")
+        got = json.loads(out)["nonnegative"]
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(c) * mpmath.mpf(1e-20) * mpmath.mpf(1e300)
+            assert abs(got - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("argv", [

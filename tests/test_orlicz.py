@@ -363,6 +363,19 @@ class TestLuxemburgNorm:
         val = luxemburg_norm(np.array([1.0]), OrliczFunction("expm1"), CONST1, CONST1)
         assert val == pytest.approx(1 / np.log(2), rel=1e-10)
 
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason="ROADMAP item 11")
+    def test_overflowing_weighted_entry_with_a_normal_norm(self):
+        """|c_0| phi_0 overflows, while the norm under pow:p=1.5, the closed
+        form |c_0| phi_0 w_0^(1/p), is a normal double near 6.37e155: the
+        solver must answer it, not refuse it."""
+        c, p = 8.208448085350962e285, 1.5
+        phi = WeightSequence("const", NONNEGATIVE_SIDE, 1.80869e37)
+        w = WeightSequence("const", NONNEGATIVE_SIDE, 8.88913e-252)
+        got = luxemburg_norm(np.array([c]), OrliczFunction("pow", p), phi, w)
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(c) * mpmath.mpf(phi.param) * mpmath.mpf(w.param) ** (1 / mpmath.mpf(p))
+            assert abs(got - exact) <= 1e-12 * exact
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.7, 3.0])
     def test_power_family_closed_form(self, p):
         rng = np.random.default_rng(int(p * 100))
@@ -829,15 +842,15 @@ def _two_loop_bracket(ref: float, *_):
     the protocol of ``orlicz._bracket``: from ref it halves while the
     modular is <= 1 or doubles while it is > 1, and returns the bracket
     (lo, m_lo, hi, m_hi).  When the scale reaches 0 from hi, it returns
-    (0.0, inf, hi, m_hi) if m_hi > 1/2, and None otherwise.  It takes the
-    family's growth bounds and ignores them."""
+    (0.0, inf, hi, m_hi).  It takes the family's growth bounds and ignores
+    them."""
     m = yield ref
     if m <= 1:
         hi, m_hi = ref, m
         while True:
             lo = hi / 2
             if lo == 0:
-                return (0.0, math.inf, hi, m_hi) if m_hi > 0.5 else None
+                return 0.0, math.inf, hi, m_hi
             m_lo = yield lo
             if m_lo > 1:
                 return lo, m_lo, hi, m_hi
@@ -937,7 +950,9 @@ class TestOneBracketingLoop:
         ((want_probes, ends), (probes, got_ends)), ((want, outcome), (got, result)) = \
             self._both(np.array([1e-300]), self.TINY)
         assert len(want) > 70
-        assert ends is got_ends is None and outcome == result == (0.0, 0.0)
+        # both end at the bottom of the doubles, with a modular <= 1/2 there
+        assert got_ends == ends and ends[:3] == (0.0, math.inf, 5e-324) and ends[3] <= 0.5
+        assert outcome == result == (0.0, 0.0)
         assert len(got) < len(want) and got[1:] == want[len(want) - len(got) + 1:]
         assert probes == got and want_probes == want
 
