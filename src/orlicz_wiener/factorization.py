@@ -130,8 +130,8 @@ def _keep(lp: LaurentPolynomial, side: int, start: int) -> LaurentPolynomial:
 
 def _resolve_winding(b: LaurentPolynomial, n_grid: int):
     """Sample and compute the winding number, doubling the grid on
-    under-resolution up to MAX_GRID.  A symbol that overflows on the grid
-    is refused."""
+    under-resolution up to MAX_GRID, where the refusal names that grid.  A
+    symbol that overflows on the grid is refused."""
     while True:
         s = sample(b, n_grid)
         if not np.isfinite(s).all():
@@ -168,7 +168,8 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     Raises IndexObstructionError when the winding number is nonzero,
     DomainError when the symbol is not finite or has a subnormal modulus on
     the grid, or when the factors, their product or their inverses leave
-    the double range (a nan residual would pass the gate), and
+    the double range (for exp(i a cos theta) each factor reaches e^(a/2);
+    a nan residual would pass the gate), with no numpy warning, and
     TruncationError when the reconstruction residual exceeds tol times
     max|b| on the grid; tol must be positive and finite.  The residual
     reported stays absolute.
@@ -218,7 +219,9 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
 
 def membership(res: FactorizationResult, sp: AlgebraSpace) -> dict[str, NormReport]:
     """Combined norms of both factors and of the inverse factors that
-    ``factorize`` built, from one batched solve."""
+    ``factorize`` built, from one batched solve, with no grid sample or
+    DFT.  The four are one-sided by construction, so each off-side norm is
+    exactly 0."""
     parts = {"plus": res.plus, "plus_inverse": res.plus_inverse,
              "minus": res.minus, "minus_inverse": res.minus_inverse}
     r = wnf_norm_arrays((f, sp) for f in parts.values())

@@ -32,8 +32,9 @@ class LaurentPolynomial:
             raise SpecError(
                 f"coefficient array must have length {2 * self.n_max + 1}, got {c.shape}"
             )
-        # A nonzero end coefficient (nan included) leaves nothing to trim:
-        # the scan for the nonzero entries runs only where both ends are 0.
+        # A nonzero end coefficient (nan included; -0.0 counts as 0) leaves
+        # nothing to trim: the scan for the nonzero entries runs only where
+        # both ends are 0.
         if c[0] == 0 and c[-1] == 0:
             nz = np.nonzero(c)[0]
             if len(nz) == 0:

@@ -73,7 +73,9 @@ def draw_space(rng: np.random.Generator) -> AlgebraSpace:
     """A random six-tuple over the builtin family cross product: in each
     slot a group, then a member of it.  Only ``rng.integers(n)`` is called;
     ``integers(1)`` reads nothing from a ``Generator`` and gives 0, so a
-    group of one member costs no word."""
+    group of one member costs no word.  Only the ``Generator`` draw in
+    ``tests/oracles.py`` calls it; ``_draw_chunk`` reads the same picks from
+    raw output."""
     picks = []
     for groups in SLOTS:
         group = groups[rng.integers(len(groups))]

@@ -452,9 +452,12 @@ class _Batch:
     pairwise sum of the rest, so from a row's leading zero it returns the
     bits of ``np.sum`` on that row alone, whatever the row's length: one
     call sums every row of the batch, and each row's modular has the bits
-    of the public ``modular``.  ``np.abs`` of a float array is exact, so
-    the moduli of a complex array, taken once as ``algebra.wnf_norm``
-    takes them, give the bits of the complex array itself.
+    of the public ``modular``.  Phi is written span by span, one Orlicz
+    function and so one scalar exponent at a time: ``np.power`` with an
+    array of exponents does not take numpy's square path at p = 2, and
+    differs from ``x**2`` in the last bit at about 5 % of points.
+    ``np.abs`` keeps the bits of a row of moduli (see
+    ``algebra._one_sided_problems``).
 
     ``order[j]`` is the position, in the problems given, of sorted row j,
     ``starts[j]`` the position of its leading zero, ``sizes[j]`` its length

@@ -1,8 +1,11 @@
 """Tests for the combined norm, the algebra constant, and the inequality
 verifiers."""
 
+import importlib
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,6 +632,25 @@ class TestPublicNames:
         namespace = {}
         exec("from orlicz_wiener import *", namespace)
         assert set(orlicz_wiener.__all__) <= namespace.keys()
+
+    def test_every_name_in_the_readme_resolves(self):
+        """Every backticked ``module.name`` in README.md, for a module of
+        the package, resolves, so no renamed or removed name is left in
+        its map."""
+        modules = ("orlicz", "fourier", "algebra", "factorization", "harness", "errors", "cli")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        names = re.findall(r"`((?:%s)(?:\.\w+)+)`" % "|".join(modules), readme)
+        assert {name.split(".")[0] for name in names} == set(modules)
+
+        def resolves(name):
+            module, *path = name.split(".")
+            obj = importlib.import_module(f"orlicz_wiener.{module}")
+            for attr in path:
+                if not hasattr(obj, attr):
+                    return False
+                obj = getattr(obj, attr)
+            return True
+        assert [name for name in names if not resolves(name)] == []
 
 
 class TestHarnessReplay:

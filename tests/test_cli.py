@@ -99,7 +99,9 @@ class TestNorm:
     def test_norm_of_the_smallest_double(self, capsys, p):
         """A coefficient of 5e-324 on each side: the modular at that scale
         is 1, so each one-sided norm is 5e-324, the smallest double, not
-        0."""
+        0.  A coefficient of 1e-300 under a summand weight of 1e-300 has a
+        norm of 1e-300 * 1e-300^(1/p), below the smallest double: it
+        rounds to 0.0, with no refusal."""
         f = json.dumps({"coeffs": [{"k": 0, "re": 5e-324, "im": 0},
                                    {"k": -1, "re": 5e-324, "im": 0}]})
         space = f"pow:p={p};pow:p={p};const:1;const:1;const:1;const:1"
@@ -110,6 +112,13 @@ class TestNorm:
         doc = json.loads(out)
         assert doc["negative"] == doc["nonnegative"] == 5e-324
         assert doc["total"] == 2e-323
+        below = json.dumps({"coeffs": [{"k": 0, "re": 1e-300, "im": 0}]})
+        space = f"pow:p={p};pow:p={p};const:1;const:1;const:1;const:1e-300"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--cmd", "norm", "--input", below, "--space", space)
+        assert (code, err) == (0, "")
+        assert '"nonnegative": 0.0' in out
 
     def test_upper_end_overflowing_over_the_largest_entry(self, capsys):
         """A largest weighted entry of 1e-300 and a norm near 1.7e8
@@ -590,6 +599,8 @@ class TestRefusals:
         (["--cmd", "factorize", "--input", NEAR_ZERO_AT_LARGEST_GRID], None),
         (["--cmd", "norm", "--input", '{"coeffs":[{"k":0,"re":1,"im":0}]}',
           "--space", "pow:p=1;pow:p=1;const:1;const:1;const:1;const:1e-320"], None),
+        (["--cmd", "norm", "--input", '{"coeffs":[{"k":0,"re":1e300,"im":0}]}',
+          "--space", "pow:p=1;pow:p=1;const:1;const:1;const:1;const:1e300"], None),
         (["--cmd", "weights", "--space", "pow:p=1;pow:p=1;const:1;const:1e-320;const:1;const:1"],
          None),
         (["--cmd", "factorize", "--input", TWO_PLUS_T,
@@ -620,8 +631,9 @@ class TestRefusals:
             "values-beyond-int-digits", "coeffs-number", "coeffs-null", "re-string",
             "re-bool", "im-null", "re-beyond-double", "norm-weight-inf-at-zero",
             "factorize-weight-inf-at-zero", "factorize-under-resolved-at-largest-grid",
-            "norm-const-subnormal", "weights-const-subnormal", "factorize-const-subnormal",
-            "table-value-subnormal", "table-nested-100000", "table-repeated-key",
+            "norm-const-subnormal", "norm-above-doubles", "weights-const-subnormal",
+            "factorize-const-subnormal", "table-value-subnormal", "table-nested-100000",
+            "table-repeated-key",
             "coeffs-nested-3000", "coeffs-repeated-key", "coefficient-repeated-key",
             "weights-support-1", "weights-support-0", "weights-support-negative",
             "support-not-int", "replay-unlabelled", "replay-arabic-indic-digit",

@@ -72,7 +72,9 @@ def mp_luxemburg_norm(c, fn, phi, w):
         ws = [mpmath.mpf(float(y)) for y in w(n)]
 
         def big_phi(x):
-            return mpmath.expm1(x) if fn.family == "expm1" else x ** fn.p * mpmath.log1p(x)
+            if fn.family == "expm1":
+                return mpmath.expm1(x)
+            return x ** fn.p * (mpmath.log1p(x) if fn.family == "powlog" else 1)
 
         def excess(lam):
             return mpmath.fsum(big_phi(x / lam) * y for x, y in zip(a, ws)) - 1
@@ -439,7 +441,7 @@ class TestLuxemburgNorm:
 
     @pytest.mark.parametrize("fn", [
         OrliczFunction("expm1"), OrliczFunction("powlog", 1),
-        OrliczFunction("powlog", 2.5),
+        OrliczFunction("powlog", 2.5), OrliczFunction("pow", 1.5), OrliczFunction("pow", 2),
     ])
     def test_high_precision_oracle(self, fn):
         rng = np.random.default_rng(29)
@@ -451,6 +453,18 @@ class TestLuxemburgNorm:
             phi, w = weights[i % 4], weights[(i // 4 + 1) % 4]
             got = luxemburg_norm(c, fn, phi, w)
             assert got == pytest.approx(mp_luxemburg_norm(c, fn, phi, w), rel=1e-10)
+
+    def test_high_precision_oracle_is_the_closed_form_for_pow(self):
+        """The 50-digit oracle under x^p is the weighted l^p norm: 1 for
+        c = [1] under const:1 weights, and the closed form elsewhere."""
+        rng = np.random.default_rng(31)
+        for p in (1.5, 2):
+            fn = OrliczFunction("pow", p)
+            assert mp_luxemburg_norm(np.array([1.0]), fn, CONST1, CONST1) == 1.0
+            for phi, w in ((CONST1, TABLE_NEG), (WeightSequence("log", NEGATIVE_SIDE), CONST1)):
+                c = rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9)
+                assert mp_luxemburg_norm(c, fn, phi, w) == pytest.approx(
+                    weighted_lp_norm(c, p, phi, w), rel=1e-13)
 
     def test_mean_modular_calls_per_solve(self, monkeypatch):
         # Counts every modular value that a solve receives from the batched loop.

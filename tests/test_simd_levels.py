@@ -12,11 +12,14 @@ feature the CPU lacks, so a level names only the features that
 Exit codes, stderr and JSON keys must be the same at every level, and so
 must every bool, int and string and the length of every list: every
 verdict, count, violation and fingerprint.  Every float must lie within
-1e-12 relative.  The one exception is selftest's ``factorization_residual``,
-a rounding residual near 1e-15 that moved by 2e-2 relative at the baseline
-level on an AVX-512 host; it only has to stay within selftest's own gate,
-1e-10.  ``factorize`` bytes also move between levels and are not compared
-here.
+1e-12 relative, with two exceptions.  A residual (selftest's
+``factorization_residual``, factorize's ``residual``) is a rounding residual
+near 1e-15 that moved by 2e-2 relative at the baseline level on an AVX-512
+host; it only has to stay within selftest's own gate, 1e-10.  A
+factorization's coefficients must keep their set of indices k, and each
+part of each coefficient must lie within 1e-14 of the largest modulus of
+its factor, absolute: the smallest sit at the rounding floor, where their
+sign can flip, while the largest move was 5.6e-17 of that modulus.
 """
 
 import json
@@ -33,12 +36,23 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 LEVELS = (("no-AVX-512", ("X86_V4", "AVX512_ICL", "AVX512_SPR")),
           ("no-AVX2", ("X86_V3",)))
 
+# 2(1 - 0.5t)(1 - 0.3/t), whose winding number is 0
+SYMBOL = json.dumps({"coeffs": [{"k": -1, "re": -0.6, "im": 0}, {"k": 0, "re": 2.3, "im": 0},
+                                {"k": 1, "re": -1, "im": 0}]})
+
 COMMANDS = (("verify", "--seed", "3", "--trials", "300", "--support", "20"),
             ("verify", "--seed", "7", "--trials", "200"),
-            ("selftest",))
+            ("selftest",),
+            ("factorize", "--input", SYMBOL, "--grid", "2048", "--trunc", "128"))
 
 REL = 1e-12
+RESIDUALS = ("factorization_residual", "residual")
 RESIDUAL_GATE = 1e-10
+COEFF_ABS = 1e-14
+
+
+def _name(command) -> str:
+    return " ".join(command).replace(SYMBOL, "2(1-0.5t)(1-0.3/t)")
 
 
 def _env(disabled: str | None) -> dict:
@@ -86,8 +100,16 @@ def run():
 
 def _agree(want, got, key, where):
     """Equal structure, equal bools, ints and strings, and floats within
-    ``REL``; ``key`` is the innermost JSON key above the value."""
-    if isinstance(want, dict):
+    ``REL``, residuals within the gate and coefficients within ``COEFF_ABS``
+    of their factor's largest modulus; ``key`` is the innermost JSON key
+    above the value."""
+    if key == "coeffs":
+        assert [c["k"] for c in got] == [c["k"] for c in want], where
+        top = max(abs(complex(c["re"], c["im"])) for c in want)
+        for a, b in zip(want, got):
+            for part in ("re", "im"):
+                assert abs(b[part] - a[part]) <= COEFF_ABS * top, (where, a["k"], part, a, b)
+    elif isinstance(want, dict):
         assert isinstance(got, dict) and list(got) == list(want), where
         for k in want:
             _agree(want[k], got[k], k, f"{where}.{k}")
@@ -95,7 +117,7 @@ def _agree(want, got, key, where):
         assert isinstance(got, list) and len(got) == len(want), where
         for i, (a, b) in enumerate(zip(want, got)):
             _agree(a, b, key, f"{where}[{i}]")
-    elif type(want) is float and key == "factorization_residual":
+    elif type(want) is float and key in RESIDUALS:
         assert type(got) is float and got <= RESIDUAL_GATE, (where, want, got)
     elif type(want) is float:
         assert type(got) is float, where
@@ -105,7 +127,7 @@ def _agree(want, got, key, where):
 
 
 @pytest.mark.parametrize("level", [name for name, _ in LEVELS])
-@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("command", COMMANDS, ids=_name)
 def test_outputs_agree_across_simd_levels(command, level, levels, run):
     if not levels[level]:
         pytest.skip(f"this CPU has none of the features that {level} turns off")
@@ -118,11 +140,20 @@ def test_outputs_agree_across_simd_levels(command, level, levels, run):
 
 def test_the_comparison_fails_on_a_move():
     """The comparison itself: a float moved beyond 1e-12 relative, a
-    changed count, a shorter list or a residual past the gate fails it."""
-    doc = {"max_ratio": 0.5, "checks": 3, "violations": ["a"], "factorization_residual": 1e-15}
+    changed count, a shorter list, a residual past the gate, a coefficient
+    moved beyond 1e-14 of its factor's largest modulus or a changed set of
+    indices fails it."""
+    coeffs = [{"k": 0, "re": 1.0, "im": 0.0}, {"k": 1, "re": -0.5, "im": 1e-17}]
+    doc = {"max_ratio": 0.5, "checks": 3, "violations": ["a"], "factorization_residual": 1e-15,
+           "plus": {"coeffs": coeffs}}
     _agree(doc, dict(doc, max_ratio=0.5 * (1 + 1e-13)), None, "")
+    _agree(doc, dict(doc, plus={"coeffs": [coeffs[0], dict(coeffs[1], re=-0.5 + 5e-15,
+                                                           im=3e-17)]}), None, "")
     for moved in (dict(doc, max_ratio=0.5 * (1 + 1e-11)), dict(doc, checks=4),
                   dict(doc, violations=[]), dict(doc, factorization_residual=2e-10),
-                  dict(doc, checks=3.0), dict(doc, checks=True)):
+                  dict(doc, checks=3.0), dict(doc, checks=True),
+                  dict(doc, plus={"coeffs": [coeffs[0], dict(coeffs[1], re=-0.5 + 2e-14)]}),
+                  dict(doc, plus={"coeffs": [coeffs[0], dict(coeffs[1], k=2)]}),
+                  dict(doc, plus={"coeffs": coeffs[:1]})):
         with pytest.raises(AssertionError):
             _agree(doc, moved, None, "")
