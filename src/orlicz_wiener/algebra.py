@@ -160,17 +160,25 @@ def wnf_norm(f: LaurentPolynomial, sp: AlgebraSpace,
 
 def wnf_norm_arrays(pairs) -> NormReport:
     """``wnf_norm`` of each (f, sp) pair at its default tol, bit for bit, as
-    one NormReport of arrays over the pairs.  The moduli of each f are taken
-    once.  Every one-sided norm comes from one batched solve, and each
-    absolute sum is one ``np.add.reduce`` of its moduli, which is what
-    ``np.sum`` runs, without ``np.sum``'s Python wrapper."""
+    one NormReport of arrays over the pairs.
+
+    The coefficients of every f lie end to end, each f behind one zero, in
+    one complex array, and one ``np.abs`` takes all their moduli: ``np.abs``
+    of a contiguous complex array does not depend on an entry's position,
+    so each f's moduli have the bits of its own ``np.abs``.  One
+    ``np.add.reduceat`` from the zeros gives every absolute sum, each with
+    the bits of ``np.sum`` of its moduli, and every one-sided norm comes
+    from one batched solve of views of that array."""
     pairs = list(pairs)
-    mags = [np.abs(f.coeffs) for f, _ in pairs]
+    zero = np.zeros(1, dtype=complex)
+    sizes = np.array([f.coeffs.size + 1 for f, _ in pairs], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    mags = np.abs(np.concatenate([a for f, _ in pairs for a in (zero, f.coeffs)] or [zero]))
     lams = np.array([hi for _, hi in luxemburg_brackets(
-        [p for m, (_, sp) in zip(mags, pairs) for p in _one_sided_problems(m, sp)])])
+        [p for (f, sp), a in zip(pairs, starts.tolist())
+         for p in _one_sided_problems(mags[a + 1:a + f.coeffs.size + 1], sp)])])
     with np.errstate(over="ignore"):
-        return _finite(NormReport(np.array([np.add.reduce(m) for m in mags]),
-                                  lams[0::2], lams[1::2]))
+        return _finite(NormReport(np.add.reduceat(mags, starts), lams[0::2], lams[1::2]))
 
 
 def _norm_checks(lhs, rhs, c) -> Checks:

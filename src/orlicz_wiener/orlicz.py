@@ -8,7 +8,6 @@ arrays, so every modular is a finite sum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -420,27 +419,34 @@ def _luxemburg_steps(ref: float, tol: float, growth: tuple):
     # taken from lo, since log(inf) would make every later scale nan.
     if hi / ref == math.inf:
         ref = lo
-    x_lo, y_lo = math.log(lo / ref), _log(m_lo)
-    x_hi, y_hi = math.log(hi / ref), _log(m_hi)
+    # A log-modular is -inf where the modular is 0.
+    log, exp, isfinite, inf = math.log, math.exp, math.isfinite, math.inf
+    x_lo, y_lo = log(lo / ref), log(m_lo)
+    x_hi, y_hi = log(hi / ref), log(m_hi) if m_hi else -inf
     last = 0  # side of the latest point: +1 upper end, -1 lower end
     for _ in range(MAX_STEPS):
         if hi - lo <= tol * hi:
             break
         x = 0.5 * (x_lo + x_hi)
-        if math.isfinite(y_lo) and math.isfinite(y_hi) and y_lo > y_hi:
+        if isfinite(y_lo) and isfinite(y_hi) and y_lo > y_hi:
             x = x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo)
+        # The point, clamped to [lo + gap, hi - gap].
         gap = 0.25 * tol * hi
-        lam = min(max(ref * math.exp(x), lo + gap), hi - gap)
+        lam = ref * exp(x)
+        if lo + gap > lam:
+            lam = lo + gap
+        if hi - gap < lam:
+            lam = hi - gap
         m = yield lam
-        y = _log(m)
+        y = log(m) if m else -inf
         if m <= 1:
             if last > 0:
                 y_lo *= _anderson_bjorck(y, y_hi)
-            hi, x_hi, y_hi, last = lam, math.log(lam / ref), y, 1
+            hi, x_hi, y_hi, last = lam, log(lam / ref), y, 1
         else:
             if last < 0:
                 y_hi *= _anderson_bjorck(y, y_lo)
-            lo, x_lo, y_lo, last = lam, math.log(lam / ref), y, -1
+            lo, x_lo, y_lo, last = lam, log(lam / ref), y, -1
     return lo, hi
 
 
@@ -456,20 +462,27 @@ class _Batch:
     function and so one scalar exponent at a time: ``np.power`` with an
     array of exponents does not take numpy's square path at p = 2, and
     differs from ``x**2`` in the last bit at about 5 % of points.
-    ``np.abs`` keeps the bits of a row of moduli (see
-    ``algebra._one_sided_problems``).
+
+    The set-up orders the rows by one stable ``np.argsort`` over ranks of
+    (family, p), the order ``sorted`` gives by that key, so Orlicz
+    functions that are equal but built apart share one rank and one span.
+    It builds each flat array by one concatenation of a zero and a view
+    per row, of the coefficients, of w's values and, in ``x``, of phi's
+    values, and one multiply writes |c_n| phi_n; it makes no index array.
+    A complex row's moduli are taken on their own, with the bits of
+    ``np.abs`` of that row (see ``algebra._one_sided_problems``), and one
+    ``np.abs`` over the concatenation, exact on floats, takes the others'.
 
     ``order[j]`` is the position, in the problems given, of sorted row j,
     ``starts[j]`` the position of its leading zero, ``sizes[j]`` its length
     with that zero, and ``refs[j]`` its largest weighted entry.  ``spans``
     holds, per Orlicz function, the function and its flat span a:b.  Every
     array is allocated once, in the set-up, and written in place after:
-    the two flat arrays, each row written where it lies; ``x``, which holds
-    the arguments and then, span by span, the values of Phi during a pass;
-    and ``scratch``, as long as the longest ``powlog`` span and empty where
-    there is none, which holds log1p of a ``powlog`` span's arguments.  A
-    batch of one, such as a serial solve, is laid out and stepped as any
-    other.
+    ``x`` holds the arguments and then, span by span, the values of Phi
+    during a pass, and ``scratch``, as long as the longest ``powlog`` span
+    and empty where there is none, holds log1p of a ``powlog`` span's
+    arguments.  A batch of one, such as a serial solve, is laid out and
+    stepped as any other.
     """
 
     def __init__(self, problems):
@@ -482,29 +495,43 @@ class _Batch:
         # the serial solves of its rows would not.  Weights are told apart
         # by identity; the suites draw theirs from one table of prebuilt
         # weights.
-        rows, reach = [], {}  # reach: id(nu) -> (nu, the length of its longest row)
+        rows, fns, weights, reach = [], {}, {}, {}  # reach: id(nu) -> its longest row
         for c, orlicz, phi, w in problems:
             c = _coefficients(c)
             if c.size:
                 _check_class(phi, w)
-            rows.append((c, orlicz, phi, w))
+            rows.append((np.abs(c) if c.dtype.kind == "c" else c, orlicz, phi, w))
+            fns[id(orlicz)] = orlicz
             for nu in (phi, w):
-                reach[id(nu)] = nu, max(reach.get(id(nu), (nu, 0))[1], c.size)
-        self.order = sorted(range(len(rows)), key=lambda i: (
-            rows[i][1].family, rows[i][1].p))
+                if reach.get(id(nu), -1) < c.size:
+                    reach[id(nu)], weights[id(nu)] = c.size, nu
+        # One rank per (family, p), so equal functions built apart share it.
+        rank, span_fns = {}, []
+        for orlicz in sorted(fns.values(), key=lambda orlicz: (orlicz.family, orlicz.p)):
+            if not span_fns or orlicz != span_fns[-1]:
+                span_fns.append(orlicz)
+            rank[id(orlicz)] = len(span_fns) - 1
+        keys = np.array([rank[id(orlicz)] for _, orlicz, _, _ in rows])
+        self.order = keys.argsort(kind="stable").tolist()
         rows = [rows[i] for i in self.order]
         self.sizes = np.array([c.size + 1 for c, *_ in rows])
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        ends = (self.starts + self.sizes).tolist()
-        self.scaled, self.w = np.zeros(ends[-1]), np.zeros(ends[-1])
+        ends = np.add.accumulate(self.sizes)
+        self.starts = ends - self.sizes
+        zero = np.zeros(1)
         # An infinite weight times a zero coefficient is nan: refused below.
         with np.errstate(over="ignore", invalid="ignore"):
-            values = {key: nu(np.arange(nu.start, nu.start + n, dtype=float))
-                      for key, (nu, n) in reach.items()}
-            for (c, _, phi, w), b in zip(rows, ends):
-                row = self.scaled[b - c.size:b]
-                np.multiply(np.abs(c, out=row), values[id(phi)][:c.size], out=row)
-                self.w[b - c.size:b] = values[id(w)][:c.size]
+            values = {key: nu(np.arange(nu.start, nu.start + reach[key], dtype=float))
+                      for key, nu in weights.items()}
+            self.scaled = np.concatenate([a for c, *_ in rows for a in (zero, c)])
+            # x, which the passes reuse: a default verify chunk that allocated
+            # the arguments and the values of Phi afresh at every step
+            # page-faulted both in again each time, and its steps took twice
+            # as long.
+            self.x = np.concatenate([a for c, _, phi, _ in rows
+                                     for a in (zero, values[id(phi)][:c.size])])
+            self.w = np.concatenate([a for c, _, _, w in rows
+                                     for a in (zero, values[id(w)][:c.size])])
+            np.multiply(np.abs(self.scaled, out=self.scaled), self.x, out=self.scaled)
         # Exact: every entry is >= 0, so a leading zero never wins.  A row
         # maximum is nan or inf where an entry of the row is, and so is the
         # largest weight where a weight is.
@@ -512,14 +539,9 @@ class _Batch:
         if not (math.isfinite(refs.max()) and math.isfinite(self.w.max())):
             raise DomainError("weighted coefficients and weights must be finite")
         self.refs = refs.tolist()
-        # Allocated once: a default verify chunk that allocated the arguments
-        # and the values of Phi afresh at every step page-faulted both in
-        # again each time, and its steps took twice as long.
-        self.x = np.empty_like(self.scaled)
-        self.spans = []
-        for orlicz, group in itertools.groupby(range(len(rows)), key=lambda j: rows[j][1]):
-            group = list(group)
-            self.spans.append((orlicz, int(self.starts[group[0]]), ends[group[-1]]))
+        # Each rank's rows end at the flat end of its last row.
+        bounds = [0, *ends[np.add.accumulate(np.bincount(keys)) - 1].tolist()]
+        self.spans = list(zip(span_fns, bounds, bounds[1:]))
         self.scratch = np.empty(max((b - a for orlicz, a, b in self.spans
                                      if orlicz.family == "powlog"), default=0))
 
@@ -531,7 +553,7 @@ class _Batch:
         over every row."""
         x = self.x
         with np.errstate(over="ignore"):
-            np.divide(self.scaled, np.repeat(lam, self.sizes), out=x)
+            np.divide(self.scaled, lam.repeat(self.sizes), out=x)
             for orlicz, a, b in self.spans:
                 span = x[a:b]
                 orlicz._at(span, span, self.scratch)
@@ -562,14 +584,15 @@ def luxemburg_brackets(problems, tol: float = DEFAULT_NORM_TOL) -> list:
     batch = _Batch(problems)
     # An empty row or a row whose entries are all zero has norm 0 and is
     # never stepped; its scale stays 1 so that its arithmetic stays finite.
-    # Finished rows stay in the flat arrays and keep their last scale.
-    live, lam = {}, np.ones(len(problems))  # sorted row -> its running solve
+    # Finished rows stay in the flat arrays and keep their last scale.  The
+    # scales are kept in a list, and made an array once per pass.
+    live, lam = {}, [1.0] * len(problems)  # sorted row -> its running solve
     for j, ref in enumerate(batch.refs):
         if ref > 0:
             live[j] = _luxemburg_steps(ref, tol, problems[batch.order[j]][1]._growth)
             lam[j] = next(live[j])
     while live:
-        m = batch.modulars(lam).tolist()
+        m = batch.modulars(np.array(lam)).tolist()
         for j, solve in list(live.items()):
             try:
                 lam[j] = solve.send(m[j])
@@ -596,11 +619,6 @@ def luxemburg_norm(c, orlicz: OrliczFunction, phi: WeightSequence,
             modular(c, orlicz, phi, w, lo) if lo else math.inf):
         raise RuntimeError("the Luxemburg bracket failed its certificate")
     return hi
-
-
-def _log(m: float) -> float:
-    """log of a modular value in [0, inf]."""
-    return math.log(m) if m else -math.inf
 
 
 def _anderson_bjorck(y: float, y_prev: float) -> float:

@@ -648,7 +648,7 @@ def test_a_slice_of_the_moduli_is_the_moduli_of_its_copy():
     depend on an entry's position, so each side of ``np.abs(coeffs)``, the
     reversed negative side included, has the bits of ``np.abs`` of that
     side's contiguous copy, as ``split`` makes it; so does ``np.abs`` into
-    a span of a flat array, as the batched set-up writes it."""
+    a span of a flat array."""
     rng = np.random.default_rng(43)
     for size in [*range(1, 301), 4097, 32769, 2 * harness.MAX_SUPPORT + 1]:
         c = 10.0 ** rng.uniform(-300, 300, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
@@ -659,6 +659,30 @@ def test_a_slice_of_the_moduli_is_the_moduli_of_its_copy():
         np.abs(c, out=flat[3:])
         assert np.array_equal(_bits(flat[3:]), _bits(mags))
 
+
+
+def test_one_zero_led_array_gives_each_polynomial_its_moduli_and_sum():
+    """``algebra.wnf_norm_arrays`` lays every polynomial behind one zero in
+    one complex array and relies on these numpy behaviours: over every
+    length a trial solves, with each polynomial starting at every offset
+    mod 8, ``np.abs`` of the whole array gives each polynomial the bits of
+    its own ``np.abs``, and ``np.add.reduceat`` from the zeros gives each
+    one ``np.sum`` of its moduli."""
+    rng = np.random.default_rng(45)
+    lengths = [*range(1, 301), 4097, 32769, 2 * harness.MAX_SUPPORT + 1]
+    polys = [10.0 ** rng.uniform(-5, 5, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+             for n in lengths]
+    own = [np.abs(c) for c in polys]
+    sums = [float(np.sum(m)) for m in own]
+    zero = np.zeros(1, dtype=complex)
+    for shift in range(8):
+        flat = np.concatenate([np.zeros(shift, dtype=complex),
+                               *(a for c in polys for a in (zero, c))])
+        starts = shift + np.cumsum([0] + [n + 1 for n in lengths[:-1]])
+        mags = np.abs(flat)
+        for a, m in zip(starts.tolist(), own):
+            assert np.array_equal(_bits(mags[a + 1:a + 1 + m.size]), _bits(m)), (shift, m.size)
+        assert np.add.reduceat(mags, starts).tolist() == sums, shift
 
 def test_power_into_an_output_array_is_the_power_operator():
     """Phi is written in place with ``np.power(x, p, out=...)``; it has the
@@ -729,6 +753,40 @@ def _batches(draw):
 def test_batched_solves_equal_the_serial_solves(tol, problems):
     assert _norms(problems, tol) == [luxemburg_norm(*p, tol) for p in problems]
 
+
+
+def test_batch_order_is_the_stable_sort_by_family_and_exponent():
+    """Rows whose Orlicz functions are equal but built apart by two
+    ``from_spec`` calls, interleaved in the input, come out in
+    ``_Batch.order`` as the stable sort by (family, p), with one span per
+    (family, p) that holds exactly its rows; int, bool, complex list and
+    empty rows among them keep the bits of their serial solves."""
+    rng = np.random.default_rng(47)
+    specs = ["pow:p=2", "expm1", "powlog:p=1.5", "pow:p=1.5", "pow:p=2", "powlog:p=1.5",
+             "expm1", "pow:p=1.5", "pow:p=1"]
+    weights = [CONST1, WeightSequence("pow", NEGATIVE_SIDE, 1.0),
+               WeightSequence("log", NEGATIVE_SIDE), TABLE_NEG]
+    problems = []
+    for i in range(45):
+        m = int(rng.integers(1, 20))
+        c = [rng.integers(-9, 10, m).tolist(), (rng.uniform(size=m) < 0.5).tolist(),
+             (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)).tolist(), [],
+             rng.uniform(-1, 1, m)][i % 5]
+        problems.append((c, OrliczFunction.from_spec(specs[i % len(specs)]),
+                         weights[i % 4], weights[(i // 4) % 4]))
+
+    def key(i):
+        return problems[i][1].family, problems[i][1].p
+
+    batch = orlicz._Batch(problems)
+    assert batch.order == sorted(range(len(problems)), key=key)
+    assert [(fn.family, fn.p) for fn, _, _ in batch.spans] == sorted(set(map(key, batch.order)))
+    ends = (batch.starts + batch.sizes).tolist()
+    for fn, a, b in batch.spans:
+        rows = [j for j, i in enumerate(batch.order) if key(i) == (fn.family, fn.p)]
+        assert (a, b) == (batch.starts[rows[0]], ends[rows[-1]])
+        assert rows == list(range(rows[0], rows[-1] + 1))
+    assert _norms(problems) == [luxemburg_norm(*p) for p in problems]
 
 class TestBatchedEdgeCases:
     TINY = WeightSequence("const", NEGATIVE_SIDE, 1e-300)
