@@ -3,6 +3,7 @@
 Exit codes: 0 ok, 1 verification violation, 2 usage/config error,
 3 factorization obstruction (nonzero winding or vanishing symbol),
 4 internal error (an unexpected exception, reported on one line),
+130 interrupted (what a shell reports for SIGINT),
 141 the reader of stdout went away (what a shell reports for SIGPIPE).
 """
 
@@ -40,6 +41,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_OBSTRUCTION = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process killed by it
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
@@ -206,6 +208,8 @@ def main(argv=None) -> int:
         _emit(doc, args.format)
         sys.stdout.flush()
         return code
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # Nothing is left to read the output: send what is still buffered to
         # the null device, so that the interpreter's last flush cannot fail.

@@ -40,7 +40,8 @@ class IndexObstructionError(OrliczWienerError):
 
 
 class TruncationError(OrliczWienerError):
-    """The factorization residual exceeds the requested tolerance."""
+    """The factorization residual, or the l1 distance from 1 of a factor
+    times its truncated inverse, exceeds the requested tolerance."""
 
     def __init__(self, residual: float, tol: float):
         super().__init__(

@@ -171,8 +171,9 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     the double range (for exp(i a cos theta) each factor reaches e^(a/2);
     a nan residual would pass the gate), with no numpy warning, and
     TruncationError when the reconstruction residual exceeds tol times
-    max|b| on the grid; tol must be positive and finite.  The residual
-    reported stays absolute.
+    max|b| on the grid, or when the l1 distance from 1 of a factor times
+    its truncated inverse, which that error then reports, exceeds tol; tol
+    must be positive and finite.  The residual reported stays absolute.
     """
     if not 0 < tol < np.inf:
         raise SpecError(f"residual tolerance must be positive and finite, got {tol}")
@@ -204,6 +205,16 @@ def factorize(b: LaurentPolynomial, n_grid: int = 256, truncation: int = 64,
     gate = tol * diag.max_modulus
     if residual > gate:
         raise TruncationError(residual, gate)
+    # b+ b+^-1 and b- b-^-1 from the halves, as plus * minus above, each
+    # with k = 0 first: the l1 distance of each from 1 bounds its grid
+    # residual from above.
+    mi = inverses.n_max
+    for product in (np.convolve(factors.coeffs[m:], inverses.coeffs[mi:]),
+                    np.convolve(factors.coeffs[:m + 1], inverses.coeffs[:mi + 1])[::-1]):
+        product[0] -= 1
+        defect = float(np.sum(np.abs(product)))
+        if not defect <= tol:
+            raise TruncationError(defect, tol)
     return FactorizationResult(
         scalar=scalar,
         minus=_keep(factors, -1, 0),

@@ -47,15 +47,9 @@ class LaurentPolynomial:
         self.coeffs = c
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls(np.zeros(1, dtype=complex), 0)
-
-    @classmethod
     def from_dict(cls, entries: dict) -> "LaurentPolynomial":
-        """Build from a mapping {k: coefficient}."""
-        if not entries:
-            return cls.zero()
-        n = max(abs(int(k)) for k in entries)
+        """Build from a mapping {k: coefficient}; {} gives 0."""
+        n = max((abs(int(k)) for k in entries), default=0)
         c = np.zeros(2 * n + 1, dtype=complex)
         for k, v in entries.items():
             c[int(k) + n] = v

@@ -1,11 +1,11 @@
-"""Reference computations on Laurent polynomials that the tests compare
-the package against: the absolute-sum (Wiener) norm, the split of the
-coefficients into their two one-sided arrays, each from copies, the trim
-of a coefficient array to its canonical support by a scan of every entry,
-and the draw of a verification trial through numpy's ``Generator``, with
-``random_element``, the random polynomial it draws, which also gives the
-tests and goldens their inputs."""
+"""Reference computations that the tests compare the package against, each
+written once and apart from the code under test: on Laurent polynomials the
+Wiener norm, the one-sided split, the trim by a scan of every entry and the
+geometric inverse of a linear factor; the ``Generator`` draw of a trial,
+whose ``random_element`` also gives the tests their inputs; closed-form norms;
+and Phi and the Luxemburg norm at 50 digits."""
 
+import mpmath
 import numpy as np
 
 from orlicz_wiener.errors import DomainError
@@ -63,3 +63,62 @@ def draw_trial(seed: int, trial: int, support: int):
     sup_f = int(rng.integers(0, support + 1))
     sup_g = int(rng.integers(0, support + 1))
     return sp, random_element(sup_f, rng), random_element(sup_g, rng)
+
+
+def weighted_lp_norm(c, p, phi, w):
+    """Closed-form oracle for the power family: (sum |c_n|^p phi_n^p w_n)^{1/p}."""
+    n = np.arange(phi.start, phi.start + len(c))
+    return float(np.sum(np.abs(c) ** p * phi(n) ** p * w(n)) ** (1 / p))
+
+
+def horbach_norm(f: LaurentPolynomial, p: float, r: float,
+                 alpha: float, beta: float) -> float:
+    """The classical two-term weighted-power norm of the coefficient sides,
+    in closed form: the l^p norm of |f_{-k}| (k+1)^alpha over k >= 1 plus
+    the l^r norm of |f_k| (k+1)^beta over k >= 0."""
+    neg, nonneg = split(f)
+    kn = np.arange(1, len(neg) + 1)
+    kp = np.arange(0, len(nonneg))
+    neg_term = np.sum(np.abs(neg) ** p * (kn + 1.0) ** (alpha * p)) ** (1 / p)
+    pos_term = np.sum(np.abs(nonneg) ** r * (kp + 1.0) ** (beta * r)) ** (1 / r)
+    return float(neg_term + pos_term)
+
+
+def single_entry_norm(c, phi0, w0, p):
+    """|c| phi0 w0^(1/p), the norm of one entry c under x^p, at 50 digits."""
+    with mpmath.workdps(50):
+        return abs(mpmath.mpf(c)) * mpmath.mpf(phi0) * mpmath.mpf(w0) ** (1 / mpmath.mpf(p))
+
+
+def mp_phi(fn, x):
+    """Phi of the Orlicz function ``fn`` at x in mpmath's working precision."""
+    if fn.family == "expm1":
+        return mpmath.expm1(x)
+    return x ** fn.p * (mpmath.log1p(x) if fn.family == "powlog" else 1)
+
+
+def mp_luxemburg_norm(c, fn, phi, w):
+    """50-digit oracle: the root of modular = 1, bracketed by doubling and
+    located by mpmath's Ridders solver."""
+    with mpmath.workdps(50):
+        n = np.arange(phi.start, phi.start + len(c))
+        a = [mpmath.mpf(float(x)) * mpmath.mpf(float(y))
+             for x, y in zip(np.abs(c), phi(n))]
+        ws = [mpmath.mpf(float(y)) for y in w(n)]
+
+        def excess(lam):
+            return mpmath.fsum(mp_phi(fn, x / lam) * y for x, y in zip(a, ws)) - 1
+        hi = max(a)
+        while excess(hi) > 0:
+            hi *= 2
+        lo = hi / 2
+        while excess(lo) <= 0:
+            lo /= 2
+        return float(mpmath.findroot(excess, (lo, hi), solver="ridder", tol=1e-40))
+
+
+def geometric_inverse(a: complex, side: int, n: int) -> LaurentPolynomial:
+    """sum_{k=0..n} a^k t^(side k): the inverse of the one-sided factor
+    1 - a t^side, cut at n terms past the constant."""
+    k = np.arange(n + 1)
+    return LaurentPolynomial.from_dict(dict(zip((side * k).tolist(), a ** k)))

