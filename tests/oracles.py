@@ -3,7 +3,8 @@ written once and apart from the code under test: on Laurent polynomials the
 Wiener norm, the one-sided split, the trim by a scan of every entry and the
 geometric inverse of a linear factor; the ``Generator`` draw of a trial,
 whose ``random_element`` also gives the tests their inputs; closed-form norms;
-and Phi and the Luxemburg norm at 50 digits."""
+Phi and the Luxemburg norm at 50 digits; and a weight with its positivity,
+monotonicity and doubling ratios at 50 digits."""
 
 import mpmath
 import numpy as np
@@ -95,6 +96,28 @@ def mp_phi(fn, x):
     if fn.family == "expm1":
         return mpmath.expm1(x)
     return x ** fn.p * (mpmath.log1p(x) if fn.family == "powlog" else 1)
+
+
+def mp_weight(nu, n: int):
+    """The weight ``nu`` at index n in mpmath's working precision."""
+    if nu.family == "pow":
+        return mpmath.mpf(n + 1) ** mpmath.mpf(nu.param)
+    if nu.family == "log":
+        return mpmath.log(mpmath.e + n)
+    if nu.family == "const":
+        return mpmath.mpf(nu.param)
+    return mpmath.mpf(nu.table[min(n - nu.start, len(nu.table) - 1)])
+
+
+def mp_weight_conditions(nu, n_max: int):
+    """(positive, nondecreasing, sup) of the weight ``nu`` at 50 digits: the
+    flags over its indices up to n_max, and sup the largest nu(2m)/nu(m)
+    over 1 <= m <= n_max/2, rounded to a double."""
+    with mpmath.workdps(50):
+        vals = [mp_weight(nu, n) for n in range(nu.start, n_max + 1)]
+        sup = max(mp_weight(nu, 2 * m) / mp_weight(nu, m) for m in range(1, n_max // 2 + 1))
+        return (all(v > 0 for v in vals), all(a <= b for a, b in zip(vals, vals[1:])),
+                float(sup))
 
 
 def mp_luxemburg_norm(c, fn, phi, w):

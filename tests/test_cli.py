@@ -151,19 +151,6 @@ class TestNorm:
         assert abs(got - exact) <= 1e-12 * exact
 
 
-@pytest.mark.parametrize("argv", [
-    ("--cmd", "factorize", "--input", TWO_PLUS_T, "--trunc", "64", "--grid", "256"),
-    ("--cmd", "verify", "--replay", "theorem:seed=7:trial=3:support=16"),
-], ids=["factorize", "replay"])
-def test_csv_row_has_one_field_per_header_field(capsys, argv):
-    # list-valued fields are JSON text with commas of their own
-    code, out, _ = run(capsys, *argv, "--format", "csv")
-    assert code == 0
-    header, row = csv.reader(io.StringIO(out))
-    assert len(row) == len(header)
-    assert any(json.loads(field) for field in row if field.startswith("["))
-
-
 _NORM_KEYS = ["wiener", "negative", "nonnegative", "total"]
 _SHIFT_WEIGHTS = [f"{klass}:{spec}" for klass in ("W-", "W+")
                   for spec in ("pow:alpha=0", "pow:alpha=0.5", "pow:alpha=1", "pow:alpha=2",
@@ -741,6 +728,21 @@ def test_interrupt_exits_130_silently():
         proc.kill()
     assert proc.returncode == cli.EXIT_INTERRUPTED == 130
     assert (out, err) == (b"", b"")
+
+
+def test_coefficient_file_nested_100000_deep_is_refused(tmp_path):
+    """The depth at which the JSON parser gives up depends on the stack of a
+    real process, which an in-process test does not reproduce: a file nested
+    100000 deep is refused with exit 2 and one ``error:`` line."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"coeffs": ' + "[" * 100000 + "]" * 100000 + "}")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "orlicz_wiener.cli",
+         "--cmd", "norm", "--input", str(path)],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == cli.EXIT_USAGE == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
 class TestUnexpectedException:

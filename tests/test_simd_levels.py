@@ -4,8 +4,7 @@ numpy picks its kernels for power, log, log1p, expm1 and exp by CPU at
 import, and they can differ in the last bit.  Each command below runs in a
 subprocess at the default level and again at each lower level, with
 ``NPY_DISABLE_CPU_FEATURES`` set for that child only: first numpy's AVX-512
-kernels off, then its AVX2 kernels off too, as the CI step 'Goldens and raw
-draws at lower SIMD levels' derives them.  numpy refuses to disable a
+kernels off, then its AVX2 kernels off too.  numpy refuses to disable a
 feature the CPU lacks, so a level names only the features that
 ``__cpu_features__`` reports, and a level with none of them is skipped.
 
@@ -20,6 +19,11 @@ factorization's coefficients must keep their set of indices k, and each
 part of each coefficient must lie within 1e-14 of the largest modulus of
 its factor, absolute: the smallest sit at the rounding floor, where their
 sign can flip, while the largest move was 5.6e-17 of that modulus.
+
+At each lower level the goldens and the raw draws also run as they are, in a
+child pytest: the goldens passed at all three levels on an AVX-512 host, and
+the draw is integer arithmetic that must keep the bits of the ``Generator``
+draw at every level.
 """
 
 import json
@@ -30,7 +34,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # Each level turns off its features on top of the levels before it.
 LEVELS = (("no-AVX-512", ("X86_V4", "AVX512_ICL", "AVX512_SPR")),
@@ -49,6 +54,9 @@ REL = 1e-12
 RESIDUALS = ("factorization_residual", "residual")
 RESIDUAL_GATE = 1e-10
 COEFF_ABS = 1e-14
+
+# The tests that pin bits exactly, rerun at each lower level.
+PINNED = ("tests/test_golden.py", "tests/test_algebra.py::TestRawDraw")
 
 
 def _name(command) -> str:
@@ -82,6 +90,28 @@ def levels() -> dict:
         off += [f for f in features if have.get(f)]
         named[level] = " ".join(off)
     return named
+
+
+@pytest.fixture(scope="module")
+def pinned(levels) -> dict:
+    """Level name -> (output, exit code) of a child pytest of ``PINNED`` at
+    that level, for each level this CPU has.  The children run side by
+    side: one at a time, they took 10 s of a 2-core host's wall time, and
+    side by side 5.5 s."""
+    procs = {level: subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *PINNED],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=_env(off), cwd=ROOT)
+        for level, off in levels.items() if off}
+    done = {}
+    try:
+        for level, proc in procs.items():
+            done[level] = proc.communicate(timeout=300)[0], proc.returncode
+    finally:
+        for proc in procs.values():
+            if proc.returncode is None:
+                proc.kill()
+                proc.communicate()
+    return done
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +166,14 @@ def test_outputs_agree_across_simd_levels(command, level, levels, run):
     assert (code, err) == (want_code, want_err)
     assert want_code == 0 and want_err == ""
     _agree(json.loads(want_out), json.loads(out), None, command[0])
+
+
+@pytest.mark.parametrize("level", [name for name, _ in LEVELS])
+def test_goldens_and_raw_draws_pass_at_each_simd_level(level, levels, pinned):
+    if not levels[level]:
+        pytest.skip(f"this CPU has none of the features that {level} turns off")
+    out, code = pinned[level]
+    assert code == 0, out[-4000:]
 
 
 def test_the_comparison_fails_on_a_move():
