@@ -85,12 +85,11 @@ class LaurentPolynomial:
         return cls.from_dict(entries)
 
     def to_json(self) -> dict:
-        out = []
-        for k in range(-self.n_max, self.n_max + 1):
-            v = self.coeff(k)
-            if v != 0:
-                out.append({"k": k, "re": v.real, "im": v.imag})
-        return {"coeffs": out}
+        """The nonzero coefficients by increasing k: nan is nonzero and
+        -0.0 zero."""
+        nz = np.flatnonzero(self.coeffs)
+        return {"coeffs": [{"k": k, "re": v.real, "im": v.imag} for k, v in
+                           zip((nz - self.n_max).tolist(), self.coeffs[nz].tolist())]}
 
     def coeff(self, k: int) -> complex:
         """f_k, zero outside the stored band."""

@@ -1,5 +1,6 @@
 """Tests for Laurent polynomial arithmetic and coefficient extraction."""
 
+import json
 import math
 
 import numpy as np
@@ -75,6 +76,17 @@ class TestLaurentPolynomial:
 
     def test_zero(self):
         assert wiener_norm(LaurentPolynomial.from_dict({})) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_arrays())
+    def test_to_json_lists_what_a_scan_of_every_entry_finds(self, case):
+        """The JSON entries are those of a scan of the stored coefficients
+        by increasing k, with the bits of each part: nan is listed, and a
+        zero of either sign is not, but a -0.0 part of a nonzero value is."""
+        f = LaurentPolynomial(*case)
+        want = [{"k": i - f.n_max, "re": v.real, "im": v.imag}
+                for i, v in enumerate(f.coeffs.tolist()) if v != 0]
+        assert json.dumps(f.to_json()) == json.dumps({"coeffs": want})
 
     def test_json_round_trip(self):
         f = LaurentPolynomial.from_dict({-1: 3j, 2: -4})
